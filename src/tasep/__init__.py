@@ -35,7 +35,6 @@ from .dynamics import (
     coupled_run,
     run,
     step,
-    step_obstacles,
 )
 from .invariance import (
     MarkovIdentityReport,
@@ -56,7 +55,6 @@ from .measures import (
     sample_ring_configuration,
     sample_ring_word,
     solve_parameter,
-    stationary_vector,
 )
 from .velocity import (
     FundamentalDiagramRow,

@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from .dynamics import CoinStream, ObstacleField, coupled_run, run
 from .invariance import verify_invariance, write_pushforward_csv
 from .measures import (
     TransitionStructure,
+    all_words,
     build_invariant_matrix,
     cylinder_measure,
     parry_matrix,
@@ -41,7 +43,6 @@ from .velocity import (
     diagram_point,
     estimate_velocity,
     extend_obstacles,
-    fundamental_diagram,
     initial_ring,
     similarity_check,
     stability_sweep,
@@ -106,6 +107,12 @@ def _fmt(x) -> str:
 def _cmd_simulate(args) -> int:
     rho = args.particles / args.ring
     cfg, space = initial_ring(rho, args.v, args.r, args.particles)
+    if space == "lattice" and (cfg.circumference != args.ring or cfg.n != args.particles):
+        raise ValueError(
+            "the lattice process needs an integer ring holding exactly the particles: "
+            f"--ring {args.ring} --particles {args.particles} would run "
+            f"{cfg.n} particles on {cfg.circumference} sites"
+        )
     params = ProcessParams(p=args.p, v=args.v, space=space)
     summary = run(cfg, params, args.steps, CoinStream(args.seed),
                   snapshot_stride=args.snapshot_stride)
@@ -124,25 +131,19 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _fd_point(job):
-    rho, p, v, r, n_particles, steps, seed, k, burn_in, initial = job
-    return diagram_point(rho, p, v, r, n_particles, steps, seed, k, burn_in, initial)
-
-
 def _cmd_fundamental_diagram(args) -> int:
     grid = parse_grid(args.rho)
+    # diagram_point's positional arguments, one column per parameter
+    columns = (
+        grid, repeat(args.p), repeat(args.v), repeat(args.r), repeat(args.particles),
+        repeat(args.steps), repeat(args.seed), range(len(grid)), repeat(args.burn_in),
+        repeat(args.initial),
+    )
     if args.jobs > 1:
-        jobs = [
-            (rho, args.p, args.v, args.r, args.particles, args.steps, args.seed,
-             k, args.burn_in, args.initial)
-            for k, rho in enumerate(grid)
-        ]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_fd_point, jobs))
-        rows.sort(key=lambda row: row.rho)
+            rows = list(pool.map(diagram_point, *columns))
     else:
-        rows = fundamental_diagram(grid, args.p, args.v, args.r, args.particles,
-                                   args.steps, args.seed, args.burn_in, args.initial)
+        rows = list(map(diagram_point, *columns))
     _write_rows(
         _outpath(args, "fd.csv"), _header(args, "fundamental-diagram"),
         ["rho", "p", "v", "r", "V_theory", "V_hat", "stderr", "flux"],
@@ -173,13 +174,7 @@ def _cmd_measure(args) -> int:
                     [(m.p00, m.p01, m.p10, m.p11)])
         print(f"p00={m.p00:.6f} p01={m.p01:.6f} p10={m.p10:.6f} p11={m.p11:.6f}")
     elif args.what == "cylinder":
-        from itertools import product
-
-        rows = []
-        for n in range(1, args.max_len + 1):
-            for bits in product("01", repeat=n):
-                word = "".join(bits)
-                rows.append((word, cylinder_measure(m, word)))
+        rows = [(word, cylinder_measure(m, word)) for word in all_words(args.max_len)]
         _write_rows(_outpath(args, "cylinders.csv"), header, ["word", "measure"], rows)
     else:  # sample
         if args.configuration:

@@ -104,8 +104,8 @@ class ProcessParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"movement probability p={self.p} outside [0, 1]")
-        if not self.v > 0:
-            raise ValueError(f"maximal jump v={self.v} must be positive")
+        if not 0 < self.v < math.inf:
+            raise ValueError(f"maximal jump v={self.v} must be positive and finite")
         if self.space not in ("lattice", "continuum"):
             raise ValueError(f"unknown space tag {self.space!r}")
         if self.space == "lattice" and not float(self.v).is_integer():
@@ -147,6 +147,9 @@ class Configuration:
             wind = np.asarray(self.winding, dtype=np.float64)
             if len(wind) != n:
                 raise ValueError("winding length must match positions")
+        for name, arr in (("positions", pos), ("radii", rad), ("winding", wind)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         if n and np.any(np.diff(pos) < 0):
             raise ValueError("positions must be sorted in particle order")
         if isinstance(self.geometry, Ring) and n:
@@ -206,39 +209,45 @@ class Configuration:
         return f"Configuration({geom}, n={self.n})"
 
 
-def _successor_bounds_arrays(pos: np.ndarray, rad: np.ndarray, circumference: float | None):
-    """Rightmost admissible position for each particle, from its successor.
+def _bound_terms(rad: np.ndarray, circumference: float | None, integer: bool):
+    """The state-independent terms of the successor bound: rr and the seam.
 
-    bound_i = x_{i+1} - (r_i + r_{i+1}); on a ring the successor of the last
-    particle is x_0 + L, on a line it is an unobstructed sentinel.  Dynamics
-    and admissibility checks share this expression so that the one-step map
-    preserves admissibility exactly, including in floating point.
+    rr_i = r_i + r_{i+1}; the seam L makes x_0 + L the successor of the last
+    particle on a ring (None on a line).  Both are int64 when ``integer``
+    (integer positions and jump), every rr and the ring length are integral,
+    so lattice bounds are exact; otherwise both are float64.
     """
-    n = len(pos)
-    is_int = pos.dtype.kind in "iu"
-    if n == 0:
-        return pos.astype(np.int64 if is_int else np.float64)
     rr = rad + np.roll(rad, -1)
-    succ = np.empty(n, dtype=np.float64)
-    succ[:-1] = pos[1:]
-    if circumference is not None:
-        succ[-1] = pos[0] + circumference
-    else:
-        succ[-1] = np.inf
-    if is_int and np.all(rr == np.rint(rr)) and (
+    if integer and np.all(rr == np.rint(rr)) and (
         circumference is None or float(circumference).is_integer()
     ):
-        isucc = np.empty(n, dtype=np.int64)
-        isucc[:-1] = pos[1:]
-        isucc[-1] = pos[0] + int(circumference) if circumference is not None else _INT_CAP
-        return isucc - rr.astype(np.int64)
+        return rr.astype(np.int64), None if circumference is None else int(circumference)
+    return rr, None if circumference is None else float(circumference)
+
+
+def _bounds(pos: np.ndarray, rr: np.ndarray, seam) -> np.ndarray:
+    """Rightmost admissible position for each particle, from its successor.
+
+    bound_i = succ_i - rr_i with succ_i = x_{i+1}; the last particle's
+    successor is x_0 + seam on a ring and an unobstructed sentinel on a line.
+    Dynamics and admissibility checks share this expression so that the
+    one-step map preserves admissibility exactly, including in floating point.
+    """
+    succ = np.empty(len(pos), dtype=rr.dtype)
+    if len(pos):
+        succ[:-1] = pos[1:]
+        if seam is not None:
+            succ[-1] = pos[0] + seam
+        else:
+            succ[-1] = _INT_CAP if rr.dtype.kind == "i" else np.inf
     return succ - rr
 
 
 def successor_bounds(cfg: Configuration) -> np.ndarray:
     """Rightmost admissible position of each particle given its successor."""
     L = cfg.circumference if cfg.is_ring else None
-    return _successor_bounds_arrays(cfg.positions, cfg.radii, L)
+    rr, seam = _bound_terms(cfg.radii, L, cfg.positions.dtype.kind in "iu")
+    return _bounds(cfg.positions, rr, seam)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ from .configuration import (
     LineWindow,
     ProcessParams,
     Ring,
-    _successor_bounds_arrays,
+    _bound_terms,
+    _bounds,
     density,
     gaps,
 )
@@ -33,7 +34,6 @@ __all__ = [
     "coupled_run",
     "run",
     "step",
-    "step_obstacles",
 ]
 
 _UINT64 = 2**64
@@ -135,65 +135,74 @@ def _validate_lattice(cfg: Configuration, params: ProcessParams) -> None:
         raise ValueError("lattice process requires radii with integral diameters")
 
 
-def _jump(v: float, dtype) -> float | int:
-    """v as an int for pure-integer arithmetic, else as a float (promoting)."""
-    if dtype.kind in "iu" and float(v).is_integer():
-        return int(v)
-    return float(v)
+class _Stepper:
+    """The one-step map of one run, its input checked and invariants fixed once.
+
+    Holds the current positions and winding.  Arithmetic is exact int64 when
+    positions, jump, every r_i + r_{i+1} and the ring length are integral and
+    no obstacles are present, float64 otherwise.
+    """
+
+    def __init__(
+        self, cfg: Configuration, params: ProcessParams, field: ObstacleField | None = None
+    ) -> None:
+        _validate_lattice(cfg, params)
+        if field is not None:
+            if cfg.n and np.any(cfg.radii != 0):
+                raise ValueError("obstacle dynamics is defined for radius-0 particles")
+            if field.geometry != cfg.geometry:
+                raise ValueError("obstacle field geometry must match the configuration")
+        gaps(cfg)  # rejects inadmissible input
+        self.cfg = cfg
+        self.x = cfg.positions if field is None else cfg.positions.astype(np.float64)
+        self.wind = cfg.winding
+        integer = self.x.dtype.kind in "iu" and float(params.v).is_integer()
+        L = cfg.circumference if cfg.is_ring else None
+        self.rr, self.seam = _bound_terms(cfg.radii, L, integer)
+        self.v = int(params.v) if self.rr.dtype.kind == "i" else float(params.v)
+        self.p = params.p
+        self.tiled = None if field is None else _tiled_obstacles(field)
+
+    def bounds(self) -> np.ndarray:
+        return _bounds(self.x, self.rr, self.seam)
+
+    def advance(self, u: np.ndarray) -> np.ndarray:
+        """One synchronous update under uniforms u; returns the displacements."""
+        x = self.x
+        target = np.minimum(x + self.v, self.bounds())
+        if self.tiled is not None:
+            target = np.minimum(target, _next_obstacle(x, self.tiled))
+        # never move left: an ulp-scale overlap exposed by a window shift must not
+        # turn into backward motion
+        target = np.maximum(target, x)
+        moved = np.where(u < self.p, target, x)
+        disp = moved - x
+        self.wind = self.wind + disp
+        if self.seam is not None and len(moved) and moved[0] >= self.seam:
+            moved = moved - self.seam
+        self.x = moved
+        return disp
+
+    def configuration(self) -> Configuration:
+        return Configuration(self.cfg.geometry, self.x, self.cfg.radii, self.wind)
 
 
-def _advance(x, bounds, v, p, u, znext=None):
-    """One synchronous update on raw arrays; returns (new positions, displacements)."""
-    target = np.minimum(x + v, bounds)
-    if znext is not None:
-        target = np.minimum(target, znext)
-    # never move left: an ulp-scale overlap exposed by a window shift must not
-    # turn into backward motion
-    target = np.maximum(target, x)
-    moved = np.where(u < p, target, x)
-    return moved, moved - x
-
-
-def step(cfg: Configuration, params: ProcessParams, coins: CoinStream, t: int) -> Configuration:
-    """One synchronous step of the exclusion process."""
-    _validate_lattice(cfg, params)
-    gaps(cfg)  # rejects inadmissible input
-    L = cfg.circumference if cfg.is_ring else None
-    bounds = _successor_bounds_arrays(cfg.positions, cfg.radii, L)
-    v = _jump(params.v, bounds.dtype)
-    u = coins.uniforms(t, cfg.n)
-    newx, disp = _advance(cfg.positions, bounds, v, params.p, u)
-    if L is not None and cfg.n and newx[0] >= L:
-        newx = newx - (int(L) if newx.dtype.kind in "iu" else L)
-    return Configuration(cfg.geometry, newx, cfg.radii, cfg.winding + disp)
-
-
-def step_obstacles(
+def step(
     cfg: Configuration,
-    field: ObstacleField,
     params: ProcessParams,
     coins: CoinStream,
     t: int,
+    field: ObstacleField | None = None,
 ) -> Configuration:
-    """One synchronous step with static obstacles (point particles only).
+    """One synchronous step of the exclusion process.
 
-    Each particle also stops at the first obstacle strictly beyond it, so an
-    obstacle costs exactly one step to pass.
+    With static obstacles (``field``, point particles only) each particle also
+    stops at the first obstacle strictly beyond it, so an obstacle costs
+    exactly one step to pass.
     """
-    if cfg.n and np.any(cfg.radii != 0):
-        raise ValueError("obstacle dynamics is defined for radius-0 particles")
-    if field.geometry != cfg.geometry:
-        raise ValueError("obstacle field geometry must match the configuration")
-    gaps(cfg)
-    L = cfg.circumference if cfg.is_ring else None
-    x = cfg.positions.astype(np.float64)
-    bounds = _successor_bounds_arrays(x, cfg.radii, L)
-    znext = _next_obstacle(x, _tiled_obstacles(field))
-    u = coins.uniforms(t, cfg.n)
-    newx, disp = _advance(x, bounds, float(params.v), params.p, u, znext)
-    if L is not None and cfg.n and newx[0] >= L:
-        newx = newx - L
-    return Configuration(cfg.geometry, newx, cfg.radii, cfg.winding + disp)
+    stepper = _Stepper(cfg, params, field)
+    stepper.advance(coins.uniforms(t, cfg.n))
+    return stepper.configuration()
 
 
 @dataclass(frozen=True)
@@ -207,6 +216,19 @@ class TrajectorySummary:
     snapshots: tuple[tuple[int, Configuration], ...]
     snapshot_densities: np.ndarray
     final: Configuration
+
+
+def _summary(cfg: Configuration, stepper: _Stepper, totals, snaps) -> TrajectorySummary:
+    densities = np.array([density(c) for _, c in snaps]) if cfg.n else np.zeros(len(snaps))
+    return TrajectorySummary(
+        steps=len(totals),
+        n_particles=cfg.n,
+        displacement=stepper.wind - cfg.winding,
+        step_total_displacement=totals,
+        snapshots=tuple(snaps),
+        snapshot_densities=densities,
+        final=snaps[-1][1],
+    )
 
 
 def run(
@@ -225,54 +247,16 @@ def run(
     if steps < 1:
         raise ValueError("need at least one step")
     coins = _as_coins(coins_or_seed)
-    _validate_lattice(cfg, params)
-    if field is not None:
-        if cfg.n and np.any(cfg.radii != 0):
-            raise ValueError("obstacle dynamics is defined for radius-0 particles")
-        if field.geometry != cfg.geometry:
-            raise ValueError("obstacle field geometry must match the configuration")
-    gaps(cfg)
-    n = cfg.n
-    L = cfg.circumference if cfg.is_ring else None
-    x = cfg.positions.copy()
-    if field is not None:
-        x = x.astype(np.float64)
-    rad = cfg.radii
-    v = _jump(params.v, x.dtype)
-    tiled = _tiled_obstacles(field) if field is not None else None
-    wind = cfg.winding.copy()
-    wind0 = cfg.winding
+    stepper = _Stepper(cfg, params, field)
     totals = np.zeros(steps)
-    snaps: list[tuple[int, Configuration]] = []
-
-    def snapshot(t: int, xa: np.ndarray) -> None:
-        snaps.append((t, Configuration(cfg.geometry, xa, rad, wind)))
-
-    snapshot(0, x)
+    snaps = [(0, stepper.configuration())]
     for t in range(steps):
-        bounds = _successor_bounds_arrays(x, rad, L)
-        znext = _next_obstacle(x, tiled) if tiled is not None else None
-        u = coins.uniforms(t, n)
-        x, disp = _advance(x, bounds, v, params.p, u, znext)
-        wind = wind + disp
-        totals[t] = disp.sum()
-        if L is not None and n and x[0] >= L:
-            x = x - (int(L) if x.dtype.kind in "iu" else L)
+        totals[t] = stepper.advance(coins.uniforms(t, cfg.n)).sum()
         if snapshot_stride and (t + 1) % snapshot_stride == 0:
-            snapshot(t + 1, x)
-    if not snaps or snaps[-1][0] != steps:
-        snapshot(steps, x)
-    final = snaps[-1][1]
-    densities = np.array([density(c) for _, c in snaps]) if n else np.zeros(len(snaps))
-    return TrajectorySummary(
-        steps=steps,
-        n_particles=n,
-        displacement=wind - wind0,
-        step_total_displacement=totals,
-        snapshots=tuple(snaps),
-        snapshot_densities=densities,
-        final=final,
-    )
+            snaps.append((t + 1, stepper.configuration()))
+    if snaps[-1][0] != steps:
+        snaps.append((steps, stepper.configuration()))
+    return _summary(cfg, stepper, totals, snaps)
 
 
 @dataclass(frozen=True)
@@ -305,52 +289,24 @@ def coupled_run(
     if steps < 1:
         raise ValueError("need at least one step")
     coins = _as_coins(coins_or_seed)
-    for cfg, params in ((cfg_a, params_a), (cfg_b, params_b)):
-        _validate_lattice(cfg, params)
-        gaps(cfg)
+    sides = (_Stepper(cfg_a, params_a), _Stepper(cfg_b, params_b))
     n = cfg_a.n
-    states = []
-    for cfg, params in ((cfg_a, params_a), (cfg_b, params_b)):
-        L = cfg.circumference if cfg.is_ring else None
-        x = cfg.positions.copy()
-        states.append([x, cfg.radii, L, _jump(params.v, x.dtype), params.p, cfg.winding.copy()])
+    # a line has no gap ahead of its last particle
+    n_gaps = n if cfg_a.is_ring else max(n - 1, 0)
     gap_div = np.zeros(steps)
     disp_div = np.zeros(steps)
-    totals = [np.zeros(steps), np.zeros(steps)]
+    totals = np.zeros((2, steps))
     scale = float(displacement_scale)
     for t in range(steps):
         u = coins.uniforms(t, n)
-        disps = []
-        gap_arrays = []
-        for k, st in enumerate(states):
-            x, rad, L, v, p, wind = st
-            bounds = _successor_bounds_arrays(x, rad, L)
-            x, disp = _advance(x, bounds, v, p, u)
-            wind = wind + disp
-            if L is not None and n and x[0] >= L:
-                x = x - (int(L) if x.dtype.kind in "iu" else L)
-            st[0], st[5] = x, wind
-            totals[k][t] = disp.sum()
-            disps.append(disp)
-            gap_arrays.append(_successor_bounds_arrays(x, rad, L) - x)
+        disp_a, disp_b = (side.advance(u) for side in sides)
+        totals[:, t] = disp_a.sum(), disp_b.sum()
         if n:
-            ga, gb = gap_arrays
-            if not isinstance(cfg_a.geometry, Ring):
-                ga, gb = ga[:-1], gb[:-1]
-            gap_div[t] = np.abs(gb - scale * ga).max() if len(ga) else 0.0
-            disp_div[t] = np.abs(disps[1] - scale * disps[0]).max()
-    summaries = []
-    for (cfg, params), st, tot in zip(((cfg_a, params_a), (cfg_b, params_b)), states, totals):
-        final = Configuration(cfg.geometry, st[0], cfg.radii, st[5])
-        summaries.append(
-            TrajectorySummary(
-                steps=steps,
-                n_particles=n,
-                displacement=st[5] - cfg.winding,
-                step_total_displacement=tot,
-                snapshots=((steps, final),),
-                snapshot_densities=np.array([density(final)]) if n else np.zeros(1),
-                final=final,
-            )
-        )
-    return CoupledRun(summaries[0], summaries[1], gap_div, disp_div)
+            ga, gb = ((side.bounds() - side.x)[:n_gaps] for side in sides)
+            gap_div[t] = np.abs(gb - scale * ga).max() if n_gaps else 0.0
+            disp_div[t] = np.abs(disp_b - scale * disp_a).max()
+    a, b = (
+        _summary(cfg, side, tot, [(steps, side.configuration())])
+        for cfg, side, tot in zip((cfg_a, cfg_b), sides, totals)
+    )
+    return CoupledRun(a, b, gap_div, disp_div)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import IO, Callable, Union
 
-from .measures import MarkovMatrix, cylinder_measure, validate_word
+from .measures import MarkovMatrix, all_words, cylinder_measure, validate_word
 
 __all__ = [
     "CylinderComparison",
@@ -105,12 +105,6 @@ class PushforwardReport:
     stationary: bool
 
 
-def _all_words(max_length: int):
-    for n in range(1, max_length + 1):
-        for bits in product("01", repeat=n):
-            yield "".join(bits)
-
-
 def verify_invariance(
     m: MarkovMatrix, p: float, max_length: int, tol: float = 1e-10
 ) -> PushforwardReport:
@@ -119,7 +113,7 @@ def verify_invariance(
         raise ValueError("max_length must lie in 1..12")
     rows = []
     worst = 0.0
-    for word in _all_words(max_length):
+    for word in all_words(max_length):
         mu = cylinder_measure(m, word)
         pushed = one_step_cylinder_pushforward(m, word, p)
         rows.append(CylinderComparison(word, mu, pushed))
@@ -166,7 +160,7 @@ class MarkovIdentityReport:
 def markov_identity_check(measure: MeasureLike, max_context: int = 3) -> MarkovIdentityReport:
     """Test the conditional-independence identity on all contexts up to max_context."""
     ev = _as_evaluator(measure)
-    contexts = [""] + list(_all_words(max_context))
+    contexts = [""] + list(all_words(max_context))
     worst = 0.0
     worst_triple = ("", "", "")
     checked = 0

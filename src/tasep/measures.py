@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .configuration import Configuration, decode_word, radius_conjugate, scale_s
 __all__ = [
     "MarkovMatrix",
     "TransitionStructure",
+    "all_words",
     "build_invariant_matrix",
     "cylinder_measure",
     "empirical_cylinder_frequency",
@@ -27,7 +29,6 @@ __all__ = [
     "sample_ring_configuration",
     "sample_ring_word",
     "solve_parameter",
-    "stationary_vector",
     "validate_word",
 ]
 
@@ -38,6 +39,14 @@ def validate_word(word: str) -> str:
     if not word or set(word) - {"0", "1"}:
         raise ValueError(f"cylinder word must be a nonempty 0/1 string, got {word!r}")
     return word
+
+
+def all_words(max_length: int):
+    """Every 0/1 word of length 1..max_length, shortest first, each length in
+    lexicographic order."""
+    for n in range(1, max_length + 1):
+        for bits in product("01", repeat=n):
+            yield "".join(bits)
 
 
 @dataclass(frozen=True)
@@ -90,11 +99,6 @@ class MarkovMatrix:
         if s == 0:
             raise ValueError("stationary vector undefined for the identity-like matrix")
         return (self.p10 / s, self.p01 / s)
-
-
-def stationary_vector(m: MarkovMatrix) -> tuple[float, float]:
-    """(p_0, p_1), the normalized left fixed point of the matrix."""
-    return m.stationary
 
 
 def solve_parameter(rho: float, p: float) -> float:

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -20,7 +19,12 @@ from .configuration import (
     scale_shift,
 )
 from .dynamics import CoinStream, ObstacleField, TrajectorySummary, coupled_run, run
-from .measures import build_invariant_matrix, cylinder_measure, sample_ring_configuration
+from .measures import (
+    all_words,
+    build_invariant_matrix,
+    cylinder_measure,
+    sample_ring_configuration,
+)
 
 __all__ = [
     "FundamentalDiagramRow",
@@ -254,10 +258,8 @@ def measure_distance(rho_lat: float, p: float, max_length: int = 4) -> float:
     m_p = build_invariant_matrix(rho_lat, p)
     m_1 = build_invariant_matrix(rho_lat, 1.0)
     worst = 0.0
-    for n in range(1, max_length + 1):
-        for bits in product("01", repeat=n):
-            word = "".join(bits)
-            worst = max(worst, abs(cylinder_measure(m_p, word) - cylinder_measure(m_1, word)))
+    for word in all_words(max_length):
+        worst = max(worst, abs(cylinder_measure(m_p, word) - cylinder_measure(m_1, word)))
     return worst
 
 

@@ -44,6 +44,14 @@ class TestExitCodes:
         assert "verdict=stationary" in text
         assert "seed" not in text.splitlines()[0] or "rho=0.5" in text.splitlines()[0]
 
+    def test_simulate_rejects_a_rounded_lattice_ring(self, tmp_path, capsys):
+        # the lattice start rounds the ring to 1001 sites
+        code = main(["--outdir", str(tmp_path), "simulate", "--ring", "1000.7",
+                     "--particles", "500", "--r", "0.5", "--steps", "100"])
+        assert code == 2
+        assert "1001 sites" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_couple_check_failure_is_three(self, tmp_path):
         code = main(["--outdir", str(tmp_path), "couple-check", "--mode", "radius",
                      "--rho", "0.3", "--p", "0.6", "--particles", "50",
@@ -75,10 +83,15 @@ class TestArtifacts:
         assert colnames == "rho,p,v,r,V_theory,V_hat,stderr,flux"
         assert "seed=11" in header and "rho=0.2:0.4:0.1" in header
 
-    def test_fundamental_diagram_jobs_matches_serial(self, tmp_path):
-        base = ["fundamental-diagram", "--rho", "0.2:0.4:0.1", "--p", "0.8",
-                "--v", "1", "--r", "0", "--particles", "120", "--steps", "200",
-                "--seed", "3"]
+    @pytest.mark.parametrize("base", [
+        ["fundamental-diagram", "--rho", "0.2:0.4:0.1", "--p", "0.8",
+         "--v", "1", "--r", "0", "--particles", "120", "--steps", "200",
+         "--seed", "3"],
+        ["fundamental-diagram", "--rho", "0.30:0.32:0.002", "--p", "0.5",
+         "--v", "1", "--r", "0.5", "--particles", "100", "--steps", "100",
+         "--seed", "1", "--initial", "sampled"],
+    ], ids=["even", "sampled"])
+    def test_fundamental_diagram_jobs_matches_serial(self, tmp_path, base):
         a_dir, b_dir = tmp_path / "serial", tmp_path / "par"
         assert main(["--outdir", str(a_dir)] + base) == 0
         assert main(["--outdir", str(b_dir)] + base + ["--jobs", "2"]) == 0

@@ -213,6 +213,15 @@ class TestConfigurationInvariants:
         with pytest.raises(ValueError):
             line([0.0], -0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="positions"):
+            line([0.0, bad, 3.0], 0.0)
+        with pytest.raises(ValueError, match="radii"):
+            line([0.0, 1.0], [0.1, bad])
+        with pytest.raises(ValueError, match="winding"):
+            Configuration(LINE, [0.0, 1.0], 0.0, [bad, 0.0])
+
     def test_immutability(self):
         cfg = line([0.0, 1.0], 0.0)
         with pytest.raises(ValueError):
@@ -226,6 +235,11 @@ class TestConfigurationInvariants:
         with pytest.raises(ValueError):
             ProcessParams(p=0.5, v=1.5, space="lattice")
         ProcessParams(p=0.5, v=2, space="lattice")
+
+    @pytest.mark.parametrize("space", ["continuum", "lattice"])
+    def test_infinite_jump_rejected(self, space):
+        with pytest.raises(ValueError, match="finite"):
+            ProcessParams(p=0.5, v=np.inf, space=space)
 
     def test_evenly_spaced_ring_exact_density(self):
         cfg = evenly_spaced_ring(100, 0.4, radius=0.5)

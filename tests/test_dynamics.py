@@ -19,7 +19,6 @@ from tasep import (
     radius_conjugate,
     run,
     step,
-    step_obstacles,
 )
 
 DET = ProcessParams(p=1.0, v=1.0)
@@ -91,15 +90,15 @@ class TestStepObstacles:
         cfg = Configuration(LINE, [0.2], 0.0)
         field = ObstacleField(LINE, [1.0])
         params = ProcessParams(p=1.0, v=2.0)
-        out = step_obstacles(cfg, field, params, CoinStream(0), 0)
+        out = step(cfg, params, CoinStream(0), 0, field=field)
         assert np.array_equal(out.positions, [1.0])
-        out = step_obstacles(out, field, params, CoinStream(0), 1)
+        out = step(out, params, CoinStream(0), 1, field=field)
         assert np.array_equal(out.positions, [3.0])
 
     def test_empty_field_reduces_to_plain_step(self):
         cfg = ring(9.0, [0.0, 2.0, 4.5], 0.0)
         params = ProcessParams(p=0.7, v=1.0)
-        a = step_obstacles(cfg, ObstacleField(Ring(9.0), []), params, CoinStream(4), 2)
+        a = step(cfg, params, CoinStream(4), 2, field=ObstacleField(Ring(9.0), []))
         b = step(cfg, params, CoinStream(4), 2)
         assert a == b
 
@@ -109,19 +108,19 @@ class TestStepObstacles:
         params = ProcessParams(p=1.0, v=1.0)
         seen = []
         for t in range(3):
-            cfg = step_obstacles(cfg, field, params, CoinStream(0), t)
+            cfg = step(cfg, params, CoinStream(0), t, field=field)
             seen.append(float(cfg.positions[0]))
         assert seen == [0.5, 0.7, 1.7]
 
     def test_nonzero_radius_rejected(self):
         cfg = Configuration(LINE, [0.0], 0.5)
         with pytest.raises(ValueError):
-            step_obstacles(cfg, ObstacleField(LINE, [1.0]), DET, CoinStream(0), 0)
+            step(cfg, DET, CoinStream(0), 0, field=ObstacleField(LINE, [1.0]))
 
     def test_ring_wraparound_obstacle(self):
         cfg = ring(5.0, [4.8], 0.0)
         field = ObstacleField(Ring(5.0), [0.5])
-        out = step_obstacles(cfg, field, ProcessParams(p=1.0, v=2.0), CoinStream(0), 0)
+        out = step(cfg, ProcessParams(p=1.0, v=2.0), CoinStream(0), 0, field=field)
         # next obstacle beyond 4.8 is 0.5 + L = 5.5
         assert out.positions[0] == pytest.approx(5.5 - 5.0)
 

@@ -24,7 +24,6 @@ from tasep import (
     sample_ring_configuration,
     sample_ring_word,
     solve_parameter,
-    stationary_vector,
 )
 
 LAMBDA = (1 + math.sqrt(5)) / 2
@@ -71,7 +70,7 @@ class TestBuildInvariantMatrix:
     def test_deterministic_dense_branch(self):
         m = build_invariant_matrix(0.75, 1.0)
         assert (m.p00, m.p01, m.p10, m.p11) == pytest.approx((0.0, 1.0, 1 / 3, 2 / 3))
-        assert stationary_vector(m) == pytest.approx((0.25, 0.75))
+        assert m.stationary == pytest.approx((0.25, 0.75))
 
     def test_half_density_deterministic_checkerboard(self):
         m = build_invariant_matrix(0.5, 1.0)
@@ -88,7 +87,7 @@ class TestBuildInvariantMatrix:
         for rho in np.linspace(0.05, 0.95, 19):
             for p in (0.3, 0.8, 1.0):
                 m = build_invariant_matrix(rho, p)
-                assert stationary_vector(m)[1] == pytest.approx(rho, abs=1e-12)
+                assert m.stationary[1] == pytest.approx(rho, abs=1e-12)
 
     def test_stochastic_stability_of_entries(self):
         # p10 -> 1 and p11 -> 0 monotonically as p -> 1 at fixed sparse density
@@ -102,19 +101,19 @@ class TestBuildInvariantMatrix:
 
 class TestStationaryVector:
     def test_symmetric(self):
-        assert stationary_vector(build_invariant_matrix(0.5, 0.5)) == pytest.approx((0.5, 0.5))
+        assert build_invariant_matrix(0.5, 0.5).stationary == pytest.approx((0.5, 0.5))
 
     def test_identity_like_rejected(self):
         with pytest.raises(ValueError):
-            stationary_vector(MarkovMatrix(1.0, 0.0, 0.0, 1.0))
+            MarkovMatrix(1.0, 0.0, 0.0, 1.0).stationary
 
     def test_sparse_family_mass(self):
         m = MarkovMatrix.from_rows([[2 / 3, 1 / 3], [1.0, 0.0]])
-        assert stationary_vector(m) == pytest.approx((0.75, 0.25))
+        assert m.stationary == pytest.approx((0.75, 0.25))
 
     def test_fixed_point(self):
         m = build_invariant_matrix(0.37, 0.62)
-        pi = np.array(stationary_vector(m))
+        pi = np.array(m.stationary)
         assert np.allclose(pi @ m.matrix(), pi, atol=1e-12)
         # detailed balance of the two-state chain
         assert pi[0] * m.p01 == pytest.approx(pi[1] * m.p10, abs=1e-12)

@@ -1,0 +1,148 @@
+"""Bit-identity referee for the step kernel.
+
+(a) SHA-256 digests of small seeded runs pin their exact output bytes, so any
+rewrite of the step kernel must reproduce trajectories bit for bit.
+(b) A loop of ``step`` calls must give ``run(...).final``, values and dtypes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from tasep import (
+    LINE,
+    CoinStream,
+    Configuration,
+    ObstacleField,
+    ProcessParams,
+    Ring,
+    coupled_run,
+    even_lattice_ring,
+    evenly_spaced_ring,
+    radius_conjugate,
+    run,
+    step,
+)
+
+
+def digest(arr: np.ndarray) -> str:
+    """First 16 hex digits of SHA-256 over the dtype tag and the raw bytes."""
+    arr = np.ascontiguousarray(arr)
+    h = hashlib.sha256(arr.dtype.str.encode())
+    h.update(arr.tobytes())
+    return h.hexdigest()[:16]
+
+
+def _line_window():
+    gaps = np.random.default_rng(5).uniform(0.0, 1.5, 79)
+    pos = np.concatenate([[0.0], np.cumsum(0.4 + gaps)])
+    return Configuration(LINE, pos, 0.2)
+
+
+def _integer_ring_radius_03():
+    pos = np.arange(0, 200, 2, dtype=np.int64)
+    return Configuration(Ring(200), pos, 0.3)
+
+
+# name -> (configuration, params, field, steps, seed)
+CASES = {
+    "lattice_ring": (even_lattice_ring(250, 100), ProcessParams(0.5, 2, "lattice"),
+                     None, 80, 11),
+    "continuum_ring": (evenly_spaced_ring(120, 0.4, radius=0.25),
+                       ProcessParams(0.6, 1.5), None, 80, 12),
+    "line_window": (_line_window(), ProcessParams(0.7, 2.0), None, 60, 13),
+    "integer_radius_0.3": (_integer_ring_radius_03(), ProcessParams(0.5, 1.0),
+                           None, 80, 14),
+    "obstacles_continuum": (evenly_spaced_ring(60, 0.3), ProcessParams(0.5, 2.0),
+                            ObstacleField(Ring(200.0), np.linspace(0.0, 190.0, 25)),
+                            80, 15),
+    "obstacles_integer_ring": (Configuration(Ring(120), np.arange(0, 120, 3), 0.0),
+                               ProcessParams(0.8, 3.0),
+                               ObstacleField(Ring(120), np.arange(1.0, 120.0, 7.0)),
+                               80, 16),
+}
+
+# name -> digests of (final.positions, final.winding, step_total_displacement)
+RUN_DIGESTS = {
+    "lattice_ring": ("b5c67cfcdf47524d", "b3635aadbe79e4a8", "2ee6e040776ce1ff"),
+    "continuum_ring": ("9d79c5a1e178e282", "ada71768c740aa33", "0f65ab64571dcab9"),
+    "line_window": ("6a0a59f0b82d13f1", "9f35f72e47798128", "8eae3d06624e07c3"),
+    "integer_radius_0.3": ("f27f2ac8f2437cc6", "b029352310d0cfcb", "dbc26a6b43fa578d"),
+    "obstacles_continuum": ("564d27cec964c0e6", "fe4ca460c6c88b82", "ca760824692f289e"),
+    "obstacles_integer_ring": ("75b00e36bd701353", "c359369d40135075", "4be094fb0fd82fb8"),
+}
+
+# heterogeneous-radius ring coupled to its mean-radius conjugate: positions and
+# winding of both finals, both step-total series, then gap and displacement
+# divergences (rounding-level, so they pin the float arithmetic too)
+COUPLED_DIGESTS = (
+    "04663356b6d84f07", "f534a540a140cf83", "29f7871e7dff6739", "a55ca89c77dcbcff",
+    "b425059a04c1ce03", "50297106661b3181", "54aa354427e12cae", "5a7640c568f72dd9",
+)
+
+
+def _coupled():
+    radii = np.random.default_rng(6).uniform(0.0, 0.4, 60)
+    cfg_a = Configuration(Ring(200.0), np.arange(60) * (200.0 / 60), radii)
+    cfg_b = radius_conjugate(cfg_a, float(radii.mean()))
+    params = ProcessParams(0.7, 1.0)
+    return cfg_a, cfg_b, params, coupled_run(cfg_a, cfg_b, params, params, 70, CoinStream(17))
+
+
+def _run(name, snapshot_stride=None):
+    cfg, params, field, steps, seed = CASES[name]
+    return run(cfg, params, steps, CoinStream(seed), field=field,
+               snapshot_stride=snapshot_stride)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_digests(name):
+    s = _run(name)
+    got = (digest(s.final.positions), digest(s.final.winding),
+           digest(s.step_total_displacement))
+    assert got == RUN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_snapshot_stride_keeps_the_trajectory(name):
+    plain, strided = _run(name), _run(name, snapshot_stride=7)
+    assert strided.final == plain.final
+    assert np.array_equal(strided.step_total_displacement, plain.step_total_displacement)
+
+
+def test_coupled_run_digests():
+    _, _, _, res = _coupled()
+    got = (
+        digest(res.a.final.positions), digest(res.a.final.winding),
+        digest(res.b.final.positions), digest(res.b.final.winding),
+        digest(res.a.step_total_displacement), digest(res.b.step_total_displacement),
+        digest(res.max_gap_divergence), digest(res.max_displacement_divergence),
+    )
+    assert got == COUPLED_DIGESTS
+
+
+def _same(a: Configuration, b: Configuration) -> bool:
+    return (
+        a == b
+        and a.positions.dtype == b.positions.dtype
+        and a.winding.dtype == b.winding.dtype
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_step_loop_equals_run(name):
+    cfg, params, field, steps, seed = CASES[name]
+    coins = CoinStream(seed)
+    x = cfg
+    for t in range(steps):
+        x = step(x, params, coins, t, field=field)
+    assert _same(x, _run(name).final)
+
+
+def test_coupled_sides_equal_single_runs():
+    cfg_a, cfg_b, params, res = _coupled()
+    assert _same(res.a.final, run(cfg_a, params, 70, CoinStream(17)).final)
+    assert _same(res.b.final, run(cfg_b, params, 70, CoinStream(17)).final)
