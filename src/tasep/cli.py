@@ -32,7 +32,7 @@ from .measures import (
     TransitionStructure,
     all_words,
     build_invariant_matrix,
-    cylinder_measure,
+    markov_automaton,
     parry_matrix,
     periodic_point_count,
     periodic_points,
@@ -174,7 +174,7 @@ def _cmd_measure(args) -> int:
                     [(m.p00, m.p01, m.p10, m.p11)])
         print(f"p00={m.p00:.6f} p01={m.p01:.6f} p10={m.p10:.6f} p11={m.p11:.6f}")
     elif args.what == "cylinder":
-        rows = [(word, cylinder_measure(m, word)) for word in all_words(args.max_len)]
+        rows = zip(all_words(args.max_len), markov_automaton(m).table(args.max_len).tolist())
         _write_rows(_outpath(args, "cylinders.csv"), header, ["word", "measure"], rows)
     else:  # sample
         if args.configuration:

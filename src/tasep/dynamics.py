@@ -124,15 +124,11 @@ def _next_obstacle(x: np.ndarray, tiled: np.ndarray) -> np.ndarray:
 
 
 def _validate_lattice(cfg: Configuration, params: ProcessParams) -> None:
-    if params.space != "lattice":
-        return
-    if cfg.positions.dtype.kind not in "iu":
-        raise ValueError("lattice process requires integer positions")
-    if cfg.is_ring and not float(cfg.circumference).is_integer():
-        raise ValueError("lattice ring requires an integer circumference")
-    rr = 2.0 * cfg.radii
-    if cfg.n and not np.all(rr == np.rint(rr)):
-        raise ValueError("lattice process requires radii with integral diameters")
+    # the lattice process runs exactly when the stepper's bound terms are int64
+    L = cfg.circumference if cfg.is_ring else None
+    integer = cfg.positions.dtype.kind in "iu"
+    if params.space == "lattice" and _bound_terms(cfg.radii, L, integer)[0].dtype.kind != "i":
+        raise ValueError("lattice process needs integral positions, ring length and r_i + r_{i+1}")
 
 
 class _Stepper:

@@ -5,19 +5,20 @@ The image measure of a length-n cylinder is a finite sum over occupancy
 windows of n+2 sites (one site of context on each end) and over the Bernoulli
 coins of the particles in the window: after one step a site is occupied iff
 its particle was blocked or its coin failed, or the left neighbor's particle
-moved in.  The sum is evaluated by a weighted automaton that scans the window
-left to right; its state is the (occupancy, coin) content of the last two
-sites, so the whole computation is O(n) per cylinder instead of
-O(4^n) and verifying all cylinders up to length 12 stays cheap.
+moved in.  The sum is a weighted automaton whose state is the (occupancy,
+coin) content of the last two window sites, so one table pass of it and of
+the measure's own automaton compares all cylinders up to length 12.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import IO, Callable, Union
+from typing import IO, Callable
 
-from .measures import MarkovMatrix, all_words, cylinder_measure, validate_word
+import numpy as np
+
+from .measures import MarkovMatrix, WeightedAutomaton, all_words, markov_automaton
 
 __all__ = [
     "CylinderComparison",
@@ -29,16 +30,9 @@ __all__ = [
     "write_pushforward_csv",
 ]
 
-MeasureLike = Union[MarkovMatrix, Callable[[str], float]]
-
-# Site states of the scanning automaton: empty, occupied with a winning coin,
+# Site states of the image automaton: empty, occupied with a winning coin,
 # occupied with a losing coin.
 _EMPTY, _HEADS, _TAILS = 0, 1, 2
-_STATES = (_EMPTY, _HEADS, _TAILS)
-
-
-def _occupied(s: int) -> int:
-    return 1 if s != _EMPTY else 0
 
 
 def _post_letter(s_left: int, s_here: int, occ_right: int) -> int:
@@ -48,39 +42,32 @@ def _post_letter(s_left: int, s_here: int, occ_right: int) -> int:
     return 1 if s_left == _HEADS else 0
 
 
+def _image_automaton(m: MarkovMatrix, p: float) -> WeightedAutomaton:
+    """The measure's one-step image; state 3*s0 + s1 holds the last two sites.
+
+    Reading letter e moves (s0, s1) to (s1, s2), weighted by the new site's
+    transition and coin, when site s1 holds e after the step.
+    """
+    if not 0 < p <= 1:
+        raise ValueError(f"movement probability p={p} outside (0, 1]")
+    occ, coin = (0, 1, 1), (1.0, p, 1.0 - p)
+    trans, pi = m.matrix(), m.stationary
+    initial, transfer = np.zeros(9), np.zeros((9, 2, 9))
+    for s0, s1 in product(range(3), repeat=2):
+        initial[3 * s0 + s1] = pi[occ[s0]] * coin[s0] * trans[occ[s0], occ[s1]] * coin[s1]
+        for s2 in range(3):
+            e = _post_letter(s0, s1, occ[s2])
+            transfer[3 * s0 + s1, e, 3 * s1 + s2] = trans[occ[s1], occ[s2]] * coin[s2]
+    return WeightedAutomaton(initial, transfer)
+
+
 def one_step_cylinder_pushforward(m: MarkovMatrix, word: str, p: float) -> float:
     """Measure of the cylinder ``word`` after one synchronous step.
 
     ``m`` supplies the pre-step measure through its stationary vector and
     transition products; ``p`` is the movement probability of the step.
     """
-    validate_word(word)
-    if not 0 < p <= 1:
-        raise ValueError(f"movement probability p={p} outside (0, 1]")
-    target = [int(ch) for ch in word]
-    n = len(target)
-    trans = m.matrix()
-    pi = m.stationary
-    coin_w = {_EMPTY: 1.0, _HEADS: p, _TAILS: 1.0 - p}
-
-    # weights over the (previous site, current site) automaton state
-    weights: dict[tuple[int, int], float] = {}
-    for s0, s1 in product(_STATES, repeat=2):
-        w = pi[_occupied(s0)] * coin_w[s0] * trans[_occupied(s0), _occupied(s1)] * coin_w[s1]
-        if w:
-            weights[(s0, s1)] = weights.get((s0, s1), 0.0) + w
-    for emit in target:
-        new_weights: dict[tuple[int, int], float] = {}
-        for (s_prev, s_cur), w in weights.items():
-            for s_next in _STATES:
-                if _post_letter(s_prev, s_cur, _occupied(s_next)) != emit:
-                    continue
-                wn = w * trans[_occupied(s_cur), _occupied(s_next)] * coin_w[s_next]
-                if wn:
-                    key = (s_cur, s_next)
-                    new_weights[key] = new_weights.get(key, 0.0) + wn
-        weights = new_weights
-    return float(sum(weights.values()))
+    return _image_automaton(m, p).weight(word)
 
 
 @dataclass(frozen=True)
@@ -109,22 +96,11 @@ def verify_invariance(
     m: MarkovMatrix, p: float, max_length: int, tol: float = 1e-10
 ) -> PushforwardReport:
     """Compare mu and its one-step image on every cylinder up to max_length."""
-    if not 1 <= max_length <= 12:
-        raise ValueError("max_length must lie in 1..12")
-    rows = []
-    worst = 0.0
-    for word in all_words(max_length):
-        mu = cylinder_measure(m, word)
-        pushed = one_step_cylinder_pushforward(m, word, p)
-        rows.append(CylinderComparison(word, mu, pushed))
-        worst = max(worst, abs(pushed - mu))
-    return PushforwardReport(
-        max_length=max_length,
-        tolerance=tol,
-        rows=tuple(rows),
-        max_abs_error=worst,
-        stationary=worst <= tol,
-    )
+    mu = markov_automaton(m).table(max_length)
+    pushed = _image_automaton(m, p).table(max_length)
+    rows = tuple(map(CylinderComparison, all_words(max_length), mu.tolist(), pushed.tolist()))
+    worst = float(np.abs(pushed - mu).max())
+    return PushforwardReport(max_length, tol, rows, worst, stationary=worst <= tol)
 
 
 def write_pushforward_csv(report: PushforwardReport, stream: IO[str]) -> None:
@@ -136,12 +112,6 @@ def write_pushforward_csv(report: PushforwardReport, stream: IO[str]) -> None:
         )
     verdict = "stationary" if report.stationary else "non-stationary"
     stream.write(f"# max_abs_error={report.max_abs_error:.3g} verdict={verdict}\n")
-
-
-def _as_evaluator(measure: MeasureLike) -> Callable[[str], float]:
-    if isinstance(measure, MarkovMatrix):
-        return lambda word: cylinder_measure(measure, word)
-    return measure
 
 
 @dataclass(frozen=True)
@@ -157,23 +127,22 @@ class MarkovIdentityReport:
         return self.max_abs_residual <= 1e-12
 
 
-def markov_identity_check(measure: MeasureLike, max_context: int = 3) -> MarkovIdentityReport:
-    """Test the conditional-independence identity on all contexts up to max_context."""
-    ev = _as_evaluator(measure)
+def markov_identity_check(
+    measure: MarkovMatrix | Callable[[str], float], max_context: int = 3
+) -> MarkovIdentityReport:
+    """Test the conditional-independence identity on all contexts up to max_context.
+
+    The identity reads words of up to 2*max_context + 1 letters, so max_context
+    lies in 1..5; a MarkovMatrix is read from one table of those words.
+    """
+    if not 1 <= max_context <= 5:
+        raise ValueError(f"max_context must lie in 1..5, got {max_context}")
+    ev = measure
+    if isinstance(measure, MarkovMatrix):
+        n = 2 * max_context + 1
+        ev = dict(zip(all_words(n), markov_automaton(measure).table(n).tolist())).__getitem__
     contexts = [""] + list(all_words(max_context))
-    worst = 0.0
-    worst_triple = ("", "", "")
-    checked = 0
-    for b in "01":
-        mu_b = ev(b)
-        for a in contexts:
-            mu_ab = ev(a + b)
-            for c in contexts:
-                lhs = mu_b * ev(a + b + c)
-                rhs = mu_ab * ev(b + c)
-                checked += 1
-                resid = abs(lhs - rhs)
-                if resid > worst:
-                    worst = resid
-                    worst_triple = (a, b, c)
-    return MarkovIdentityReport(worst, worst_triple, checked)
+    triples = [(a, b, c) for b in "01" for a in contexts for c in contexts]
+    resid = [abs(ev(b) * ev(a + b + c) - ev(a + b) * ev(b + c)) for a, b, c in triples]
+    k = max(range(len(triples)), key=resid.__getitem__)  # the first largest
+    return MarkovIdentityReport(resid[k], triples[k] if resid[k] else ("", "", ""), len(triples))

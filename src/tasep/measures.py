@@ -19,10 +19,13 @@ from .configuration import Configuration, decode_word, radius_conjugate, scale_s
 __all__ = [
     "MarkovMatrix",
     "TransitionStructure",
+    "WeightedAutomaton",
     "all_words",
     "build_invariant_matrix",
     "cylinder_measure",
     "empirical_cylinder_frequency",
+    "lattice_density",
+    "markov_automaton",
     "parry_matrix",
     "periodic_point_count",
     "periodic_points",
@@ -47,6 +50,37 @@ def all_words(max_length: int):
     for n in range(1, max_length + 1):
         for bits in product("01", repeat=n):
             yield "".join(bits)
+
+
+@dataclass(frozen=True)
+class WeightedAutomaton:
+    """Word weights initial @ T[a_1] @ ... @ T[a_n] @ 1, with T[a] = transfer[:, a, :]."""
+
+    initial: np.ndarray
+    transfer: np.ndarray
+
+    def _levels(self, blocks):
+        """State weights after each block of letters; [T[0] | T[1]] extends every
+        word by 0, then by 1.  Elementwise products and sums in state order give
+        a word the same bits alone and in a table, which matmul need not."""
+        rows = self.initial[None]
+        for t in blocks:
+            out = rows[:, :1] * t[0]
+            for j in range(1, len(t)):
+                out += rows[:, j : j + 1] * t[j]
+            rows = out.reshape(-1, len(self.initial))
+            yield rows
+
+    def weight(self, word: str) -> float:
+        *_, rows = self._levels(self.transfer[:, int(ch)] for ch in validate_word(word))
+        return float(sum(rows[0]))
+
+    def table(self, max_length: int) -> np.ndarray:
+        """Weights of every word of length 1..max_length, in ``all_words`` order."""
+        if not 1 <= max_length <= 12:  # the table holds every word in memory
+            raise ValueError(f"max_length must lie in 1..12, got {max_length}")
+        both = self.transfer.reshape(len(self.initial), -1)
+        return np.concatenate([sum(rows.T) for rows in self._levels([both] * max_length)])
 
 
 @dataclass(frozen=True)
@@ -139,18 +173,27 @@ def build_invariant_matrix(rho: float, p: float) -> MarkovMatrix:
     return MarkovMatrix(1 - a, a, p10, 1 - p10, movement_p=p)
 
 
+def markov_automaton(m: MarkovMatrix) -> WeightedAutomaton:
+    """The measure as a 3-state automaton: a start state, then the last letter.
+
+    Each product has one nonzero term, so a weight equals the left-to-right
+    product stationary(a_1) * prod transition(a_i, a_{i+1}) bit for bit.
+    """
+    t = np.zeros((3, 2, 3))  # reading letter a moves to state 1 + a
+    t[0, [0, 1], [1, 2]] = m.stationary
+    t[1:, [0, 1], [1, 2]] = m.matrix()
+    return WeightedAutomaton(np.array([1.0, 0.0, 0.0]), t)
+
+
 def cylinder_measure(m: MarkovMatrix, word: str) -> float:
     """Weight of the cylinder fixing the letters of ``word`` at consecutive sites."""
-    validate_word(word)
-    p = m.matrix()
-    pi = m.stationary
-    prev = int(word[0])
-    out = pi[prev]
-    for ch in word[1:]:
-        cur = int(ch)
-        out *= p[prev, cur]
-        prev = cur
-    return float(out)
+    return markov_automaton(m).weight(word)
+
+
+def lattice_density(rho: float, v: float, r: float) -> float:
+    """Density of the unit-jump hard-core lattice image of a (rho, v, r) process."""
+    rho_free = rho / (1 - 2 * r * rho)
+    return v * rho_free / (1 + v * rho_free)
 
 
 def sample_ring_word(m: MarkovMatrix, n_sites: int, seed) -> str:
@@ -205,9 +248,7 @@ def sample_ring_configuration(
     if rho <= 0 or (r > 0 and 2 * r * rho >= 1):
         raise ValueError("density incompatible with the ball radius")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    rho_free = rho / (1 - 2 * r * rho)
-    rho_lattice = v * rho_free / (1 + v * rho_free)
-    word = sample_ring_word(build_invariant_matrix(rho_lattice, p), n_sites, rng)
+    word = sample_ring_word(build_invariant_matrix(lattice_density(rho, v, r), p), n_sites, rng)
     cfg = decode_word(word)
     cfg = radius_conjugate(cfg, 0.0)
     offset = float(rng.random() * v) if randomize_offset else 0.0

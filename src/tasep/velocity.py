@@ -20,9 +20,9 @@ from .configuration import (
 )
 from .dynamics import CoinStream, ObstacleField, TrajectorySummary, coupled_run, run
 from .measures import (
-    all_words,
     build_invariant_matrix,
-    cylinder_measure,
+    lattice_density,
+    markov_automaton,
     sample_ring_configuration,
 )
 
@@ -36,7 +36,6 @@ __all__ = [
     "extend_obstacles",
     "fundamental_diagram",
     "initial_ring",
-    "lattice_density",
     "measure_distance",
     "similarity_check",
     "stability_sweep",
@@ -143,11 +142,13 @@ def estimate_velocity(
         raise ValueError(f"burn_in={burn_in} must leave at least one step of {steps}")
     if batches < 2:
         raise ValueError("need at least 2 batches")
-    post = summary.step_total_displacement[burn_in:] / max(summary.n_particles, 1)
+    # average the totals, then divide by N once: a constant total T gives exactly T / N
+    post = summary.step_total_displacement[burn_in:]
+    n = max(summary.n_particles, 1)
     if len(post) < batches:
         raise ValueError(f"{len(post)} post-burn-in steps cannot fill {batches} batches")
-    value = float(post.mean())
-    batch_means = np.array([chunk.mean() for chunk in np.array_split(post, batches)])
+    value = float(post.mean() / n)
+    batch_means = np.array([chunk.mean() for chunk in np.array_split(post, batches)]) / n
     stderr = float(batch_means.std(ddof=1) / math.sqrt(batches))
     return VelocityEstimate(value, stderr, summary.n_particles, steps, burn_in)
 
@@ -247,20 +248,11 @@ def fundamental_diagram(
     ]
 
 
-def lattice_density(rho: float, v: float, r: float) -> float:
-    """Density of the unit-jump hard-core lattice image of a (rho, v, r) process."""
-    rho_free = rho / (1 - 2 * r * rho)
-    return v * rho_free / (1 + v * rho_free)
-
-
 def measure_distance(rho_lat: float, p: float, max_length: int = 4) -> float:
     """Max cylinder-measure gap to the deterministic measure, words up to max_length."""
-    m_p = build_invariant_matrix(rho_lat, p)
-    m_1 = build_invariant_matrix(rho_lat, 1.0)
-    worst = 0.0
-    for word in all_words(max_length):
-        worst = max(worst, abs(cylinder_measure(m_p, word) - cylinder_measure(m_1, word)))
-    return worst
+    mu_p, mu_1 = (markov_automaton(build_invariant_matrix(rho_lat, q)).table(max_length)
+                  for q in (p, 1.0))
+    return float(np.abs(mu_p - mu_1).max())
 
 
 @dataclass(frozen=True)

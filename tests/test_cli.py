@@ -35,6 +35,11 @@ class TestExitCodes:
         code = main(["--outdir", str(tmp_path), "verify-invariance",
                      "--rho", "1.5", "--p", "0.5"])
         assert code == 2
+        for max_len in ("0", "13"):  # all-words tables hold lengths 1..12
+            code = main(["--outdir", str(tmp_path), "measure", "cylinder",
+                         "--rho", "0.5", "--p", "0.5", "--max-len", max_len])
+            assert code == 2
+            assert not (tmp_path / "cylinders.csv").exists()
 
     def test_verified_is_zero(self, tmp_path):
         code = main(["--outdir", str(tmp_path), "verify-invariance",

@@ -221,6 +221,8 @@ class TestConfigurationInvariants:
             line([0.0, 1.0], [0.1, bad])
         with pytest.raises(ValueError, match="winding"):
             Configuration(LINE, [0.0, 1.0], 0.0, [bad, 0.0])
+        with pytest.raises(ValueError, match="circumference"):
+            Ring(bad)
 
     def test_immutability(self):
         cfg = line([0.0, 1.0], 0.0)

@@ -72,6 +72,12 @@ class TestStep:
             cfg = step(cfg, params, CoinStream(9), t)
             assert cfg.positions.dtype.kind == "i"
 
+    def test_lattice_needs_integral_radius_sums(self):
+        # every diameter is integral, but r_0 + r_1 = 1/2 would leave the lattice
+        cfg = ring(10, np.array([0, 1, 5]), [0.5, 0.0, 0.5])
+        with pytest.raises(ValueError, match="r_i"):
+            run(cfg, ProcessParams(p=1.0, v=1, space="lattice"), 3, CoinStream(0))
+
     def test_winding_accumulates_displacement(self):
         cfg = ring(6.0, [0.0, 3.0], 0.0)
         out = step(cfg, DET, CoinStream(0), 0)

@@ -127,6 +127,16 @@ class TestPushforwardAgainstOracle:
             assert left == pytest.approx(one_step_cylinder_pushforward(m, word, p), abs=1e-12)
 
 
+class TestCylinderTable:
+    @pytest.mark.parametrize("case", range(len(MATRICES)))
+    def test_single_word_equals_its_table_entry(self, case):
+        # both automata, bit for bit: each word alone and all words in one table
+        m, p = MATRICES[case]
+        for row in verify_invariance(m, p, 8).rows:
+            assert cylinder_measure(m, row.word) == row.mu
+            assert one_step_cylinder_pushforward(m, row.word, p) == row.mu_pushed
+
+
 class TestVerifyInvariance:
     def test_invariant_family_is_stationary(self):
         for rho in (0.2, 0.5, 0.8):
@@ -162,8 +172,9 @@ class TestVerifyInvariance:
         assert "verdict=stationary" in text
 
     def test_length_guard(self):
-        with pytest.raises(ValueError):
-            verify_invariance(build_invariant_matrix(0.5, 0.5), 0.5, 13)
+        for max_length in (0, 13):
+            with pytest.raises(ValueError):
+                verify_invariance(build_invariant_matrix(0.5, 0.5), 0.5, max_length)
 
     def test_verdict_matches_the_algebraic_identity_on_a_grid(self):
         # both directions of the stationarity criterion at p = 0.5
@@ -208,3 +219,10 @@ class TestMarkovIdentity:
         report = markov_identity_check(mixture)
         assert not report.is_markov
         assert report.max_abs_residual >= 0.13 - 0.1156 - 1e-12
+
+    @pytest.mark.parametrize("max_context", [-1, 0, 6])
+    def test_context_guard(self, max_context):
+        # contexts need one letter; the identity's words reach 2*5 + 1 = 11 letters
+        for measure in (build_invariant_matrix(0.3, 0.8), lambda word: 0.5 ** len(word)):
+            with pytest.raises(ValueError, match="1..5"):
+                markov_identity_check(measure, max_context)

@@ -1,8 +1,10 @@
-"""Bit-identity referee for the step kernel.
+"""Bit-identity referee for the step kernel and the cylinder evaluator.
 
 (a) SHA-256 digests of small seeded runs pin their exact output bytes, so any
 rewrite of the step kernel must reproduce trajectories bit for bit.
 (b) A loop of ``step`` calls must give ``run(...).final``, values and dtypes.
+(c) Digests of the Markov cylinder weights, as ``verify_invariance`` reports
+them and as ``tasep measure cylinder`` writes them, pin those bytes too.
 """
 
 from __future__ import annotations
@@ -22,10 +24,13 @@ from tasep import (
     coupled_run,
     even_lattice_ring,
     evenly_spaced_ring,
+    build_invariant_matrix,
     radius_conjugate,
     run,
     step,
+    verify_invariance,
 )
+from tasep.cli import main
 
 
 def digest(arr: np.ndarray) -> str:
@@ -146,3 +151,26 @@ def test_coupled_sides_equal_single_runs():
     cfg_a, cfg_b, params, res = _coupled()
     assert _same(res.a.final, run(cfg_a, params, 70, CoinStream(17)).final)
     assert _same(res.b.final, run(cfg_b, params, 70, CoinStream(17)).final)
+
+
+# name -> (matrix, movement probability); the mu column at length 10
+MU_CASES = {
+    "stochastic": (build_invariant_matrix(0.35, 0.6), 0.6),
+    "deterministic": (build_invariant_matrix(0.7, 1.0), 1.0),
+}
+MU_DIGESTS = {"stochastic": "171a56e1ced0b572", "deterministic": "104b998e7fe6a664"}
+
+
+@pytest.mark.parametrize("name", sorted(MU_CASES))
+def test_invariance_mu_digests(name):
+    m, p = MU_CASES[name]
+    mu = np.array([row.mu for row in verify_invariance(m, p, 10).rows])
+    assert digest(mu) == MU_DIGESTS[name]
+
+
+def test_measure_cylinder_csv_digest(tmp_path):
+    argv = ["--outdir", str(tmp_path), "measure", "cylinder", "--rho", "0.35", "--p", "0.6",
+            "--max-len", "8"]
+    assert main(argv) == 0
+    data = (tmp_path / "cylinders.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == "9d7177bf10f62087"

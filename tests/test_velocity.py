@@ -156,6 +156,13 @@ class TestEstimateVelocity:
         assert est.value == 0.0
         assert est.stderr == 0.0
 
+    def test_constant_total_is_exact(self):
+        # p = 1 from the even start moves exactly L - N = 4286 particles every step
+        cfg, space = initial_ring(0.7, 1.0, 0.5, 10_000)
+        summary = run(cfg, ProcessParams(p=1.0, v=1, space=space), 100, CoinStream(0))
+        assert np.all(summary.step_total_displacement == 4286)
+        assert estimate_velocity(summary).value == 0.4286
+
     def test_insufficient_steps_rejected(self):
         with pytest.raises(ValueError):
             estimate_velocity(self._summary([1.0] * 10, 2), burn_in=9)
@@ -228,6 +235,11 @@ class TestStabilitySweep:
         assert lattice_density(0.4, 1.0, 0.5) == pytest.approx(0.4, abs=1e-12)
         assert lattice_density(0.5, 1.0, 0.0) == pytest.approx(1 / 3, abs=1e-12)
         assert measure_distance(0.4, 1.0) == 0.0
+
+    @pytest.mark.parametrize("max_length", [0, 13])
+    def test_measure_distance_length_guard(self, max_length):
+        with pytest.raises(ValueError, match="1..12"):
+            measure_distance(0.3, 0.9, max_length)
 
 
 class TestSimilarity:
