@@ -104,10 +104,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _evenly_spaced(ring: float, count: int) -> np.ndarray:
+    """count points at k * ring / count; count * (1 / rho) can miss the ring by an ulp."""
+    if count < 1:
+        raise ValueError(f"need at least one point on the ring, got {count}")
+    return np.arange(count) * (ring / count)
+
+
 def _cmd_simulate(args) -> int:
     rho = args.particles / args.ring
     cfg, space = initial_ring(rho, args.v, args.r, args.particles)
-    if space == "lattice" and (cfg.circumference != args.ring or cfg.n != args.particles):
+    if space == "continuum":
+        cfg = Configuration(Ring(args.ring), _evenly_spaced(args.ring, args.particles), args.r)
+    elif cfg.circumference != args.ring or cfg.n != args.particles:
         raise ValueError(
             "the lattice process needs an integer ring holding exactly the particles: "
             f"--ring {args.ring} --particles {args.particles} would run "
@@ -232,13 +241,11 @@ def _cmd_obstacles(args) -> int:
         z = np.loadtxt(args.obstacles_csv, delimiter=",", ndmin=1)
         field = ObstacleField(Ring(args.ring), z)
     else:
-        spacing = args.ring / args.count
-        field = ObstacleField(Ring(args.ring), np.arange(args.count) * spacing)
+        field = ObstacleField(Ring(args.ring), _evenly_spaced(args.ring, args.count))
     extended = extend_obstacles(field, args.v)
     rho_ext = extended.density()
     n_particles = int(round(args.rho_x * args.ring))
-    pos = np.arange(n_particles) * (args.ring / n_particles)
-    cfg = Configuration(Ring(args.ring), pos, 0.0)
+    cfg = Configuration(Ring(args.ring), _evenly_spaced(args.ring, n_particles), 0.0)
     params = ProcessParams(p=args.p, v=args.v, space="continuum")
     summary = run(cfg, params, args.steps, CoinStream(args.seed), field=field)
     est = estimate_velocity(summary, burn_in=args.burn_in)

@@ -92,9 +92,10 @@ Geometry = Union[Ring, LineWindow]
 class ProcessParams:
     """Movement probability p, maximal jump v and the space the process acts on.
 
-    ``space`` is "lattice" (integer positions, integer v) or "continuum".
-    p = 0 is admitted as the degenerate frozen process (the identity map);
-    measure constructions require p > 0.
+    ``space="lattice"`` asserts that a run keeps exact int64 arithmetic (see
+    Configuration.is_lattice); a run rejects it otherwise or with an obstacle
+    field.  p = 0 is admitted as the degenerate frozen process (the identity
+    map); measure constructions require p > 0.
     """
 
     p: float
@@ -179,12 +180,12 @@ class Configuration:
 
     @property
     def is_lattice(self) -> bool:
-        """Integer positions (and, on a ring, integer circumference)."""
-        if self.positions.dtype.kind not in "iu":
-            return False
-        if self.is_ring:
-            return float(self.circumference).is_integer()
-        return True
+        """Integral positions, r_i + r_{i+1} and ring length: a run with integral v is int64.
+
+        ``space="lattice"`` asserts this rule; a run rejects it with an obstacle field.
+        """
+        L = self.circumference if self.is_ring else None
+        return _bound_terms(self.radii, L, self.positions.dtype.kind in "iu")[0].dtype.kind == "i"
 
     @property
     def uniform_radius(self) -> float | None:
@@ -209,16 +210,16 @@ class Configuration:
         return f"Configuration({geom}, n={self.n})"
 
 
-def _bound_terms(rad: np.ndarray, circumference: float | None, integer: bool):
+def _bound_terms(rad: np.ndarray, circumference: float | None, exact: bool):
     """The state-independent terms of the successor bound: rr and the seam.
 
     rr_i = r_i + r_{i+1}; the seam L makes x_0 + L the successor of the last
-    particle on a ring (None on a line).  Both are int64 when ``integer``
-    (integer positions and jump), every rr and the ring length are integral,
-    so lattice bounds are exact; otherwise both are float64.
+    particle on a ring (None on a line).  Both are int64 when ``exact``
+    (integer positions; for a run also an integral jump and no obstacles),
+    every rr and the ring length are integral; otherwise both are float64.
     """
     rr = rad + np.concatenate((rad[1:], rad[:1]))  # np.roll costs 5x more on small rings
-    if integer and np.all(rr == np.rint(rr)) and (
+    if exact and np.all(rr == np.rint(rr)) and (
         circumference is None or float(circumference).is_integer()
     ):
         return rr.astype(np.int64), None if circumference is None else int(circumference)
@@ -283,18 +284,21 @@ def gaps(cfg: Configuration) -> np.ndarray:
     """
     if cfg.n == 0:
         return cfg.positions.copy()
-    L = cfg.circumference if cfg.is_ring else None
-    bounds = successor_bounds(cfg)
-    g = bounds - cfg.positions
-    if not cfg.is_ring:
-        g = g[:-1]
-    bad = np.nonzero(g < -_overlap_slack(cfg.positions, L))[0]
+    g = _checked_gaps(cfg.positions, successor_bounds(cfg),
+                      cfg.circumference if cfg.is_ring else None)
+    return np.maximum(g, g.dtype.type(0))
+
+
+def _checked_gaps(pos: np.ndarray, bounds: np.ndarray, circumference) -> np.ndarray:
+    """bounds - pos, less a line's last entry; AdmissibilityError on overlap."""
+    g = bounds - pos if circumference is not None else (bounds - pos)[:-1]
+    bad = np.nonzero(g < -_overlap_slack(pos, circumference))[0]
     if len(bad):
         i = int(bad[0])
         raise AdmissibilityError(
-            f"inadmissible configuration: balls {i} and {(i + 1) % cfg.n} overlap", bad
+            f"inadmissible configuration: balls {i} and {(i + 1) % len(pos)} overlap", bad
         )
-    return np.maximum(g, g.dtype.type(0))
+    return g
 
 
 def density(cfg: Configuration) -> float:

@@ -22,8 +22,8 @@ from .configuration import (
     Ring,
     _bound_terms,
     _bounds,
+    _checked_gaps,
     density,
-    gaps,
 )
 
 __all__ = [
@@ -123,41 +123,36 @@ def _next_obstacle(x: np.ndarray, tiled: np.ndarray) -> np.ndarray:
     return out
 
 
-def _validate_lattice(cfg: Configuration, params: ProcessParams) -> None:
-    # the lattice process runs exactly when the stepper's bound terms are int64
-    L = cfg.circumference if cfg.is_ring else None
-    integer = cfg.positions.dtype.kind in "iu"
-    if params.space == "lattice" and _bound_terms(cfg.radii, L, integer)[0].dtype.kind != "i":
-        raise ValueError("lattice process needs integral positions, ring length and r_i + r_{i+1}")
-
-
 class _Stepper:
     """The one-step map of one run, its input checked and invariants fixed once.
 
     Holds the current positions and winding.  Arithmetic is exact int64 when
-    positions, jump, every r_i + r_{i+1} and the ring length are integral and
-    no obstacles are present, float64 otherwise.
+    the configuration is_lattice, the jump is integral and no obstacles are
+    present, float64 otherwise.
     """
 
     def __init__(
         self, cfg: Configuration, params: ProcessParams, field: ObstacleField | None = None
     ) -> None:
-        _validate_lattice(cfg, params)
         if field is not None:
             if cfg.n and np.any(cfg.radii != 0):
                 raise ValueError("obstacle dynamics is defined for radius-0 particles")
             if field.geometry != cfg.geometry:
                 raise ValueError("obstacle field geometry must match the configuration")
-        gaps(cfg)  # rejects inadmissible input
+        exact = (field is None and cfg.positions.dtype.kind in "iu"
+                 and float(params.v).is_integer())
+        L = cfg.circumference if cfg.is_ring else None
+        self.rr, self.seam = _bound_terms(cfg.radii, L, exact)
+        if params.space == "lattice" and self.rr.dtype.kind != "i":
+            raise ValueError("lattice process needs integral positions, ring length and "
+                             "r_i + r_{i+1}, and no obstacle field")
         self.cfg = cfg
         self.x = cfg.positions if field is None else cfg.positions.astype(np.float64)
         self.wind = cfg.winding
-        integer = self.x.dtype.kind in "iu" and float(params.v).is_integer()
-        L = cfg.circumference if cfg.is_ring else None
-        self.rr, self.seam = _bound_terms(cfg.radii, L, integer)
         self.v = int(params.v) if self.rr.dtype.kind == "i" else float(params.v)
         self.p = params.p
         self.tiled = None if field is None else _tiled_obstacles(field)
+        _checked_gaps(self.x, self.bounds(), self.seam)  # rejects inadmissible input
 
     def bounds(self) -> np.ndarray:
         return _bounds(self.x, self.rr, self.seam)
@@ -242,6 +237,8 @@ def run(
     """
     if steps < 1:
         raise ValueError("need at least one step")
+    if snapshot_stride is not None and snapshot_stride < 1:
+        raise ValueError(f"snapshot stride {snapshot_stride} must be at least 1")
     coins = _as_coins(coins_or_seed)
     stepper = _Stepper(cfg, params, field)
     totals = np.zeros(steps)

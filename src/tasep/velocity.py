@@ -178,12 +178,6 @@ class FundamentalDiagramRow:
     flux: float
 
 
-def _measure_one(rho, p, v, r, n_particles, steps, coins, burn_in):
-    cfg, space = initial_ring(rho, v, r, n_particles)
-    summary = run(cfg, ProcessParams(p=p, v=v, space=space), steps, coins)
-    return estimate_velocity(summary, burn_in=burn_in)
-
-
 def diagram_point(
     rho: float,
     p: float,
@@ -205,9 +199,8 @@ def diagram_point(
     """
     if r > 0 and 2 * r * rho >= 1:
         raise ValueError(f"grid point rho={rho} has 2*r*rho >= 1")
-    coins = CoinStream(seed).derive(index)
     if initial == "even":
-        est = _measure_one(rho, p, v, r, n_particles, steps, coins, burn_in)
+        cfg, space = initial_ring(rho, v, r, n_particles)
         rho_run = float(rho)
     elif initial == "sampled":
         rho_lat = lattice_density(rho, v, r)
@@ -217,12 +210,12 @@ def diagram_point(
             seed=np.random.default_rng(np.random.SeedSequence((seed, index))),
         )
         space = "lattice" if cfg.is_lattice and float(v).is_integer() else "continuum"
-        summary = run(cfg, ProcessParams(p=p, v=v, space=space), steps, coins)
-        est = estimate_velocity(summary, burn_in=burn_in)
         rho_run = density(cfg)
     else:
         raise ValueError(f"unknown initial condition kind {initial!r}")
     theory = theoretical_velocity(rho_run, p, v, r)
+    summary = run(cfg, ProcessParams(p=p, v=v, space=space), steps, CoinStream(seed).derive(index))
+    est = estimate_velocity(summary, burn_in=burn_in)
     return FundamentalDiagramRow(
         rho=rho_run, p=p, v=v, r=r,
         v_theory=theory, v_hat=est.value, stderr=est.stderr,
@@ -274,16 +267,12 @@ def stability_sweep(
     seed: int = 0,
     burn_in: int | None = None,
 ) -> list[StabilityRow]:
-    """Velocities and measure distances along a p -> 1 sequence at fixed density."""
-    rho_lat = lattice_density(rho, v, r)
-    root = CoinStream(seed)
+    """Velocities and measure distances along p -> 1; row k is diagram_point(..., index=k)."""
     rows = []
     for k, p in enumerate(p_values):
-        theory = theoretical_velocity(rho, p, v, r)
-        est = _measure_one(rho, p, v, r, n_particles, steps, root.derive(k), burn_in)
-        dist = measure_distance(rho_lat, p) if p < 1 else 0.0
-        rows.append(StabilityRow(p=float(p), v_theory=theory, v_hat=est.value,
-                                 stderr=est.stderr, measure_dist=dist))
+        pt = diagram_point(rho, p, v, r, n_particles, steps, seed, k, burn_in)
+        dist = measure_distance(lattice_density(rho, v, r), p) if p < 1 else 0.0
+        rows.append(StabilityRow(float(p), pt.v_theory, pt.v_hat, pt.stderr, dist))
     return rows
 
 

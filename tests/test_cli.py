@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from tasep import cli
 from tasep.cli import main, parse_grid
 
 
@@ -40,6 +41,12 @@ class TestExitCodes:
                          "--rho", "0.5", "--p", "0.5", "--max-len", max_len])
             assert code == 2
             assert not (tmp_path / "cylinders.csv").exists()
+        for args in (["stability-sweep", "--rho", "1", "--r", "0.5"],  # 2*r*rho >= 1
+                     ["obstacles", "--ring", "100", "--rho-x", "0.25", "--count", "0"],
+                     ["obstacles", "--ring", "100", "--rho-x", "0.001"],  # no particle
+                     ["simulate", "--ring", "100", "--particles", "10",
+                      "--snapshot-stride", "-5"]):
+            assert main(["--outdir", str(tmp_path)] + args) == 2, args
 
     def test_verified_is_zero(self, tmp_path):
         code = main(["--outdir", str(tmp_path), "verify-invariance",
@@ -75,6 +82,16 @@ class TestArtifacts:
         assert "seed=7" in traj.splitlines()[0]
         vel = read(tmp_path / "velocity.csv")
         assert "v_hat" in vel
+
+    def test_simulate_runs_the_continuum_ring_it_was_given(self, tmp_path, monkeypatch):
+        # 333 * (1 / (333 / 150)) is 149.99999999999997
+        seen = []
+        real_run = cli.run
+        monkeypatch.setattr(cli, "run",
+                            lambda cfg, *a, **k: seen.append(cfg) or real_run(cfg, *a, **k))
+        assert main(["--outdir", str(tmp_path), "simulate", "--ring", "150",
+                     "--particles", "333", "--r", "0", "--steps", "40"]) == 0
+        assert seen[0].circumference == 150.0
 
     def test_fundamental_diagram_reproducible_bytes(self, tmp_path):
         args = ["fundamental-diagram", "--rho", "0.2:0.4:0.1", "--p", "0.8",

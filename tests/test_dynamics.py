@@ -73,10 +73,35 @@ class TestStep:
             assert cfg.positions.dtype.kind == "i"
 
     def test_lattice_needs_integral_radius_sums(self):
-        # every diameter is integral, but r_0 + r_1 = 1/2 would leave the lattice
-        cfg = ring(10, np.array([0, 1, 5]), [0.5, 0.0, 0.5])
-        with pytest.raises(ValueError, match="r_i"):
-            run(cfg, ProcessParams(p=1.0, v=1, space="lattice"), 3, CoinStream(0))
+        # every diameter is integral, but r_0 + r_1 = 1/2 would leave the lattice;
+        # obstacles stop particles at float positions
+        cases = [
+            (ring(10, np.array([0, 1, 5]), [0.5, 0.0, 0.5]), None),
+            (ring(20, np.arange(0, 20, 4), 0.0), ObstacleField(Ring(20), [2.0])),
+        ]
+        for cfg, field in cases:
+            with pytest.raises(ValueError, match="r_i"):
+                run(cfg, ProcessParams(p=1.0, v=1, space="lattice"), 3, CoinStream(0),
+                    field=field)
+
+    @pytest.mark.parametrize("cfg", [
+        ring(10, np.array([0, 3, 6]), 0.5),
+        ring(10, np.array([0, 3, 6]), 0.3),
+        ring(10, np.array([0, 1, 5]), [0.5, 0.0, 0.5]),
+        ring(10, [0.0, 3.0, 6.0], 0.5),
+        ring(10.5, np.array([0, 3, 6]), 0.5),
+        Configuration(LINE, np.array([0, 2, 5]), 0.5),
+        ring(10, np.array([], dtype=np.int64), 0.5),
+    ], ids=["radius_0.5", "radius_0.3", "mixed_radii", "float_positions",
+            "non_integral_ring", "line_window", "empty_ring"])
+    def test_is_lattice_is_the_run_rule(self, cfg):
+        final = run(cfg, ProcessParams(p=0.6, v=1), 3, CoinStream(2)).final.positions
+        try:
+            run(cfg, ProcessParams(p=0.6, v=1, space="lattice"), 3, CoinStream(2))
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert cfg.is_lattice == (final.dtype == np.int64) == accepted
 
     def test_winding_accumulates_displacement(self):
         cfg = ring(6.0, [0.0, 3.0], 0.0)
@@ -170,6 +195,12 @@ class TestRun:
         summary = run(cfg, ProcessParams(p=0.8, v=1.0), 40, CoinStream(7), snapshot_stride=10)
         assert [t for t, _ in summary.snapshots] == [0, 10, 20, 30, 40]
         assert np.allclose(summary.snapshot_densities, 0.25)
+
+    @pytest.mark.parametrize("stride", [0, -5])
+    def test_snapshot_stride_below_one_rejected(self, stride):
+        cfg = ring(20.0, np.arange(5) * 4.0, 0.0)
+        with pytest.raises(ValueError, match="stride"):
+            run(cfg, ProcessParams(p=0.8, v=1.0), 10, CoinStream(7), snapshot_stride=stride)
 
     def test_ring_density_conserved_and_admissible(self):
         cfg = ring(15.0, np.sort(np.random.default_rng(2).uniform(0, 14, 8)), 0.0)
