@@ -219,7 +219,9 @@ def _bound_terms(rad: np.ndarray, circumference: float | None, exact: bool):
     every rr and the ring length are integral; otherwise both are float64.
     """
     rr = rad + np.concatenate((rad[1:], rad[:1]))  # np.roll costs 5x more on small rings
-    if exact and np.all(rr == np.rint(rr)) and (
+    # a line has no wrap pair: its last rr only offsets the unobstructed sentinel
+    pairs = rr if circumference is not None else rr[:-1]
+    if exact and np.all(pairs == np.rint(pairs)) and (
         circumference is None or float(circumference).is_integer()
     ):
         return rr.astype(np.int64), None if circumference is None else int(circumference)

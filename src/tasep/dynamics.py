@@ -10,6 +10,7 @@ processes share their randomness exactly (static coupling).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +53,28 @@ class CoinStream:
             if not 0 <= int(v) < _UINT64:
                 raise ValueError(f"{name} must be a 64-bit unsigned integer")
 
-    def uniforms(self, t: int, n: int) -> np.ndarray:
-        """The n uniform variates of step t, independent across (i, t)."""
+    def _philox(self, t: int) -> Philox:
+        """The generator of step t: counter [0, t, 0, 0] under the key (seed, stream)."""
         if t < 0:
             raise ValueError("time index must be nonnegative")
-        bit_gen = Philox(counter=[0, t, 0, 0], key=[self.seed, self.stream])
-        return Generator(bit_gen).random(n)
+        return Philox(counter=[0, t, 0, 0], key=[self.seed, self.stream])
+
+    def uniforms(self, t: int, n: int) -> np.ndarray:
+        """The n uniform variates of step t, independent across (i, t)."""
+        return Generator(self._philox(t)).random(n)
+
+    def _words(self, n: int, start: int = 0):
+        """The 53-bit coin words k of steps start, start + 1, ...: uniforms(t, n) == k * 2**-53.
+
+        One generator serves them all.  Step t leaves its counter at
+        [ceil(n/4), t, 0, 0]; advancing by 2**64 - ceil(n/4) carries it to
+        [0, t + 1, 0, 0] with an empty buffer, where step t + 1 starts.
+        """
+        bit_gen = self._philox(start)
+        skip = _UINT64 - math.ceil(n / 4)
+        while True:
+            yield bit_gen.random_raw(n) >> 11
+            bit_gen.advance(skip)
 
     def derive(self, *ids: int) -> "CoinStream":
         """Independent substream for an (experiment, replica, ...) tuple."""
@@ -150,15 +167,16 @@ class _Stepper:
         self.x = cfg.positions if field is None else cfg.positions.astype(np.float64)
         self.wind = cfg.winding
         self.v = int(params.v) if self.rr.dtype.kind == "i" else float(params.v)
-        self.p = params.p
+        # k * 2**-53 < p exactly when k < ceil(p * 2**53); the product is exact
+        self.cut = math.ceil(params.p * 2**53)
         self.tiled = None if field is None else _tiled_obstacles(field)
         _checked_gaps(self.x, self.bounds(), self.seam)  # rejects inadmissible input
 
     def bounds(self) -> np.ndarray:
         return _bounds(self.x, self.rr, self.seam)
 
-    def advance(self, u: np.ndarray) -> np.ndarray:
-        """One synchronous update under uniforms u; returns the displacements."""
+    def advance(self, words: np.ndarray) -> np.ndarray:
+        """One synchronous update under 53-bit coin words; returns the displacements."""
         x = self.x
         target = np.minimum(x + self.v, self.bounds())
         if self.tiled is not None:
@@ -166,7 +184,7 @@ class _Stepper:
         # never move left: an ulp-scale overlap exposed by a window shift must not
         # turn into backward motion
         target = np.maximum(target, x)
-        moved = np.where(u < self.p, target, x)
+        moved = np.where(words < self.cut, target, x)
         disp = moved - x
         self.wind = self.wind + disp
         if self.seam is not None and len(moved) and moved[0] >= self.seam:
@@ -192,7 +210,7 @@ def step(
     exactly one step to pass.
     """
     stepper = _Stepper(cfg, params, field)
-    stepper.advance(coins.uniforms(t, cfg.n))
+    stepper.advance(next(coins._words(cfg.n, t)))
     return stepper.configuration()
 
 
@@ -243,8 +261,8 @@ def run(
     stepper = _Stepper(cfg, params, field)
     totals = np.zeros(steps)
     snaps = [(0, stepper.configuration())]
-    for t in range(steps):
-        totals[t] = stepper.advance(coins.uniforms(t, cfg.n)).sum()
+    for t, words in zip(range(steps), coins._words(cfg.n)):
+        totals[t] = stepper.advance(words).sum()
         if snapshot_stride and (t + 1) % snapshot_stride == 0:
             snaps.append((t + 1, stepper.configuration()))
     if snaps[-1][0] != steps:
@@ -290,9 +308,8 @@ def coupled_run(
     disp_div = np.zeros(steps)
     totals = np.zeros((2, steps))
     scale = float(displacement_scale)
-    for t in range(steps):
-        u = coins.uniforms(t, n)
-        disp_a, disp_b = (side.advance(u) for side in sides)
+    for t, words in zip(range(steps), coins._words(n)):
+        disp_a, disp_b = (side.advance(words) for side in sides)
         totals[:, t] = disp_a.sum(), disp_b.sum()
         if n:
             ga, gb = ((side.bounds() - side.x)[:n_gaps] for side in sides)

@@ -159,6 +159,8 @@ def initial_ring(rho: float, v: float, r: float, n_particles: int) -> tuple[Conf
     Hard-core radii 1/2 with integer v get an integer-lattice occupancy spread
     as evenly as possible; anything else gets an evenly spaced continuum ring.
     """
+    if n_particles < 1 or rho <= 0:
+        raise ValueError("need n_particles >= 1 and rho > 0")
     if r == 0.5 and float(v).is_integer():
         n_sites = int(round(n_particles / rho))
         k = int(round(rho * n_sites))

@@ -45,7 +45,8 @@ class TestExitCodes:
                      ["obstacles", "--ring", "100", "--rho-x", "0.25", "--count", "0"],
                      ["obstacles", "--ring", "100", "--rho-x", "0.001"],  # no particle
                      ["simulate", "--ring", "100", "--particles", "10",
-                      "--snapshot-stride", "-5"]):
+                      "--snapshot-stride", "-5"],
+                     ["simulate", "--ring", "100", "--particles", "0", "--r", "0.5"]):
             assert main(["--outdir", str(tmp_path)] + args) == 2, args
 
     def test_verified_is_zero(self, tmp_path):

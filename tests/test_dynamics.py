@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from tasep import (
     run,
     step,
 )
+from tasep.dynamics import _Stepper
 
 DET = ProcessParams(p=1.0, v=1.0)
 
@@ -84,24 +87,26 @@ class TestStep:
                 run(cfg, ProcessParams(p=1.0, v=1, space="lattice"), 3, CoinStream(0),
                     field=field)
 
-    @pytest.mark.parametrize("cfg", [
-        ring(10, np.array([0, 3, 6]), 0.5),
-        ring(10, np.array([0, 3, 6]), 0.3),
-        ring(10, np.array([0, 1, 5]), [0.5, 0.0, 0.5]),
-        ring(10, [0.0, 3.0, 6.0], 0.5),
-        ring(10.5, np.array([0, 3, 6]), 0.5),
-        Configuration(LINE, np.array([0, 2, 5]), 0.5),
-        ring(10, np.array([], dtype=np.int64), 0.5),
+    @pytest.mark.parametrize("cfg, lattice", [
+        (ring(10, np.array([0, 3, 6]), 0.5), True),
+        (ring(10, np.array([0, 3, 6]), 0.3), False),
+        (ring(10, np.array([0, 1, 5]), [0.5, 0.0, 0.5]), False),
+        (ring(10, [0.0, 3.0, 6.0], 0.5), False),
+        (ring(10.5, np.array([0, 3, 6]), 0.5), False),
+        (Configuration(LINE, np.array([0, 2, 5]), 0.5), True),
+        # a line has no wrap pair r_2 + r_0 = 1/2
+        (Configuration(LINE, np.array([0, 2, 5]), [0.25, 0.75, 0.25]), True),
+        (ring(10, np.array([], dtype=np.int64), 0.5), True),
     ], ids=["radius_0.5", "radius_0.3", "mixed_radii", "float_positions",
-            "non_integral_ring", "line_window", "empty_ring"])
-    def test_is_lattice_is_the_run_rule(self, cfg):
+            "non_integral_ring", "line_window", "line_mixed_radii", "empty_ring"])
+    def test_is_lattice_is_the_run_rule(self, cfg, lattice):
         final = run(cfg, ProcessParams(p=0.6, v=1), 3, CoinStream(2)).final.positions
         try:
             run(cfg, ProcessParams(p=0.6, v=1, space="lattice"), 3, CoinStream(2))
             accepted = True
         except ValueError:
             accepted = False
-        assert cfg.is_lattice == (final.dtype == np.int64) == accepted
+        assert cfg.is_lattice == (final.dtype == np.int64) == accepted == lattice
 
     def test_winding_accumulates_displacement(self):
         cfg = ring(6.0, [0.0, 3.0], 0.0)
@@ -233,6 +238,28 @@ class TestCoinStream:
         assert u.min() >= 0 and u.max() < 1
         assert abs(u.mean() - 0.5) < 0.05
 
+    @pytest.mark.parametrize("n", [1, 100, 101, 10_000])
+    def test_run_words_are_the_uniforms(self, n):
+        # one generator per run, jumped to counter [0, t, 0, 0] each step
+        s = CoinStream(5).derive(2)
+        words = s._words(n)
+        for t in range(20):
+            k = next(words)
+            assert k.dtype == np.uint64
+            assert np.array_equal(k.astype(np.float64), s.uniforms(t, n) * 2.0**53)
+
+    @pytest.mark.parametrize("p", [1.0, 1 - 2.0**-53, 0.5, 5e-324])
+    def test_word_cut_is_the_uniform_compare(self, p):
+        cut = math.ceil(p * 2**53)
+        edges = np.array([0, cut - 1, cut, cut + 1, 2**53 - 1]).clip(0, 2**53 - 1)
+        words = np.concatenate([edges, next(CoinStream(8)._words(1000))]).astype(np.uint64)
+        u = words.astype(np.float64) * 2.0**-53
+        assert np.array_equal(words < cut, u < p)
+        # the stepper moves exactly the particles whose coin falls below p
+        free = Configuration(LINE, np.arange(len(words)) * 10, 0.5)
+        disp = _Stepper(free, ProcessParams(p=p, v=1)).advance(words)
+        assert np.array_equal(disp == 1, u < p)
+
 
 class TestCoupledRun:
     def test_identical_configurations_identical_trajectories(self):
@@ -261,6 +288,19 @@ class TestCoupledRun:
         params = ProcessParams(p=0.6, v=1.0)
         result = coupled_run(cfg, partner, params, params, 400, CoinStream(23))
         assert result.max_displacement_divergence.max() <= 1e-10
+
+    @pytest.mark.parametrize("space", ["lattice", "continuum"])
+    def test_different_p_on_shared_coins_equals_two_runs(self, space):
+        cfg = even_lattice_ring(60, 25) if space == "lattice" else ring(
+            41.5, np.arange(25) * 1.66, 0.3)
+        pa, pb = ProcessParams(p=0.35, v=1), ProcessParams(p=0.8, v=2)
+        coins = CoinStream(13).derive(4)
+        both = coupled_run(cfg, cfg, pa, pb, 50, coins)
+        for side, params in ((both.a, pa), (both.b, pb)):
+            alone = run(cfg, params, 50, coins)
+            assert side.final == alone.final
+            assert np.array_equal(side.displacement, alone.displacement)
+            assert np.array_equal(side.step_total_displacement, alone.step_total_displacement)
 
     def test_particle_count_mismatch_rejected(self):
         a = ring(10.0, [0.0, 5.0], 0.0)
