@@ -218,7 +218,7 @@ def _cmd_periodic_points(args) -> int:
         if len(points) != count:
             raise RuntimeError("enumeration disagrees with trace count")
         _write_rows(_outpath(args, "periodic_points.csv"), header, ["word"],
-                    [(w,) for w in points])
+                    ((w,) for w in points))
     pm = parry_matrix(ts)
     print(f"n={args.n} count={count} parry_p11={pm.p11:.6f} entropy={ts.entropy:.6f}")
     return 0

@@ -266,10 +266,8 @@ def check_admissible(cfg: Configuration) -> AdmissibilityReport:
     """Report overlapping neighbor pairs and, on rings, excess total diameter."""
     if cfg.n == 0:
         return AdmissibilityReport(ok=True)
-    L = cfg.circumference if cfg.is_ring else None
-    bounds = successor_bounds(cfg)
-    slack = _overlap_slack(cfg.positions, L)
-    bad = np.nonzero(cfg.positions > bounds + slack)[0]
+    _, bad = _gaps_and_overlaps(cfg.positions, successor_bounds(cfg),
+                                cfg.circumference if cfg.is_ring else None)
     mass = False
     if cfg.is_ring:
         mass = 2.0 * float(cfg.radii.sum()) > cfg.circumference
@@ -291,10 +289,15 @@ def gaps(cfg: Configuration) -> np.ndarray:
     return np.maximum(g, g.dtype.type(0))
 
 
+def _gaps_and_overlaps(pos: np.ndarray, bounds: np.ndarray, circumference):
+    """bounds - pos, less a line's last entry, and the overlapping pairs: the one rule."""
+    g = bounds - pos if circumference is not None else (bounds - pos)[:-1]
+    return g, np.nonzero(g < -_overlap_slack(pos, circumference))[0]
+
+
 def _checked_gaps(pos: np.ndarray, bounds: np.ndarray, circumference) -> np.ndarray:
     """bounds - pos, less a line's last entry; AdmissibilityError on overlap."""
-    g = bounds - pos if circumference is not None else (bounds - pos)[:-1]
-    bad = np.nonzero(g < -_overlap_slack(pos, circumference))[0]
+    g, bad = _gaps_and_overlaps(pos, bounds, circumference)
     if len(bad):
         i = int(bad[0])
         raise AdmissibilityError(

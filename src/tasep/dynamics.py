@@ -50,8 +50,9 @@ class CoinStream:
     def __post_init__(self) -> None:
         for name in ("seed", "stream"):
             v = getattr(self, name)
-            if not 0 <= int(v) < _UINT64:
-                raise ValueError(f"{name} must be a 64-bit unsigned integer")
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < _UINT64:
+                raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
 
     def _philox(self, t: int) -> Philox:
         """The generator of step t: counter [0, t, 0, 0] under the key (seed, stream)."""
@@ -86,7 +87,7 @@ class CoinStream:
 def _as_coins(coins_or_seed) -> CoinStream:
     if isinstance(coins_or_seed, CoinStream):
         return coins_or_seed
-    return CoinStream(int(coins_or_seed))
+    return CoinStream(coins_or_seed)
 
 
 @dataclass(frozen=True)

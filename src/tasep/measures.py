@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -44,12 +43,21 @@ def validate_word(word: str) -> str:
     return word
 
 
+def _words(n: int, pairs):
+    """The words of length n whose adjacent pairs all lie in ``pairs``, in
+    lexicographic order: each length extends the previous one by 0, then 1,
+    through chained generators that never hold a whole length in memory."""
+    words = iter(("0", "1"))
+    for _ in range(n - 1):
+        words = (w + a for w in words for a in "01" if w[-1] + a in pairs)
+    return words
+
+
 def all_words(max_length: int):
     """Every 0/1 word of length 1..max_length, shortest first, each length in
-    lexicographic order."""
+    lexicographic order; ``_words`` with all four pairs."""
     for n in range(1, max_length + 1):
-        for bits in product("01", repeat=n):
-            yield "".join(bits)
+        yield from _words(n, {"00", "01", "10", "11"})
 
 
 @dataclass(frozen=True)
@@ -202,30 +210,34 @@ def sample_ring_word(m: MarkovMatrix, n_sites: int, seed) -> str:
     P(w) is proportional to prod_i p(w_i, w_{i+1 mod n}).  The first letter is
     drawn from the diagonal of P^n over its trace, then each next letter from
     the conditional given the remaining closure weight, so no rejection or
-    burn-in is involved.
+    burn-in is involved.  The closure weights come in closed form,
+    P^j = I + g_j (P - I) with g_j = 1 + lam + ... + lam^(j-1) and
+    lam = 1 - p01 - p10, which needs no stationary vector: the identity
+    matrix samples a constant word.
     """
     if n_sites < 2:
         raise ValueError("cyclic sampling needs at least 2 sites")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    p = m.matrix()
-    powers = np.empty((n_sites + 1, 2, 2))
-    powers[0] = np.eye(2)
-    for j in range(1, n_sites + 1):
-        powers[j] = powers[j - 1] @ p
-    tr = powers[n_sites, 0, 0] + powers[n_sites, 1, 1]
+    p = ((m.p00, m.p01), (m.p10, m.p11))
+    lam = 1.0 - m.p01 - m.p10
+    # memoryviews index to Python floats at list speed and 8 bytes per entry
+    g = memoryview(np.concatenate(([0.0], np.cumsum(lam ** np.arange(n_sites)))))  # g[j] = g_j
+    tr = 1.0 + lam**n_sites  # trace of P^n
     if tr <= 0:
         raise ValueError("degenerate matrix: no cyclic word has positive weight")
-    letters = np.empty(n_sites, dtype=np.uint8)
-    first = int(rng.random() >= powers[n_sites, 0, 0] / tr)
-    letters[0] = first
+    u = memoryview(rng.random(n_sites))  # the same doubles as n_sites scalar draws
+    first = int(u[0] >= (1.0 + g[n_sites] * (m.p00 - 1.0)) / tr)
+    # column `first` of P - I; P^j[a, first] = (a == first) + g_j * d[a]
+    d = [p[a][first] - (a == first) for a in (0, 1)]
+    letters = [first]
     cur = first
     for k in range(1, n_sites):
-        edges_left = n_sites - k + 1  # from letter k-1 around the seam to letter 0
-        denom = powers[edges_left, cur, first]
-        prob0 = p[cur, 0] * powers[edges_left - 1, 0, first] / denom
-        cur = int(rng.random() >= prob0)
-        letters[k] = cur
-    return "".join("1" if b else "0" for b in letters)
+        j = n_sites - k + 1  # edges from letter k-1 around the seam to letter 0
+        # closure weight of the held letter only: an unreachable one's can be 0
+        prob0 = p[cur][0] * ((first == 0) + g[j - 1] * d[0]) / ((cur == first) + g[j] * d[cur])
+        cur = int(u[k] >= prob0)
+        letters.append(cur)
+    return "".join("01"[b] for b in letters)
 
 
 def sample_ring_configuration(
@@ -319,31 +331,13 @@ def periodic_point_count(ts: TransitionStructure, n: int) -> int:
 
 
 def periodic_points(ts: TransitionStructure, n: int) -> list[str]:
-    """All cyclically admissible words of length n, lexicographically sorted."""
+    """All cyclically admissible words of length n, lexicographically sorted:
+    the words ``_words`` admits under the structure's pairs whose closing pair
+    w[-1] + w[0] is allowed too."""
     if not 1 <= n <= 24:
         raise ValueError("period must lie in 1..24 (exhaustive enumeration)")
-    m = ts.matrix
-    out: list[str] = []
-    buf = [0] * n
-
-    def extend(k: int, first: int) -> None:
-        if k == n:
-            if m[buf[-1], first]:
-                out.append("".join(map(str, buf)))
-            return
-        for letter in (0, 1):
-            if m[buf[k - 1], letter]:
-                buf[k] = letter
-                extend(k + 1, first)
-
-    for first in (0, 1):
-        if n == 1:
-            if m[first, first]:
-                out.append(str(first))
-            continue
-        buf[0] = first
-        extend(1, first)
-    return out
+    pairs = {f"{a}{b}" for a in (0, 1) for b in (0, 1) if ts.matrix[a, b]}
+    return [w for w in _words(n, pairs) if w[-1] + w[0] in pairs]
 
 
 def empirical_cylinder_frequency(points: list[str], word: str) -> float:

@@ -22,6 +22,7 @@ from tasep import (
     gaps,
     radius_conjugate,
     read_configuration_csv,
+    run,
     scale_shift,
     write_configuration_csv,
 )
@@ -94,6 +95,17 @@ class TestAdmissibility:
     def test_ring_radius_mass(self):
         report = check_admissible(ring(3.0, [0.0, 1.0, 2.0], [0.5, 0.5, 0.6]))
         assert report.radius_sum_exceeds
+
+    def test_one_overlap_rule_at_the_slack_edge(self):
+        # an overlap just past the float slack: check_admissible, gaps and run agree
+        cfg = line([511.82162470025673, 517.5244068782087], 2.851391088977806)
+        report = check_admissible(cfg)
+        assert not report.ok
+        assert report.violations == (0,)
+        with pytest.raises(AdmissibilityError):
+            gaps(cfg)
+        with pytest.raises(AdmissibilityError):
+            run(cfg, ProcessParams(0.5, 1.0), 1, 0)
 
 
 class TestRadiusConjugate:

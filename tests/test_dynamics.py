@@ -233,6 +233,20 @@ class TestCoinStream:
         assert not np.array_equal(a.uniforms(0, 8), b.uniforms(0, 8))
         assert a == s.derive(0)
 
+    @pytest.mark.parametrize("bad", [1.5, -0.5, "3", True, np.float64(2.0), -1, 2**64])
+    def test_non_integer_or_out_of_range_seed_rejected(self, bad):
+        with pytest.raises(ValueError):
+            CoinStream(bad)
+        with pytest.raises(ValueError):
+            CoinStream(0, bad)
+        with pytest.raises(ValueError):
+            run(even_lattice_ring(20, 5), ProcessParams(0.5, 1.0), 5, bad)
+
+    def test_numpy_integer_seeds_stored_as_python_ints(self):
+        s = CoinStream(np.uint64(2**64 - 1), np.int32(4))
+        assert type(s.seed) is int and type(s.stream) is int
+        assert s == CoinStream(2**64 - 1, 4)
+
     def test_range(self):
         u = CoinStream(9).uniforms(0, 1000)
         assert u.min() >= 0 and u.max() < 1

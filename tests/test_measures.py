@@ -244,9 +244,17 @@ class TestPeriodicPoints:
         assert periodic_point_count(TransitionStructure.no_adjacent_ones(), 5) == 11
 
     def test_enumeration_matches_trace(self):
-        for ts in (TransitionStructure.no_adjacent_ones(), TransitionStructure.no_adjacent_zeros()):
+        for ts in (TransitionStructure.no_adjacent_ones(), TransitionStructure.no_adjacent_zeros(),
+                   TransitionStructure.full_shift()):
             for n in range(1, 13):
-                assert len(periodic_points(ts, n)) == periodic_point_count(ts, n)
+                points = periodic_points(ts, n)
+                brute = [
+                    "".join(map(str, bits))
+                    for bits in itertools.product((0, 1), repeat=n)
+                    if all(ts.matrix[bits[i], bits[(i + 1) % n]] for i in range(n))
+                ]
+                assert points == brute
+                assert len(points) == periodic_point_count(ts, n)
 
     def test_range_guard(self):
         with pytest.raises(ValueError):

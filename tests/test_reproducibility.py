@@ -5,6 +5,9 @@ rewrite of the step kernel must reproduce trajectories bit for bit.
 (b) A loop of ``step`` calls must give ``run(...).final``, values and dtypes.
 (c) Digests of the Markov cylinder weights, as ``verify_invariance`` reports
 them and as ``tasep measure cylinder`` writes them, pin those bytes too.
+(d) Digests of cyclic ring samples, of a sampled configuration (which also pins
+the generator state the word draw leaves behind) and of the periodic-point and
+sample CSVs pin the sampler and the word enumerator.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from tasep import (
     LINE,
     CoinStream,
     Configuration,
+    MarkovMatrix,
     ObstacleField,
     ProcessParams,
     Ring,
@@ -27,6 +31,8 @@ from tasep import (
     build_invariant_matrix,
     radius_conjugate,
     run,
+    sample_ring_configuration,
+    sample_ring_word,
     step,
     verify_invariance,
 )
@@ -174,3 +180,62 @@ def test_measure_cylinder_csv_digest(tmp_path):
     assert main(argv) == 0
     data = (tmp_path / "cylinders.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest()[:16] == "9d7177bf10f62087"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+SAMPLE_MATRICES = {
+    "stochastic": build_invariant_matrix(0.35, 0.6),
+    "sparse_p1": build_invariant_matrix(0.3, 1.0),
+    "dense_p1": build_invariant_matrix(0.7, 1.0),
+    "bernoulli": MarkovMatrix.bernoulli(0.4),
+    "identity": MarkovMatrix(1.0, 0.0, 0.0, 1.0),
+}
+SAMPLE_SITES = (2, 5, 200, 10**4, 10**5)
+# name -> digests of sample_ring_word(matrix, n, 21) for n in SAMPLE_SITES
+SAMPLE_DIGESTS = {
+    "stochastic": ("4a44dc15364204a8", "af2aef7071ca92fd", "191595d4576490b2",
+                   "4f588a69d6aaf7aa", "085ae25e4630e889"),
+    "sparse_p1": ("4a44dc15364204a8", "af2aef7071ca92fd", "da941fe621dcb88b",
+                  "72e4b3af88de15e2", "9798a19041961d0a"),
+    "dense_p1": ("4fc82b26aecb47d2", "4a01ae2c6a180114", "36f98aa8c3d841f2",
+                 "b45bb8c3fae28a9a", "4da10ea532e9a1ce"),
+    "bernoulli": ("4fc82b26aecb47d2", "4a01ae2c6a180114", "fa6d60de9bd26fc0",
+                  "f73bca1c097dff40", "ce9ff0c705e0febb"),
+    "identity": ("4fc82b26aecb47d2", "d17f25ecfbcc7857", "90b03b3ede18032a",
+                 "d25f01257c989062", "99776d836e8bcb45"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_MATRICES))
+def test_sample_ring_word_digests(name):
+    words = [sample_ring_word(SAMPLE_MATRICES[name], n, 21) for n in SAMPLE_SITES]
+    assert tuple(_sha(w.encode()) for w in words) == SAMPLE_DIGESTS[name]
+    if name == "identity":
+        assert all(len(set(w)) == 1 for w in words)
+
+
+def test_sample_ring_configuration_digest():
+    cfg = sample_ring_configuration(0.3, 0.7, v=2.0, r=0.25, n_sites=500, seed=23,
+                                    randomize_offset=True)
+    assert digest(cfg.positions) == "a4b8f7c537fb5237"
+
+
+CLI_DIGESTS = {
+    ("periodic-points", "--n", "12"): ("periodic_points.csv", "17134cecf2ec0765"),
+    ("periodic-points", "--n", "24"): ("periodic_points.csv", "2fd7eacc2831851f"),
+    ("measure", "sample", "--rho", "0.35", "--p", "0.6", "--sites", "1000", "--seed", "7"):
+        ("sample.csv", "d6fcbc483f61a3f7"),
+    ("measure", "sample", "--rho", "0.3", "--p", "0.7", "--v", "2", "--r", "0.25",
+     "--sites", "500", "--seed", "8", "--configuration", "--randomize-offset"):
+        ("sample.csv", "59834c4559221c7f"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_DIGESTS), ids=" ".join)
+def test_cyclic_cli_digests(argv, tmp_path):
+    name, expected = CLI_DIGESTS[argv]
+    assert main(["--outdir", str(tmp_path), *argv]) == 0
+    assert _sha((tmp_path / name).read_bytes()) == expected
