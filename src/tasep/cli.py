@@ -30,12 +30,12 @@ from .dynamics import CoinStream, ObstacleField, coupled_run, run
 from .invariance import verify_invariance, write_pushforward_csv
 from .measures import (
     TransitionStructure,
+    _periodic_words,
     all_words,
     build_invariant_matrix,
     markov_automaton,
     parry_matrix,
     periodic_point_count,
-    periodic_points,
     sample_ring_configuration,
     sample_ring_word,
 )
@@ -90,12 +90,16 @@ def _outpath(args, name: str) -> Path:
     return outdir / name
 
 
-def _write_rows(path: Path, header: str, columns: list[str], rows) -> None:
+def _write_rows(path: Path, header: str, columns: list[str], rows) -> int:
+    """Write the CSV; returns the number of rows, which may stream from a generator."""
+    written = 0
     with open(path, "w") as fh:
         fh.write(header)
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
+            written += 1
+    return written
 
 
 def _fmt(x) -> str:
@@ -214,11 +218,10 @@ def _cmd_periodic_points(args) -> int:
         rows = [(args.n, count)]
         _write_rows(_outpath(args, "periodic_counts.csv"), header, ["n", "count"], rows)
     else:
-        points = periodic_points(ts, args.n)
-        if len(points) != count:
-            raise RuntimeError("enumeration disagrees with trace count")
-        _write_rows(_outpath(args, "periodic_points.csv"), header, ["word"],
-                    ((w,) for w in points))
+        written = _write_rows(_outpath(args, "periodic_points.csv"), header, ["word"],
+                              ((w,) for w in _periodic_words(ts, args.n)))
+        if written != count:
+            raise RuntimeError(f"enumeration wrote {written} words, trace count is {count}")
     pm = parry_matrix(ts)
     print(f"n={args.n} count={count} parry_p11={pm.p11:.6f} entropy={ts.entropy:.6f}")
     return 0

@@ -10,12 +10,14 @@ processes share their randomness exactly (static coupling).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
+from . import _native
 from .configuration import (
     Configuration,
     LineWindow,
@@ -42,7 +44,15 @@ _UINT64 = 2**64
 
 @dataclass(frozen=True)
 class CoinStream:
-    """Reproducible Bernoulli coin source: coin(i, t) = uniforms(t, n)[i] < p."""
+    """Reproducible Bernoulli coin source: coin(i, t) = uniforms(t, n)[i] < p.
+
+    The generator is numpy's ``Philox(key=[seed, stream])``, whose key numpy
+    converts through float64 when a word is 2**63 or more: such words lose
+    their low bits, so ``CoinStream(1, 2**63 + 5)`` and ``CoinStream(1, 2**63 + 6)``
+    draw the same coins.  About half of all ``derive()`` substreams are affected.
+    This is the coin contract of the current version; the fused kernel keys its
+    Philox with the key numpy stores, so it keeps the contract too.
+    """
 
     seed: int
     stream: int = 0
@@ -63,6 +73,11 @@ class CoinStream:
     def uniforms(self, t: int, n: int) -> np.ndarray:
         """The n uniform variates of step t, independent across (i, t)."""
         return Generator(self._philox(t)).random(n)
+
+    @functools.cached_property
+    def _key(self) -> tuple[int, int]:
+        """The two key words numpy's Philox stores for (seed, stream)."""
+        return tuple(int(k) for k in self._philox(0).state["state"]["key"])
 
     def _words(self, n: int, start: int = 0):
         """The 53-bit coin words k of steps start, start + 1, ...: uniforms(t, n) == k * 2**-53.
@@ -171,6 +186,7 @@ class _Stepper:
         # k * 2**-53 < p exactly when k < ceil(p * 2**53); the product is exact
         self.cut = math.ceil(params.p * 2**53)
         self.tiled = None if field is None else _tiled_obstacles(field)
+        self.fused = None if field is not None else _native.kernel()
         _checked_gaps(self.x, self.bounds(), self.seam)  # rejects inadmissible input
 
     def bounds(self) -> np.ndarray:
@@ -193,6 +209,27 @@ class _Stepper:
         self.x = moved
         return disp
 
+    def steps(self, coins: CoinStream, t: int, totals: np.ndarray, words) -> None:
+        """Steps t, t + 1, ..., one per entry of totals, each set to its step's total displacement.
+
+        totals is a contiguous float64 array.  The fused kernel runs the steps in
+        one call when it is loaded and no obstacle field is present.  Otherwise
+        ``advance`` runs them on ``words``, the word stream of ``coins`` from step t.
+        """
+        if self.fused is None:
+            for i, w in zip(range(len(totals)), words):
+                totals[i] = self.advance(w).sum()
+            return
+        n = len(self.x)
+        x = self.x.astype(self.rr.dtype)  # copies, since the kernel writes in place
+        wind = self.wind.astype(np.float64)
+        scratch = np.empty(2 * n + 4)  # bound to a name so that it outlives the call
+        self.fused[self.rr.dtype.kind](
+            n, len(totals), t, *coins._key, self.cut, x.ctypes.data, self.rr.ctypes.data,
+            self.seam is not None, self.seam or 0, self.v, wind.ctypes.data,
+            totals.ctypes.data, scratch.ctypes.data)
+        self.x, self.wind = x, wind
+
     def configuration(self) -> Configuration:
         return Configuration(self.cfg.geometry, self.x, self.cfg.radii, self.wind)
 
@@ -210,8 +247,10 @@ def step(
     stops at the first obstacle strictly beyond it, so an obstacle costs
     exactly one step to pass.
     """
+    if t < 0:
+        raise ValueError("time index must be nonnegative")
     stepper = _Stepper(cfg, params, field)
-    stepper.advance(next(coins._words(cfg.n, t)))
+    stepper.steps(coins, t, np.zeros(1), coins._words(cfg.n, t))
     return stepper.configuration()
 
 
@@ -262,12 +301,11 @@ def run(
     stepper = _Stepper(cfg, params, field)
     totals = np.zeros(steps)
     snaps = [(0, stepper.configuration())]
-    for t, words in zip(range(steps), coins._words(cfg.n)):
-        totals[t] = stepper.advance(words).sum()
-        if snapshot_stride and (t + 1) % snapshot_stride == 0:
-            snaps.append((t + 1, stepper.configuration()))
-    if snaps[-1][0] != steps:
-        snaps.append((steps, stepper.configuration()))
+    words = coins._words(cfg.n)
+    stride = snapshot_stride or steps
+    for t in range(0, steps, stride):
+        stepper.steps(coins, t, totals[t:t + stride], words)
+        snaps.append((min(t + stride, steps), stepper.configuration()))
     return _summary(cfg, stepper, totals, snaps)
 
 

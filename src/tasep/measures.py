@@ -334,10 +334,15 @@ def periodic_points(ts: TransitionStructure, n: int) -> list[str]:
     """All cyclically admissible words of length n, lexicographically sorted:
     the words ``_words`` admits under the structure's pairs whose closing pair
     w[-1] + w[0] is allowed too."""
+    return list(_periodic_words(ts, n))
+
+
+def _periodic_words(ts: TransitionStructure, n: int):
+    """``periodic_points`` one word at a time; a bad period fails at the call."""
     if not 1 <= n <= 24:
         raise ValueError("period must lie in 1..24 (exhaustive enumeration)")
     pairs = {f"{a}{b}" for a in (0, 1) for b in (0, 1) if ts.matrix[a, b]}
-    return [w for w in _words(n, pairs) if w[-1] + w[0] in pairs]
+    return (w for w in _words(n, pairs) if w[-1] + w[0] in pairs)
 
 
 def empirical_cylinder_frequency(points: list[str], word: str) -> float:

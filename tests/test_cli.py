@@ -148,6 +148,12 @@ class TestArtifacts:
         lines = read(tmp_path / "periodic_points.csv").splitlines()
         assert len(lines) == 2 + 7
 
+    def test_periodic_points_count_mismatch_raises(self, tmp_path, monkeypatch):
+        # the rows are counted as they stream out, then checked against the trace
+        monkeypatch.setattr(cli, "periodic_point_count", lambda ts, n: 8)
+        with pytest.raises(RuntimeError, match="wrote 7 words, trace count is 8"):
+            main(["--outdir", str(tmp_path), "periodic-points", "--n", "4"])
+
     def test_stability_sweep(self, tmp_path):
         assert main(["--outdir", str(tmp_path), "stability-sweep", "--rho", "0.5",
                      "--v", "1", "--r", "0", "--p-list", "0.9,1.0",

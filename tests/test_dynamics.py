@@ -252,6 +252,16 @@ class TestCoinStream:
         assert u.min() >= 0 and u.max() < 1
         assert abs(u.mean() - 0.5) < 0.05
 
+    def test_streams_above_2_63_collide(self):
+        # today's coin contract, pinned: numpy's Philox rounds a key word of 2**63
+        # or more through float64, so these two streams draw the same coins
+        a, b = CoinStream(1, 2**63 + 5), CoinStream(1, 2**63 + 6)
+        assert np.array_equal(a.uniforms(3, 64), b.uniforms(3, 64))
+        assert a._key == b._key == (1, 2**63)
+        cfg, params = even_lattice_ring(40, 15), ProcessParams(0.5, 1)
+        assert run(cfg, params, 30, a).final == run(cfg, params, 30, b).final
+        assert not np.array_equal(a.uniforms(3, 64), CoinStream(1, 5).uniforms(3, 64))
+
     @pytest.mark.parametrize("n", [1, 100, 101, 10_000])
     def test_run_words_are_the_uniforms(self, n):
         # one generator per run, jumped to counter [0, t, 0, 0] each step

@@ -3,6 +3,8 @@
 (a) SHA-256 digests of small seeded runs pin their exact output bytes, so any
 rewrite of the step kernel must reproduce trajectories bit for bit.
 (b) A loop of ``step`` calls must give ``run(...).final``, values and dtypes.
+(a) and (b) hold on the default path, the fused C kernel where it builds, and
+on the numpy stepper (ids ``numpy-<case>``).
 (c) Digests of the Markov cylinder weights, as ``verify_invariance`` reports
 them and as ``tasep measure cylinder`` writes them, pin those bytes too.
 (d) Digests of cyclic ring samples, of a sampled configuration (which also pins
@@ -36,6 +38,7 @@ from tasep import (
     step,
     verify_invariance,
 )
+from tasep import _native
 from tasep.cli import main
 
 
@@ -95,6 +98,21 @@ COUPLED_DIGESTS = (
 )
 
 
+@pytest.fixture
+def backend(request, monkeypatch):
+    """"default" runs the fused kernel where it builds; "numpy" forces the numpy stepper."""
+    if request.param == "numpy":
+        monkeypatch.setattr(_native, "kernel", lambda: None)
+    return request.param
+
+
+# every case on the default path (its id is the case name), then on the numpy path
+BACKEND_CASES = (
+    [pytest.param(name, "default", id=name) for name in sorted(CASES)]
+    + [pytest.param(name, "numpy", id=f"numpy-{name}") for name in sorted(CASES)]
+)
+
+
 def _coupled():
     radii = np.random.default_rng(6).uniform(0.0, 0.4, 60)
     cfg_a = Configuration(Ring(200.0), np.arange(60) * (200.0 / 60), radii)
@@ -109,16 +127,16 @@ def _run(name, snapshot_stride=None):
                snapshot_stride=snapshot_stride)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_run_digests(name):
+@pytest.mark.parametrize("name, backend", BACKEND_CASES, indirect=["backend"])
+def test_run_digests(name, backend):
     s = _run(name)
     got = (digest(s.final.positions), digest(s.final.winding),
            digest(s.step_total_displacement))
     assert got == RUN_DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_snapshot_stride_keeps_the_trajectory(name):
+@pytest.mark.parametrize("name, backend", BACKEND_CASES, indirect=["backend"])
+def test_snapshot_stride_keeps_the_trajectory(name, backend):
     plain, strided = _run(name), _run(name, snapshot_stride=7)
     assert strided.final == plain.final
     assert np.array_equal(strided.step_total_displacement, plain.step_total_displacement)
@@ -143,8 +161,8 @@ def _same(a: Configuration, b: Configuration) -> bool:
     )
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_step_loop_equals_run(name):
+@pytest.mark.parametrize("name, backend", BACKEND_CASES, indirect=["backend"])
+def test_step_loop_equals_run(name, backend):
     cfg, params, field, steps, seed = CASES[name]
     coins = CoinStream(seed)
     x = cfg
