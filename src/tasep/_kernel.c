@@ -58,13 +58,13 @@ static double pairwise(const double *a, int64_t n) {
 /* Steps t, t + 1, ..., t + k - 1 of n particles under the key (k0, k1); step
    t's words are those of the counter blocks [1 .. ceil(n/4), t, 0, 0].  x and
    wind are updated in place and totals[s] receives step t + s's total
-   displacement.  scratch holds 2n + 4 doubles: the step's displacements, then
-   its words.  A line (ring == 0) bounds its last particle by CAP, a ring by
-   x_0 + seam. */
+   displacement.  scratch holds 2n + 4 doubles: the last step's displacements,
+   then its words.  A line (ring == 0) bounds its last particle by CAP, a ring
+   by x_0 + seam.  The arguments before t are fixed for a run. */
 #define RUN(NAME, T, CAP)                                                          \
-    void NAME(int64_t n, int64_t k, uint64_t t, uint64_t k0, uint64_t k1,       \
-              uint64_t cut, T *x, const T *rr, int ring, T seam, T v,            \
-              double *wind, double *totals, double *scratch) {                   \
+    void NAME(int64_t n, uint64_t k0, uint64_t k1, uint64_t cut, T *x,           \
+              const T *rr, int ring, T seam, T v, double *wind, double *scratch, \
+              uint64_t t, int64_t k, double *totals) {                           \
         double *disp = scratch;                                                  \
         uint64_t *w = (uint64_t *)(scratch + n);                                 \
         for (int64_t s = 0; s < k; s++, t++) {                                   \

@@ -27,7 +27,7 @@ _BUILD_TIMEOUT_S = 120
 def _signature(T):
     P = ctypes.c_void_p
     U = ctypes.c_uint64
-    return [ctypes.c_int64, ctypes.c_int64, U, U, U, U, P, P, ctypes.c_int, T, T, P, P, P]
+    return [ctypes.c_int64, U, U, U, P, P, ctypes.c_int, T, T, P, P, U, ctypes.c_int64, P]
 
 
 def load(cache: Path = _SOURCE.parent / "__pycache__"):

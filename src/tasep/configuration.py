@@ -159,10 +159,25 @@ class Configuration:
                 raise ValueError(f"first ring position {pos[0]} outside [0, {L})")
             if pos[-1] > pos[0] + L:
                 raise ValueError("ring positions exceed one circumference window")
+        self._freeze(pos, rad, wind)
+
+    def _freeze(self, pos: np.ndarray, rad: np.ndarray, wind: np.ndarray) -> None:
         for name, arr in (("positions", pos), ("radii", rad), ("winding", wind)):
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _of_state(cls, geometry, positions, radii, winding) -> "Configuration":
+        """A copy of a state the one-step map produced from a checked configuration.
+
+        The map keeps every invariant ``__post_init__`` checks, and positions are
+        already int64 or float64, so the arrays are only copied and frozen.
+        """
+        cfg = object.__new__(cls)
+        object.__setattr__(cfg, "geometry", geometry)
+        cfg._freeze(positions, radii, winding)
+        return cfg
 
     @property
     def n(self) -> int:

@@ -26,7 +26,6 @@ from .configuration import (
     _bound_terms,
     _bounds,
     _checked_gaps,
-    density,
 )
 
 __all__ = [
@@ -159,14 +158,15 @@ def _next_obstacle(x: np.ndarray, tiled: np.ndarray) -> np.ndarray:
 class _Stepper:
     """The one-step map of one run, its input checked and invariants fixed once.
 
-    Holds the current positions and winding.  Arithmetic is exact int64 when
-    the configuration is_lattice, the jump is integral and no obstacles are
-    present, float64 otherwise.
+    Owns the run's coins and its own copies of the positions ``x`` and the
+    winding ``wind``, which every step updates in place; ``disp`` holds the last
+    step's displacements.  Arithmetic is exact int64 when the configuration
+    is_lattice, the jump is integral and no obstacles are present, float64
+    otherwise.
     """
 
-    def __init__(
-        self, cfg: Configuration, params: ProcessParams, field: ObstacleField | None = None
-    ) -> None:
+    def __init__(self, cfg: Configuration, params: ProcessParams, coins: CoinStream,
+                 field: ObstacleField | None = None) -> None:
         if field is not None:
             if cfg.n and np.any(cfg.radii != 0):
                 raise ValueError("obstacle dynamics is defined for radius-0 particles")
@@ -179,15 +179,27 @@ class _Stepper:
         if params.space == "lattice" and self.rr.dtype.kind != "i":
             raise ValueError("lattice process needs integral positions, ring length and "
                              "r_i + r_{i+1}, and no obstacle field")
+        # rejects inadmissible input, under the slack of the input's own dtype
+        _checked_gaps(cfg.positions, _bounds(cfg.positions, self.rr, self.seam), self.seam)
         self.cfg = cfg
-        self.x = cfg.positions if field is None else cfg.positions.astype(np.float64)
-        self.wind = cfg.winding
+        self.coins = coins
+        self.x = cfg.positions.astype(self.rr.dtype)
+        self.wind = cfg.winding.copy()
         self.v = int(params.v) if self.rr.dtype.kind == "i" else float(params.v)
         # k * 2**-53 < p exactly when k < ceil(p * 2**53); the product is exact
         self.cut = math.ceil(params.p * 2**53)
         self.tiled = None if field is None else _tiled_obstacles(field)
-        self.fused = None if field is not None else _native.kernel()
-        _checked_gaps(self.x, self.bounds(), self.seam)  # rejects inadmissible input
+        n = cfg.n
+        # the kernel's scratch: the last step's displacements, then its words
+        self._scratch = np.zeros(2 * n + 4)
+        self.disp = self._scratch[:n]
+        # the bound pointers stay valid: these arrays live with the stepper and are never rebound
+        fused = None if field is not None else _native.kernel()
+        self._fused = None if fused is None else functools.partial(
+            fused[self.rr.dtype.kind], n, *coins._key, self.cut, self.x.ctypes.data,
+            self.rr.ctypes.data, self.seam is not None, self.seam or 0, self.v,
+            self.wind.ctypes.data, self._scratch.ctypes.data)
+        self._t = None  # the step the numpy word stream stands at
 
     def bounds(self) -> np.ndarray:
         return _bounds(self.x, self.rr, self.seam)
@@ -202,36 +214,32 @@ class _Stepper:
         # turn into backward motion
         target = np.maximum(target, x)
         moved = np.where(words < self.cut, target, x)
-        disp = moved - x
-        self.wind = self.wind + disp
+        np.subtract(moved, x, out=self.disp)
+        self.wind += self.disp
         if self.seam is not None and len(moved) and moved[0] >= self.seam:
-            moved = moved - self.seam
-        self.x = moved
-        return disp
+            moved -= self.seam
+        x[...] = moved
+        return self.disp
 
-    def steps(self, coins: CoinStream, t: int, totals: np.ndarray, words) -> None:
+    def steps(self, t: int, totals: np.ndarray) -> None:
         """Steps t, t + 1, ..., one per entry of totals, each set to its step's total displacement.
 
         totals is a contiguous float64 array.  The fused kernel runs the steps in
         one call when it is loaded and no obstacle field is present.  Otherwise
-        ``advance`` runs them on ``words``, the word stream of ``coins`` from step t.
+        ``advance`` runs them on the stepper's one word stream, which is rebuilt
+        only when a call does not start where the last one stopped.
         """
-        if self.fused is None:
-            for i, w in zip(range(len(totals)), words):
-                totals[i] = self.advance(w).sum()
+        if self._fused is not None:
+            self._fused(t, len(totals), totals.ctypes.data)
             return
-        n = len(self.x)
-        x = self.x.astype(self.rr.dtype)  # copies, since the kernel writes in place
-        wind = self.wind.astype(np.float64)
-        scratch = np.empty(2 * n + 4)  # bound to a name so that it outlives the call
-        self.fused[self.rr.dtype.kind](
-            n, len(totals), t, *coins._key, self.cut, x.ctypes.data, self.rr.ctypes.data,
-            self.seam is not None, self.seam or 0, self.v, wind.ctypes.data,
-            totals.ctypes.data, scratch.ctypes.data)
-        self.x, self.wind = x, wind
+        if t != self._t:
+            self._words = self.coins._words(len(self.x), t)
+        for i, w in zip(range(len(totals)), self._words):
+            totals[i] = self.advance(w).sum()
+        self._t = t + len(totals)
 
     def configuration(self) -> Configuration:
-        return Configuration(self.cfg.geometry, self.x, self.cfg.radii, self.wind)
+        return Configuration._of_state(self.cfg.geometry, self.x, self.cfg.radii, self.wind)
 
 
 def step(
@@ -249,8 +257,8 @@ def step(
     """
     if t < 0:
         raise ValueError("time index must be nonnegative")
-    stepper = _Stepper(cfg, params, field)
-    stepper.steps(coins, t, np.zeros(1), coins._words(cfg.n, t))
+    stepper = _Stepper(cfg, params, coins, field)
+    stepper.steps(t, np.zeros(1))
     return stepper.configuration()
 
 
@@ -263,19 +271,16 @@ class TrajectorySummary:
     displacement: np.ndarray
     step_total_displacement: np.ndarray
     snapshots: tuple[tuple[int, Configuration], ...]
-    snapshot_densities: np.ndarray
     final: Configuration
 
 
 def _summary(cfg: Configuration, stepper: _Stepper, totals, snaps) -> TrajectorySummary:
-    densities = np.array([density(c) for _, c in snaps]) if cfg.n else np.zeros(len(snaps))
     return TrajectorySummary(
         steps=len(totals),
         n_particles=cfg.n,
         displacement=stepper.wind - cfg.winding,
         step_total_displacement=totals,
         snapshots=tuple(snaps),
-        snapshot_densities=densities,
         final=snaps[-1][1],
     )
 
@@ -292,19 +297,18 @@ def run(
 
     Snapshots are taken at t = 0, stride, 2*stride, ... and after the final
     step; ``snapshot_stride=None`` keeps only the initial and final states.
+    Every snapshot, the one at t = 0 included, has the run's dtype.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     if snapshot_stride is not None and snapshot_stride < 1:
         raise ValueError(f"snapshot stride {snapshot_stride} must be at least 1")
-    coins = _as_coins(coins_or_seed)
-    stepper = _Stepper(cfg, params, field)
+    stepper = _Stepper(cfg, params, _as_coins(coins_or_seed), field)
     totals = np.zeros(steps)
     snaps = [(0, stepper.configuration())]
-    words = coins._words(cfg.n)
     stride = snapshot_stride or steps
     for t in range(0, steps, stride):
-        stepper.steps(coins, t, totals[t:t + stride], words)
+        stepper.steps(t, totals[t:t + stride])
         snaps.append((min(t + stride, steps), stepper.configuration()))
     return _summary(cfg, stepper, totals, snaps)
 
@@ -339,7 +343,7 @@ def coupled_run(
     if steps < 1:
         raise ValueError("need at least one step")
     coins = _as_coins(coins_or_seed)
-    sides = (_Stepper(cfg_a, params_a), _Stepper(cfg_b, params_b))
+    a, b = _Stepper(cfg_a, params_a, coins), _Stepper(cfg_b, params_b, coins)
     n = cfg_a.n
     # a line has no gap ahead of its last particle
     n_gaps = n if cfg_a.is_ring else max(n - 1, 0)
@@ -347,15 +351,13 @@ def coupled_run(
     disp_div = np.zeros(steps)
     totals = np.zeros((2, steps))
     scale = float(displacement_scale)
-    for t, words in zip(range(steps), coins._words(n)):
-        disp_a, disp_b = (side.advance(words) for side in sides)
-        totals[:, t] = disp_a.sum(), disp_b.sum()
+    for t in range(steps):
+        a.steps(t, totals[0, t:t + 1])
+        b.steps(t, totals[1, t:t + 1])
         if n:
-            ga, gb = ((side.bounds() - side.x)[:n_gaps] for side in sides)
+            ga, gb = ((side.bounds() - side.x)[:n_gaps] for side in (a, b))
             gap_div[t] = np.abs(gb - scale * ga).max() if n_gaps else 0.0
-            disp_div[t] = np.abs(disp_b - scale * disp_a).max()
-    a, b = (
-        _summary(cfg, side, tot, [(steps, side.configuration())])
-        for cfg, side, tot in zip((cfg_a, cfg_b), sides, totals)
-    )
-    return CoupledRun(a, b, gap_div, disp_div)
+            disp_div[t] = np.abs(b.disp - scale * a.disp).max()
+    return CoupledRun(_summary(cfg_a, a, totals[0], [(steps, a.configuration())]),
+                      _summary(cfg_b, b, totals[1], [(steps, b.configuration())]),
+                      gap_div, disp_div)

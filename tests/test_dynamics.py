@@ -199,7 +199,25 @@ class TestRun:
         cfg = ring(20.0, np.arange(5) * 4.0, 0.0)
         summary = run(cfg, ProcessParams(p=0.8, v=1.0), 40, CoinStream(7), snapshot_stride=10)
         assert [t for t, _ in summary.snapshots] == [0, 10, 20, 30, 40]
-        assert np.allclose(summary.snapshot_densities, 0.25)
+        assert [density(c) for _, c in summary.snapshots] == [0.25] * 5
+
+    def test_every_snapshot_has_the_run_dtype(self):
+        # integer positions with r_i + r_{i+1} = 0.6 run in float64, from t = 0 on
+        cfg = ring(40, np.arange(0, 40, 4), 0.3)
+        summary = run(cfg, ProcessParams(p=0.5, v=1), 20, CoinStream(3), snapshot_stride=5)
+        assert cfg.positions.dtype == np.int64
+        assert [c.positions.dtype for _, c in summary.snapshots] == [np.dtype(np.float64)] * 5
+        assert summary.snapshots[0][1] == cfg
+
+    @pytest.mark.parametrize("cfg", [
+        Configuration(LINE, [0.5], 0.2),
+        Configuration(LINE, [1.0, 1.0], 0.0),
+    ], ids=["one_particle", "zero_span"])
+    def test_line_without_a_density_runs(self, cfg):
+        summary = run(cfg, ProcessParams(p=0.5, v=1.5), 10, CoinStream(1), snapshot_stride=1)
+        assert len(summary.snapshots) == 11
+        assert summary.final == step(summary.snapshots[-2][1], ProcessParams(p=0.5, v=1.5),
+                                     CoinStream(1), 9)
 
     @pytest.mark.parametrize("stride", [0, -5])
     def test_snapshot_stride_below_one_rejected(self, stride):
@@ -281,7 +299,7 @@ class TestCoinStream:
         assert np.array_equal(words < cut, u < p)
         # the stepper moves exactly the particles whose coin falls below p
         free = Configuration(LINE, np.arange(len(words)) * 10, 0.5)
-        disp = _Stepper(free, ProcessParams(p=p, v=1)).advance(words)
+        disp = _Stepper(free, ProcessParams(p=p, v=1), CoinStream(8)).advance(words)
         assert np.array_equal(disp == 1, u < p)
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from tasep import LINE, CoinStream, Configuration, ProcessParams, Ring, run, step
 from tasep import _native
+from tasep.dynamics import _Stepper
 
 
 def _summary_bytes(s) -> tuple[bytes, ...]:
@@ -104,3 +105,17 @@ def test_two_processes_racing_on_a_cold_cache_both_load(tmp_path, monkeypatch):
     expected = _summary_bytes(run(cfg, params, 50, CoinStream(9)))
     assert got == [(True, expected)] * 2
     assert len(list((tmp_path / "cache").glob("_kernel-*.so"))) == 1
+
+
+def test_steps_start_at_the_step_they_are_given(monkeypatch):
+    # the numpy path rebuilds its word stream when a call skips ahead, as the kernel keys by t
+    cfg, params = _ring(100, True, np.random.default_rng(1))
+
+    def walk():
+        stepper, totals = _Stepper(cfg, params, CoinStream(4)), np.zeros(6)
+        for t, lo, hi in ((0, 0, 2), (2, 2, 3), (7, 3, 6)):
+            stepper.steps(t, totals[lo:hi])
+        return stepper.x.tobytes(), stepper.wind.tobytes(), totals.tobytes()
+
+    fused, ref = _both_paths(monkeypatch, walk)
+    assert fused == ref

@@ -2,7 +2,8 @@
 
 (a) SHA-256 digests of small seeded runs pin their exact output bytes, so any
 rewrite of the step kernel must reproduce trajectories bit for bit.
-(b) A loop of ``step`` calls must give ``run(...).final``, values and dtypes.
+(b) A loop of ``step`` calls must give ``run(...).final``, values and dtypes,
+and each side of a ``coupled_run`` must equal its own ``run``.
 (a) and (b) hold on the default path, the fused C kernel where it builds, and
 on the numpy stepper (ids ``numpy-<case>``).
 (c) Digests of the Markov cylinder weights, as ``verify_invariance`` reports
@@ -98,6 +99,34 @@ COUPLED_DIGESTS = (
 )
 
 
+def _heterogeneous_pair():
+    radii = np.random.default_rng(6).uniform(0.0, 0.4, 60)
+    cfg_a = Configuration(Ring(200.0), np.arange(60) * (200.0 / 60), radii)
+    return cfg_a, radius_conjugate(cfg_a, float(radii.mean()))
+
+
+def _ring_pair(n):
+    """n particles of random radii on a continuum ring, and its mean-radius conjugate."""
+    radii = np.random.default_rng(n).uniform(0.0, 0.4, n)
+    cfg = Configuration(Ring(3.0 * n), np.arange(n) * 3.0, radii)
+    return cfg, radius_conjugate(cfg, float(radii.mean()))
+
+
+def _lattice_pair():
+    cfg = even_lattice_ring(40, 13)
+    return cfg, radius_conjugate(cfg, 0.0)
+
+
+# name -> (configuration a, its conjugate b, params of both, steps, seed)
+COUPLED_CASES = {
+    "heterogeneous": (*_heterogeneous_pair(), ProcessParams(0.7, 1.0), 70, 17),
+    "line_window": (_line_window(), radius_conjugate(_line_window(), 0.0),
+                    ProcessParams(0.7, 2.0), 60, 13),
+    "lattice_conjugate": (*_lattice_pair(), ProcessParams(0.7, 1, "lattice"), 80, 18),
+    **{f"n{n}": (*_ring_pair(n), ProcessParams(0.6, 1.5), 40, 20 + n) for n in (1, 2, 5, 129)},
+}
+
+
 @pytest.fixture
 def backend(request, monkeypatch):
     """"default" runs the fused kernel where it builds; "numpy" forces the numpy stepper."""
@@ -113,12 +142,15 @@ BACKEND_CASES = (
 )
 
 
-def _coupled():
-    radii = np.random.default_rng(6).uniform(0.0, 0.4, 60)
-    cfg_a = Configuration(Ring(200.0), np.arange(60) * (200.0 / 60), radii)
-    cfg_b = radius_conjugate(cfg_a, float(radii.mean()))
-    params = ProcessParams(0.7, 1.0)
-    return cfg_a, cfg_b, params, coupled_run(cfg_a, cfg_b, params, params, 70, CoinStream(17))
+COUPLED_BACKEND_CASES = (
+    [pytest.param(name, "default", id=name) for name in sorted(COUPLED_CASES)]
+    + [pytest.param(name, "numpy", id=f"numpy-{name}") for name in sorted(COUPLED_CASES)]
+)
+
+
+def _coupled(name):
+    cfg_a, cfg_b, params, steps, seed = COUPLED_CASES[name]
+    return coupled_run(cfg_a, cfg_b, params, params, steps, CoinStream(seed))
 
 
 def _run(name, snapshot_stride=None):
@@ -142,15 +174,23 @@ def test_snapshot_stride_keeps_the_trajectory(name, backend):
     assert np.array_equal(strided.step_total_displacement, plain.step_total_displacement)
 
 
-def test_coupled_run_digests():
-    _, _, _, res = _coupled()
-    got = (
-        digest(res.a.final.positions), digest(res.a.final.winding),
-        digest(res.b.final.positions), digest(res.b.final.winding),
-        digest(res.a.step_total_displacement), digest(res.b.step_total_displacement),
-        digest(res.max_gap_divergence), digest(res.max_displacement_divergence),
-    )
-    assert got == COUPLED_DIGESTS
+def _coupled_arrays(res):
+    return (res.a.final.positions, res.a.final.winding, res.b.final.positions,
+            res.b.final.winding, res.a.step_total_displacement, res.b.step_total_displacement,
+            res.max_gap_divergence, res.max_displacement_divergence)
+
+
+@pytest.mark.parametrize("backend", ["default", "numpy"], indirect=True)
+def test_coupled_run_digests(backend):
+    res = _coupled("heterogeneous")
+    assert tuple(map(digest, _coupled_arrays(res))) == COUPLED_DIGESTS
+
+
+@pytest.mark.parametrize("name", sorted(COUPLED_CASES))
+def test_coupled_run_is_the_same_on_both_backends(name, monkeypatch):
+    fused = tuple(map(digest, _coupled_arrays(_coupled(name))))
+    monkeypatch.setattr(_native, "kernel", lambda: None)
+    assert tuple(map(digest, _coupled_arrays(_coupled(name)))) == fused
 
 
 def _same(a: Configuration, b: Configuration) -> bool:
@@ -171,10 +211,39 @@ def test_step_loop_equals_run(name, backend):
     assert _same(x, _run(name).final)
 
 
-def test_coupled_sides_equal_single_runs():
-    cfg_a, cfg_b, params, res = _coupled()
-    assert _same(res.a.final, run(cfg_a, params, 70, CoinStream(17)).final)
-    assert _same(res.b.final, run(cfg_b, params, 70, CoinStream(17)).final)
+@pytest.mark.parametrize("name, backend", COUPLED_BACKEND_CASES, indirect=["backend"])
+def test_coupled_sides_equal_single_runs(name, backend):
+    cfg_a, cfg_b, params, steps, seed = COUPLED_CASES[name]
+    res = _coupled(name)
+    for side, cfg in ((res.a, cfg_a), (res.b, cfg_b)):
+        alone = run(cfg, params, steps, CoinStream(seed))
+        assert _same(side.final, alone.final)
+        assert np.array_equal(side.step_total_displacement, alone.step_total_displacement)
+    # a line compares its n - 1 gaps: the last particle's unbounded one would be inf
+    assert np.all(np.isfinite(res.max_gap_divergence))
+    if name == "lattice_conjugate":  # exact int64 on both sides
+        assert res.b.final.positions.dtype == np.int64
+        assert not res.max_gap_divergence.any() and not res.max_displacement_divergence.any()
+
+
+@pytest.mark.parametrize("name, backend", BACKEND_CASES, indirect=["backend"])
+def test_stepper_states_equal_validated_configurations(name, backend):
+    """Snapshots and step results skip ``__post_init__``; they equal what it builds."""
+    cfg, params, field, steps, seed = CASES[name]
+    coins = CoinStream(seed)
+    loop = [cfg]
+    for t in range(steps):
+        loop.append(step(loop[-1], params, coins, t, field=field))
+    snaps = _run(name, snapshot_stride=7).snapshots
+    # snapshots are copies taken along the way, not views of the running state
+    assert all(snap == loop[t] for t, snap in snaps)
+    for c in [snap for _, snap in snaps] + loop[1:]:
+        fresh = Configuration(c.geometry, c.positions, c.radii, c.winding)
+        assert c == fresh
+        for field_name in ("positions", "radii", "winding"):
+            got, want = getattr(c, field_name), getattr(fresh, field_name)
+            assert got.dtype == want.dtype
+            assert not got.flags.writeable and not want.flags.writeable
 
 
 # name -> (matrix, movement probability); the mu column at length 10

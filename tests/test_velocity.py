@@ -143,7 +143,7 @@ class TestEstimateVelocity:
         return TrajectorySummary(
             steps=len(totals), n_particles=n,
             displacement=np.zeros(n), step_total_displacement=np.asarray(totals, float),
-            snapshots=((0, cfg),), snapshot_densities=np.array([0.1]), final=cfg,
+            snapshots=((0, cfg),), final=cfg,
         )
 
     def test_plain_arithmetic(self):
