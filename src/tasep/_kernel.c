@@ -1,9 +1,9 @@
 /* The fused run kernel of tasep.dynamics: k synchronous steps in one call.
 
    Each step repeats _Stepper.advance bit for bit: numpy's Philox4x64-10 coins,
-   the successor bound, the never-left clamp, the 53-bit coin compare, the
-   displacement, the winding, the seam wrap and numpy's sum of the step's
-   displacements.  The float path keeps numpy's operation order, so it must be
+   the successor bound, the obstacle stop, the never-left clamp, the 53-bit coin
+   compare, the displacement, the winding, the seam wrap and numpy's sum of the
+   step's displacements.  The float path keeps numpy's operation order, so it must be
    built with -ffp-contract=off and without -ffast-math. */
 #include <math.h>
 #include <stdint.h>
@@ -60,38 +60,59 @@ static double pairwise(const double *a, int64_t n) {
    wind are updated in place and totals[s] receives step t + s's total
    displacement.  scratch holds 2n + 4 doubles: the last step's displacements,
    then its words.  A line (ring == 0) bounds its last particle by CAP, a ring
-   by x_0 + seam.  The arguments before t are fixed for a run. */
-#define RUN(NAME, T, CAP)                                                          \
-    void NAME(int64_t n, uint64_t k0, uint64_t k1, uint64_t cut, T *x,           \
-              const T *rr, int ring, T seam, T v, double *wind, double *scratch, \
-              uint64_t t, int64_t k, double *totals) {                           \
-        double *disp = scratch;                                                  \
-        uint64_t *w = (uint64_t *)(scratch + n);                                 \
-        for (int64_t s = 0; s < k; s++, t++) {                                   \
-            for (int64_t i = 0; i < n; i += 4) philox(w + i, i / 4, t, k0, k1);  \
-            T last = n && ring ? x[0] + seam : (CAP);                            \
-            for (int64_t i = 0; i < n; i++) {                                    \
-                T bound = (i + 1 < n ? x[i + 1] : last) - rr[i];                 \
-                T target = x[i] + v;                                             \
-                target = target < bound ? target : bound;                        \
-                target = target > x[i] ? target : x[i];                          \
-                /* coin select on the bits: a branch mispredicts half the time */ \
-                uint64_t m = -(uint64_t)((w[i] >> 11) < cut), a, b;              \
-                memcpy(&a, &target, 8);                                          \
-                memcpy(&b, &x[i], 8);                                            \
-                a = (a & m) | (b & ~m);                                          \
-                T moved;                                                         \
-                memcpy(&moved, &a, 8);                                           \
-                T d = moved - x[i];                                              \
-                disp[i] = (double)d;                                             \
-                wind[i] += (double)d;                                            \
-                x[i] = moved;                                                    \
-            }                                                                    \
-            if (ring && n && x[0] >= seam)                                       \
-                for (int64_t i = 0; i < n; i++) x[i] -= seam;                    \
-            totals[s] = 0. + pairwise(disp, n);                                  \
-        }                                                                        \
+   by x_0 + seam.  When cut is 0 or 2**53 every coin is decided without its
+   word, so the step draws none.  The obstacle instantiation (OBS) also stops
+   each particle at the first of the m sorted obstacles obs[] strictly beyond
+   it; the others never read obs or m.  When xs and ds are given, row s of
+   each receives the positions and the displacements after step t + s.  The
+   arguments before t are fixed for a run. */
+#define RUN(NAME, T, CAP, OBS)                                                     \
+    void NAME(int64_t n, uint64_t k0, uint64_t k1, uint64_t cut, T *x,             \
+              const T *rr, int ring, T seam, T v, double *wind, double *scratch,   \
+              const double *obs, int64_t m, uint64_t t, int64_t k,                 \
+              double *totals, T *xs, double *ds) {                                 \
+        double *disp = scratch;                                                    \
+        uint64_t *w = (uint64_t *)(scratch + n);                                   \
+        int draw = cut && cut < (1ULL << 53);                                      \
+        for (int64_t s = 0; s < k; s++, t++) {                                     \
+            if (draw)                                                              \
+                for (int64_t i = 0; i < n; i += 4) philox(w + i, i / 4, t, k0, k1); \
+            T last = n && ring ? x[0] + seam : (CAP);                              \
+            int64_t j = 0;                                                         \
+            for (int64_t i = 0; i < n; i++) {                                      \
+                T bound = (i + 1 < n ? x[i + 1] : last) - rr[i];                   \
+                T target = x[i] + v;                                               \
+                target = target < bound ? target : bound;                          \
+                if (OBS) {                                                         \
+                    /* searchsorted(obs, x_i, "right") as a merge walk, since      \
+                       positions never decrease along the array */                 \
+                    while (j < m && obs[j] <= x[i]) j++;                           \
+                    T stop = j < m ? obs[j] : INFINITY;                            \
+                    target = target < stop ? target : stop;                        \
+                }                                                                  \
+                target = target > x[i] ? target : x[i];                            \
+                /* coin select on the bits: a branch mispredicts half the time */  \
+                uint64_t mask = -(uint64_t)((w[i] >> 11) < cut), a, b;             \
+                memcpy(&a, &target, 8);                                            \
+                memcpy(&b, &x[i], 8);                                              \
+                a = (a & mask) | (b & ~mask);                                      \
+                T moved;                                                           \
+                memcpy(&moved, &a, 8);                                             \
+                T d = moved - x[i];                                                \
+                disp[i] = (double)d;                                               \
+                wind[i] += (double)d;                                              \
+                x[i] = moved;                                                      \
+            }                                                                      \
+            if (ring && n && x[0] >= seam)                                         \
+                for (int64_t i = 0; i < n; i++) x[i] -= seam;                      \
+            totals[s] = 0. + pairwise(disp, n);                                    \
+            if (xs) {                                                              \
+                memcpy(xs + s * n, x, n * sizeof(T));                              \
+                memcpy(ds + s * n, disp, n * sizeof(double));                      \
+            }                                                                      \
+        }                                                                          \
     }
 
-RUN(tasep_run_i64, int64_t, INT64_MAX / 4)
-RUN(tasep_run_f64, double, INFINITY)
+RUN(tasep_run_i64, int64_t, INT64_MAX / 4, 0)
+RUN(tasep_run_f64, double, INFINITY, 0)
+RUN(tasep_run_f64_obstacles, double, INFINITY, 1)

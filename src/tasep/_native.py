@@ -27,11 +27,16 @@ _BUILD_TIMEOUT_S = 120
 def _signature(T):
     P = ctypes.c_void_p
     U = ctypes.c_uint64
-    return [ctypes.c_int64, U, U, U, P, P, ctypes.c_int, T, T, P, P, U, ctypes.c_int64, P]
+    I = ctypes.c_int64
+    return [I, U, U, U, P, P, ctypes.c_int, T, T, P, P, P, I, U, I, P, P, P]
 
 
 def load(cache: Path = _SOURCE.parent / "__pycache__"):
-    """{dtype kind: run function} from the library in ``cache``, built if missing; None on failure."""
+    """{"i", "f", "obstacles": run function} from the library in ``cache``, built if missing.
+
+    "i" and "f" are the int64 and float64 runs, "obstacles" the float64 run among
+    obstacles; None on failure.
+    """
     try:
         tag = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_FLAGS).encode()).hexdigest()
         lib = cache / f"_kernel-{tag[:16]}.so"
@@ -49,9 +54,10 @@ def load(cache: Path = _SOURCE.parent / "__pycache__"):
         dll = ctypes.CDLL(str(lib))
     except (OSError, subprocess.SubprocessError):
         return None
-    fns = {"i": dll.tasep_run_i64, "f": dll.tasep_run_f64}
-    for fn, T in ((fns["i"], ctypes.c_int64), (fns["f"], ctypes.c_double)):
-        fn.argtypes = _signature(T)
+    fns = {"i": dll.tasep_run_i64, "f": dll.tasep_run_f64,
+           "obstacles": dll.tasep_run_f64_obstacles}
+    for name, fn in fns.items():
+        fn.argtypes = _signature(ctypes.c_int64 if name == "i" else ctypes.c_double)
         fn.restype = None
     return fns
 

@@ -250,15 +250,20 @@ def _bounds(pos: np.ndarray, rr: np.ndarray, seam) -> np.ndarray:
     successor is x_0 + seam on a ring and an unobstructed sentinel on a line.
     Dynamics and admissibility checks share this expression so that the
     one-step map preserves admissibility exactly, including in floating point.
+    A 2-d ``pos`` holds one state per row.
     """
-    succ = np.empty(len(pos), dtype=rr.dtype)
-    if len(pos):
-        succ[:-1] = pos[1:]
+    succ = np.empty(pos.shape, dtype=rr.dtype)
+    # the transposes put particles on the first axis of 1-d and 2-d pos alike;
+    # on 1-d this is cheaper than indexing the last axis with ...
+    s, p = succ.T, pos.T
+    if len(p):
+        s[:-1] = p[1:]
         if seam is not None:
-            succ[-1] = pos[0] + seam
+            s[-1] = p[0] + seam
         else:
-            succ[-1] = _INT_CAP if rr.dtype.kind == "i" else np.inf
-    return succ - rr
+            s[-1] = _INT_CAP if rr.dtype.kind == "i" else np.inf
+    succ -= rr
+    return succ
 
 
 def successor_bounds(cfg: Configuration) -> np.ndarray:

@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _UINT64 = 2**64
+# positions per side that coupled_run steps before it compares the sides
+_CHUNK_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,8 @@ class ObstacleField:
         pos = np.asarray(self.positions, dtype=np.float64)
         if pos.ndim != 1:
             raise ValueError("obstacle positions must be a 1-d sequence")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("obstacle positions must be finite")
         if len(pos) > 1 and np.any(np.diff(pos) <= 0):
             raise ValueError("obstacle positions must be strictly increasing")
         if isinstance(self.geometry, Ring) and len(pos):
@@ -194,11 +198,13 @@ class _Stepper:
         self._scratch = np.zeros(2 * n + 4)
         self.disp = self._scratch[:n]
         # the bound pointers stay valid: these arrays live with the stepper and are never rebound
-        fused = None if field is not None else _native.kernel()
+        fused = _native.kernel()
+        kind = self.rr.dtype.kind if field is None else "obstacles"
+        obs = (None, 0) if field is None else (self.tiled.ctypes.data, len(self.tiled))
         self._fused = None if fused is None else functools.partial(
-            fused[self.rr.dtype.kind], n, *coins._key, self.cut, self.x.ctypes.data,
-            self.rr.ctypes.data, self.seam is not None, self.seam or 0, self.v,
-            self.wind.ctypes.data, self._scratch.ctypes.data)
+            fused[kind], n, *coins._key, self.cut, self.x.ctypes.data, self.rr.ctypes.data,
+            self.seam is not None, self.seam or 0, self.v, self.wind.ctypes.data,
+            self._scratch.ctypes.data, *obs)
         self._t = None  # the step the numpy word stream stands at
 
     def bounds(self) -> np.ndarray:
@@ -221,21 +227,28 @@ class _Stepper:
         x[...] = moved
         return self.disp
 
-    def steps(self, t: int, totals: np.ndarray) -> None:
+    def steps(self, t: int, totals: np.ndarray, xs: np.ndarray | None = None,
+              ds: np.ndarray | None = None) -> None:
         """Steps t, t + 1, ..., one per entry of totals, each set to its step's total displacement.
 
-        totals is a contiguous float64 array.  The fused kernel runs the steps in
-        one call when it is loaded and no obstacle field is present.  Otherwise
+        totals is a contiguous float64 array.  When xs and ds are given (C-contiguous,
+        n columns, at least len(totals) rows, xs of the run's dtype and ds float64),
+        row i of each receives the positions and the displacements after step t + i.
+        The fused kernel runs the steps in one call when it is loaded.  Otherwise
         ``advance`` runs them on the stepper's one word stream, which is rebuilt
         only when a call does not start where the last one stopped.
         """
         if self._fused is not None:
-            self._fused(t, len(totals), totals.ctypes.data)
+            rows = (None, None) if xs is None else (xs.ctypes.data, ds.ctypes.data)
+            self._fused(t, len(totals), totals.ctypes.data, *rows)
             return
         if t != self._t:
             self._words = self.coins._words(len(self.x), t)
         for i, w in zip(range(len(totals)), self._words):
             totals[i] = self.advance(w).sum()
+            if xs is not None:
+                xs[i] = self.x
+                ds[i] = self.disp
         self._t = t + len(totals)
 
     def configuration(self) -> Configuration:
@@ -323,6 +336,12 @@ class CoupledRun:
     max_displacement_divergence: np.ndarray
 
 
+def _max_abs_difference(b: np.ndarray, sa: np.ndarray) -> np.ndarray:
+    """max_i |b_i - sa_i| of each row, computed in place in the fresh array sa."""
+    np.subtract(b, sa, out=sa)
+    return np.abs(sa, out=sa).max(axis=1)
+
+
 def coupled_run(
     cfg_a: Configuration,
     cfg_b: Configuration,
@@ -351,13 +370,27 @@ def coupled_run(
     disp_div = np.zeros(steps)
     totals = np.zeros((2, steps))
     scale = float(displacement_scale)
-    for t in range(steps):
-        a.steps(t, totals[0, t:t + 1])
-        b.steps(t, totals[1, t:t + 1])
+    # each side records a chunk of steps (about 4096 positions), then the chunk is
+    # compared at once; a one-step chunk is the sides' own state, so it copies nothing
+    chunk = max(1, min(steps, _CHUNK_ELEMENTS // max(n, 1)))
+    if chunk > 1:
+        xs = [np.empty((chunk, n), side.x.dtype) for side in (a, b)]
+        ds = [np.empty((chunk, n)) for _ in (a, b)]
+        rows = list(zip(xs, ds))
+    else:
+        xs, ds = [side.x[None] for side in (a, b)], [side.disp[None] for side in (a, b)]
+        rows = [(), ()]
+    for t in range(0, steps, chunk):
+        k = min(chunk, steps - t)
+        for i, side in enumerate((a, b)):
+            side.steps(t, totals[i, t:t + k], *rows[i])
+        if n_gaps:
+            ga, gb = (_bounds(x[:k], side.rr, side.seam) for x, side in zip(xs, (a, b)))
+            ga -= xs[0][:k]
+            gb -= xs[1][:k]
+            gap_div[t:t + k] = _max_abs_difference(gb[:, :n_gaps], scale * ga[:, :n_gaps])
         if n:
-            ga, gb = ((side.bounds() - side.x)[:n_gaps] for side in (a, b))
-            gap_div[t] = np.abs(gb - scale * ga).max() if n_gaps else 0.0
-            disp_div[t] = np.abs(b.disp - scale * a.disp).max()
+            disp_div[t:t + k] = _max_abs_difference(ds[1][:k], scale * ds[0][:k])
     return CoupledRun(_summary(cfg_a, a, totals[0], [(steps, a.configuration())]),
                       _summary(cfg_b, b, totals[1], [(steps, b.configuration())]),
                       gap_div, disp_div)

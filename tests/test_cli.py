@@ -65,6 +65,15 @@ class TestExitCodes:
         assert "1001 sites" in capsys.readouterr().err
         assert not (tmp_path / "trajectory.csv").exists()
 
+    def test_obstacles_csv_with_a_nan_row_is_a_domain_error(self, tmp_path, capsys):
+        csv = tmp_path / "z.csv"
+        csv.write_text("1.0\nnan\n5.0\n")
+        code = main(["--outdir", str(tmp_path), "obstacles", "--ring", "100",
+                     "--rho-x", "0.25", "--obstacles-csv", str(csv)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "obstacles.csv").exists()
+
     def test_couple_check_failure_is_three(self, tmp_path):
         code = main(["--outdir", str(tmp_path), "couple-check", "--mode", "radius",
                      "--rho", "0.3", "--p", "0.6", "--particles", "50",

@@ -170,6 +170,17 @@ class TestObstacleField:
         with pytest.raises(ValueError):
             ObstacleField(Ring(2.0), [0.0, 2.0])
 
+    @pytest.mark.parametrize("geometry, positions", [
+        (Ring(10.0), [1.0, np.nan]),
+        (Ring(10.0), [np.nan]),
+        (LINE, [1.0, np.inf]),
+        (LINE, [-np.inf, 1.0]),
+    ], ids=["ring_nan", "ring_only_nan", "line_inf", "line_minus_inf"])
+    def test_non_finite_positions_rejected(self, geometry, positions):
+        # a NaN obstacle used to be accepted, and a run among it returned NaN positions
+        with pytest.raises(ValueError, match="finite"):
+            ObstacleField(geometry, positions)
+
 
 class TestRun:
     def test_free_flow_every_particle_every_step(self):

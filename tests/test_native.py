@@ -1,18 +1,31 @@
 """The fused C run kernel: it builds where a compiler exists, survives a cold-cache
-race, and repeats the numpy stepper bit for bit."""
+race, compiles cleanly under strict warnings, and repeats the numpy stepper bit for
+bit on plain runs, obstacle runs and coupled runs."""
 
 from __future__ import annotations
 
 import multiprocessing
 import shutil
+import subprocess
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tasep import LINE, CoinStream, Configuration, ProcessParams, Ring, run, step
+from tasep import (
+    LINE,
+    CoinStream,
+    Configuration,
+    ObstacleField,
+    ProcessParams,
+    Ring,
+    coupled_run,
+    radius_conjugate,
+    run,
+    step,
+)
 from tasep import _native
-from tasep.dynamics import _Stepper
+from tasep.dynamics import _CHUNK_ELEMENTS, _Stepper
 
 
 def _summary_bytes(s) -> tuple[bytes, ...]:
@@ -35,6 +48,17 @@ def test_kernel_builds_where_gcc_exists():
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on this machine")
     assert _native.kernel() is not None
+
+
+def test_kernel_compiles_under_strict_warnings(tmp_path):
+    # the production flags stay as they are; this catches shadowed names and the like
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on this machine")
+    proc = subprocess.run(
+        ["gcc", *_native._FLAGS, "-Wall", "-Wextra", "-Wshadow", "-Werror",
+         "-o", str(tmp_path / "strict.so"), str(_native._SOURCE)],
+        capture_output=True, text=True, timeout=_native._BUILD_TIMEOUT_S)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unwritable_cache_falls_back(tmp_path):
@@ -69,6 +93,137 @@ def test_kernel_equals_numpy_on_a_line_at_edge_probabilities(p, monkeypatch):
     fused, ref = _both_paths(
         monkeypatch, lambda: _summary_bytes(run(cfg, ProcessParams(p, 1.5), 30, CoinStream(2))))
     assert fused == ref
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+@pytest.mark.parametrize("lattice", [True, False], ids=["lattice", "continuum"])
+def test_kernel_equals_numpy_with_deterministic_coins(p, lattice, monkeypatch):
+    # at p = 0 and p = 1 the kernel draws no words at all
+    cfg, _ = _ring(101, lattice, np.random.default_rng(5))
+    params = ProcessParams(p, 2 if lattice else 1.25)
+    fused, ref = _both_paths(
+        monkeypatch, lambda: _summary_bytes(run(cfg, params, 30, CoinStream(6), snapshot_stride=7)))
+    assert fused == ref
+
+
+def _obstacle_ring(n, rng):
+    """n point particles on a continuum ring among about n/2 random obstacles."""
+    L = (2 * n + 3) * 1.7
+    pos = np.sort(rng.choice(2 * n + 3, n, replace=False)) * 1.7
+    z = np.unique(rng.uniform(0.0, L, n // 2 + 1))
+    return Configuration(Ring(L), pos, 0.0), ObstacleField(Ring(L), z)
+
+
+def _obstacle_line(n, rng):
+    """n point particles on a line window among obstacles inside and beyond it."""
+    pos = np.cumsum(rng.uniform(0.0, 2.0, n)) - 5.0
+    z = np.unique(rng.uniform(-8.0, pos[-1] + 20.0, n // 2 + 3))
+    return Configuration(LINE, pos, 0.0), ObstacleField(LINE, z)
+
+
+def _obstacle_bytes(cfg, params, field, steps=40, seed=7, stride=9):
+    return _summary_bytes(run(cfg, params, steps, CoinStream(seed), field=field,
+                              snapshot_stride=stride))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 127, 129, 257, 1031])
+@pytest.mark.parametrize("geometry", ["ring", "line"])
+def test_obstacle_kernel_equals_numpy_across_sizes(n, geometry, monkeypatch):
+    make = _obstacle_ring if geometry == "ring" else _obstacle_line
+    cfg, field = make(n, np.random.default_rng(n))
+    fused, ref = _both_paths(
+        monkeypatch, lambda: _obstacle_bytes(cfg, ProcessParams(0.6, 1.5), field, seed=n))
+    assert fused == ref
+
+
+def _obstacles_on_every_site():
+    cfg = Configuration(Ring(30.0), np.arange(0.0, 30.0, 3.0), 0.0)
+    return cfg, ObstacleField(Ring(30.0), np.arange(30.0)), ProcessParams(1.0, 3.0)
+
+
+# name -> (configuration, field, params)
+OBSTACLE_EDGES = {
+    "empty_field": (Configuration(Ring(40.0), np.arange(0.0, 40.0, 2.5), 0.0),
+                    ObstacleField(Ring(40.0), []), ProcessParams(0.7, 2.0)),
+    # obstacles at 0, 4 and 8 sit on particles: only one strictly beyond stops them
+    "obstacle_on_a_particle": (Configuration(Ring(20.0), np.arange(0.0, 20.0, 4.0), 0.0),
+                               ObstacleField(Ring(20.0), [0.0, 4.0, 5.5, 8.0, 13.0]),
+                               ProcessParams(1.0, 3.0)),
+    "obstacle_on_every_site": _obstacles_on_every_site(),
+    "seam_wraps_mid_run": (Configuration(Ring(10.0), [6.5, 8.0, 9.5], 0.0),
+                           ObstacleField(Ring(10.0), [0.25, 3.0, 7.0]),
+                           ProcessParams(0.8, 1.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBSTACLE_EDGES))
+def test_obstacle_kernel_equals_numpy_on_edge_fields(name, monkeypatch):
+    cfg, field, params = OBSTACLE_EDGES[name]
+    fused, ref = _both_paths(monkeypatch, lambda: _obstacle_bytes(cfg, params, field, stride=1))
+    assert fused == ref
+
+
+def test_obstacle_edge_fields_behave_as_stated():
+    cfg, field, params = OBSTACLE_EDGES["empty_field"]
+    assert run(cfg, params, 40, CoinStream(7), field=field).final == run(
+        cfg, params, 40, CoinStream(7)).final
+    # the obstacle at a particle's own position does not hold it: 0 -> 3, 4 -> 5.5, 8 -> 11
+    cfg, field, params = OBSTACLE_EDGES["obstacle_on_a_particle"]
+    assert step(cfg, params, CoinStream(0), 0, field=field).positions.tolist() == [
+        3.0, 5.5, 11.0, 13.0, 19.0]
+    # with an obstacle on every site no particle moves more than one site a step
+    cfg, field, params = OBSTACLE_EDGES["obstacle_on_every_site"]
+    assert np.all(run(cfg, params, 40, CoinStream(7), field=field).step_total_displacement
+                  == cfg.n)
+    cfg, field, params = OBSTACLE_EDGES["seam_wraps_mid_run"]
+    firsts = [float(c.positions[0]) for _, c in
+              run(cfg, params, 40, CoinStream(7), field=field, snapshot_stride=1).snapshots]
+    assert any(b < a for a, b in zip(firsts, firsts[1:]))
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_obstacle_kernel_equals_numpy_with_deterministic_coins(p, monkeypatch):
+    cfg, field = _obstacle_ring(64, np.random.default_rng(8))
+    fused, ref = _both_paths(
+        monkeypatch, lambda: _obstacle_bytes(cfg, ProcessParams(p, 2.5), field))
+    assert fused == ref
+
+
+def _coupled_bytes(res):
+    return tuple(a.tobytes() for a in (
+        res.a.final.positions, res.a.final.winding, res.b.final.positions, res.b.final.winding,
+        res.a.step_total_displacement, res.b.step_total_displacement,
+        res.max_gap_divergence, res.max_displacement_divergence))
+
+
+def _het_pair(n, rng):
+    """Random radii and their mean-radius conjugate; the seam wraps within a few steps."""
+    radii = rng.uniform(0.0, 0.4, n)
+    cfg = Configuration(Ring(3.0 * n), np.arange(n) * 3.0 + (3.0 * n - 2.3), radii)
+    return cfg, radius_conjugate(cfg, float(radii.mean()))
+
+
+@pytest.mark.parametrize("n, steps", [(100, 41 * 3 + 7), (1000, 25), (_CHUNK_ELEMENTS + 3, 3)],
+                         ids=["n100_partial_chunk", "n1000_partial_chunk", "chunk_of_one"])
+def test_coupled_chunks_equal_single_steps(n, steps, monkeypatch):
+    """Chunked coupled runs on both paths equal a run compared after every single step."""
+    cfg_a, cfg_b = _het_pair(n, np.random.default_rng(n))
+    params = ProcessParams(0.6, 1.5)
+    chunk = max(1, min(steps, _CHUNK_ELEMENTS // n))
+    assert steps % chunk or chunk == 1
+    fused, ref = _both_paths(monkeypatch, lambda: _coupled_bytes(
+        coupled_run(cfg_a, cfg_b, params, params, steps, CoinStream(n))))
+    assert fused == ref
+    # the per-step reference: each side one step at a time, compared after every step
+    a, b = (_Stepper(c, params, CoinStream(n)) for c in (cfg_a, cfg_b))
+    gap_div, disp_div = np.zeros(steps), np.zeros(steps)
+    for t in range(steps):
+        a.steps(t, np.zeros(1))
+        b.steps(t, np.zeros(1))
+        ga, gb = (side.bounds() - side.x for side in (a, b))
+        gap_div[t] = np.abs(gb - ga).max()
+        disp_div[t] = np.abs(b.disp - a.disp).max()
+    assert fused[-2:] == (gap_div.tobytes(), disp_div.tobytes())
 
 
 def test_kernel_equals_numpy_on_a_stream_above_2_63(monkeypatch):
