@@ -19,27 +19,50 @@ import tempfile
 from pathlib import Path
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
-# no -ffast-math or -march=native: the float path must keep numpy's operation order
+_CACHE = _SOURCE.parent / "__pycache__"
+# no -ffast-math or -march=native: the float path must keep numpy's operation order, and
+# the library must run on any machine of its architecture (_kernel.c adds a SIMD clone)
 _FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _BUILD_TIMEOUT_S = 120
 
 
-def _signature(T):
+def _args(T):
+    """The ctypes mirror of the kernel's struct of run arguments, for positions of type T."""
     P = ctypes.c_void_p
     U = ctypes.c_uint64
     I = ctypes.c_int64
-    return [I, U, U, U, P, P, ctypes.c_int, T, T, P, P, P, I, U, I, P, P, P]
+    fields = [("n", I), ("k0", U), ("k1", U), ("cut", U), ("x", P), ("rr", P), ("ring", I),
+              ("seam", T), ("v", T), ("wind", P), ("scratch", P), ("obs", P), ("m", I)]
+    return type(f"RunArgs_{T.__name__}", (ctypes.Structure,), {"_fields_": fields})
 
 
-def load(cache: Path = _SOURCE.parent / "__pycache__"):
-    """{"i", "f", "obstacles": run function} from the library in ``cache``, built if missing.
+def bind(dll) -> dict:
+    """{"i", "f", "obstacles": (run function, its argument structure)} of a loaded library.
 
     "i" and "f" are the int64 and float64 runs, "obstacles" the float64 run among
-    obstacles; None on failure.
+    obstacles.  A run fills its structure once with its fixed arguments; each call
+    takes a pointer to it, then the first step t, the step count k, totals, xs and ds.
     """
+    P = ctypes.c_void_p
+    i64, f64 = _args(ctypes.c_int64), _args(ctypes.c_double)
+    fns = {"i": (dll.tasep_run_i64, i64), "f": (dll.tasep_run_f64, f64),
+           "obstacles": (dll.tasep_run_f64_obstacles, f64)}
+    for fn, args in fns.values():
+        fn.argtypes = [ctypes.POINTER(args), ctypes.c_uint64, ctypes.c_int64, P, P, P]
+        fn.restype = None
+    return fns
+
+
+def _library(cache: Path) -> Path:
+    """The library's path in ``cache``, keyed by the source and the flags."""
+    tag = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_FLAGS).encode()).hexdigest()
+    return cache / f"_kernel-{tag[:16]}.so"
+
+
+def load(cache: Path = _CACHE):
+    """``bind`` of the library in ``cache``, built if missing; None on failure."""
     try:
-        tag = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_FLAGS).encode()).hexdigest()
-        lib = cache / f"_kernel-{tag[:16]}.so"
+        lib = _library(cache)
         if not lib.exists():
             cache.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(prefix="_kernel-", suffix=".so.tmp", dir=cache)
@@ -54,12 +77,7 @@ def load(cache: Path = _SOURCE.parent / "__pycache__"):
         dll = ctypes.CDLL(str(lib))
     except (OSError, subprocess.SubprocessError):
         return None
-    fns = {"i": dll.tasep_run_i64, "f": dll.tasep_run_f64,
-           "obstacles": dll.tasep_run_f64_obstacles}
-    for name, fn in fns.items():
-        fn.argtypes = _signature(ctypes.c_int64 if name == "i" else ctypes.c_double)
-        fn.restype = None
-    return fns
+    return bind(dll)
 
 
 kernel = functools.cache(load)

@@ -10,6 +10,7 @@ processes share their randomness exactly (static coupling).
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass
@@ -194,17 +195,20 @@ class _Stepper:
         self.cut = math.ceil(params.p * 2**53)
         self.tiled = None if field is None else _tiled_obstacles(field)
         n = cfg.n
-        # the kernel's scratch: the last step's displacements, then its words
-        self._scratch = np.zeros(2 * n + 4)
+        # the kernel's scratch: the last step's displacements, its moved positions, its words
+        self._scratch = np.zeros(3 * n + 4)
         self.disp = self._scratch[:n]
-        # the bound pointers stay valid: these arrays live with the stepper and are never rebound
+        # the run's fixed kernel arguments, converted once; the pointers stay valid, as
+        # these arrays live with the stepper and are never rebound
         fused = _native.kernel()
-        kind = self.rr.dtype.kind if field is None else "obstacles"
-        obs = (None, 0) if field is None else (self.tiled.ctypes.data, len(self.tiled))
-        self._fused = None if fused is None else functools.partial(
-            fused[kind], n, *coins._key, self.cut, self.x.ctypes.data, self.rr.ctypes.data,
-            self.seam is not None, self.seam or 0, self.v, self.wind.ctypes.data,
-            self._scratch.ctypes.data, *obs)
+        self._fused = None
+        if fused is not None:
+            fn, args = fused[self.rr.dtype.kind if field is None else "obstacles"]
+            obs = (None, 0) if field is None else (self.tiled.ctypes.data, len(self.tiled))
+            self._fused = functools.partial(fn, ctypes.pointer(args(
+                n, *coins._key, self.cut, self.x.ctypes.data, self.rr.ctypes.data,
+                self.seam is not None, self.seam or 0, self.v, self.wind.ctypes.data,
+                self._scratch.ctypes.data, *obs)))
         self._t = None  # the step the numpy word stream stands at
 
     def bounds(self) -> np.ndarray:

@@ -1,10 +1,13 @@
 """The fused C run kernel: it builds where a compiler exists, survives a cold-cache
-race, compiles cleanly under strict warnings, and repeats the numpy stepper bit for
-bit on plain runs, obstacle runs and coupled runs."""
+race, compiles cleanly under strict warnings, exports every run function, and repeats
+the numpy stepper bit for bit on plain runs, obstacle runs and coupled runs, in its
+SIMD clone and in its portable default clone."""
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
+import platform
 import shutil
 import subprocess
 from pathlib import Path
@@ -50,15 +53,52 @@ def test_kernel_builds_where_gcc_exists():
     assert _native.kernel() is not None
 
 
-def test_kernel_compiles_under_strict_warnings(tmp_path):
-    # the production flags stay as they are; this catches shadowed names and the like
+def _build(lib: Path, *extra: str) -> subprocess.CompletedProcess:
+    """The kernel compiled with the production flags plus ``extra`` into ``lib``."""
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on this machine")
-    proc = subprocess.run(
-        ["gcc", *_native._FLAGS, "-Wall", "-Wextra", "-Wshadow", "-Werror",
-         "-o", str(tmp_path / "strict.so"), str(_native._SOURCE)],
-        capture_output=True, text=True, timeout=_native._BUILD_TIMEOUT_S)
+    return subprocess.run(["gcc", *_native._FLAGS, *extra, "-o", str(lib), str(_native._SOURCE)],
+                          capture_output=True, text=True, timeout=_native._BUILD_TIMEOUT_S)
+
+
+# the production flags stay as they are; these catch shadowed names and the like
+STRICT = ("-Wall", "-Wextra", "-Wshadow", "-Werror")
+
+
+def test_kernel_compiles_under_strict_warnings(tmp_path):
+    proc = _build(tmp_path / "strict.so", *STRICT)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_default_clone_compiles_under_strict_warnings(tmp_path):
+    proc = _build(tmp_path / "strict.so", *STRICT, "-DTASEP_NO_CLONES")
+    assert proc.returncode == 0, proc.stderr
+
+
+RUN_FUNCTIONS = ("tasep_run_i64", "tasep_run_f64", "tasep_run_f64_obstacles")
+
+
+def _exported(lib: Path) -> dict[str, str]:
+    """{symbol: nm type} of the dynamic symbols ``lib`` defines."""
+    if shutil.which("nm") is None:
+        pytest.skip("no nm on this machine")
+    out = subprocess.run(["nm", "-D", "--defined-only", str(lib)], capture_output=True,
+                         text=True, check=True).stdout
+    return {f[2]: f[1] for f in map(str.split, out.splitlines()) if len(f) == 3}
+
+
+def test_library_exports_every_run_function(tmp_path):
+    # each run function is an indirect function (its clones behind one resolver) on
+    # x86-64 and a plain one elsewhere; without clones it is plain everywhere
+    if _native.kernel() is None:
+        pytest.skip("the fused kernel cannot be built here")
+    kinds = _exported(_native._library(_native._CACHE))
+    expected = "i" if platform.machine() in ("x86_64", "AMD64") else "T"
+    assert {name: kinds.get(name) for name in RUN_FUNCTIONS} == dict.fromkeys(RUN_FUNCTIONS,
+                                                                              expected)
+    assert _build(tmp_path / "plain.so", "-DTASEP_NO_CLONES").returncode == 0
+    kinds = _exported(tmp_path / "plain.so")
+    assert {name: kinds.get(name) for name in RUN_FUNCTIONS} == dict.fromkeys(RUN_FUNCTIONS, "T")
 
 
 def test_unwritable_cache_falls_back(tmp_path):
@@ -273,4 +313,60 @@ def test_steps_start_at_the_step_they_are_given(monkeypatch):
         return stepper.x.tobytes(), stepper.wind.tobytes(), totals.tobytes()
 
     fused, ref = _both_paths(monkeypatch, walk)
+    assert fused == ref
+
+
+@pytest.fixture(scope="module")
+def default_clone_library(tmp_path_factory):
+    """The run functions of the kernel built without target clones."""
+    lib = tmp_path_factory.mktemp("no_clones") / "_kernel.so"
+    proc = _build(lib, "-DTASEP_NO_CLONES")
+    assert proc.returncode == 0, proc.stderr
+    return _native.bind(ctypes.CDLL(str(lib)))
+
+
+@pytest.fixture
+def default_clone(default_clone_library, monkeypatch):
+    """Every run in the test steps through the default clone; the loader picks the
+    SIMD clone wherever the machine has it, so no other test reaches this one."""
+    monkeypatch.setattr(_native, "kernel", lambda: default_clone_library)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 127, 129, 257, 1031])
+def test_default_clone_equals_numpy_across_sizes(n, default_clone, monkeypatch):
+    def runs():
+        rng = np.random.default_rng(n)
+        out = []
+        for lattice in (True, False):
+            cfg, params = _ring(n, lattice, rng)
+            out.append(_summary_bytes(run(cfg, params, 40, CoinStream(n), snapshot_stride=9)))
+        for make in (_obstacle_ring, _obstacle_line):
+            cfg, field = make(n, rng)
+            out.append(_obstacle_bytes(cfg, ProcessParams(0.6, 1.5), field, seed=n))
+        return out
+
+    fused, ref = _both_paths(monkeypatch, runs)
+    assert fused == ref
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_default_clone_equals_numpy_with_deterministic_coins(p, default_clone, monkeypatch):
+    def runs():
+        out = []
+        for lattice in (True, False):
+            cfg, _ = _ring(101, lattice, np.random.default_rng(5))
+            params = ProcessParams(p, 2 if lattice else 1.25)
+            out.append(_summary_bytes(run(cfg, params, 30, CoinStream(6), snapshot_stride=7)))
+        cfg, field = _obstacle_ring(64, np.random.default_rng(8))
+        return out + [_obstacle_bytes(cfg, ProcessParams(p, 2.5), field)]
+
+    fused, ref = _both_paths(monkeypatch, runs)
+    assert fused == ref
+
+
+def test_default_clone_equals_numpy_on_coupled_runs(default_clone, monkeypatch):
+    cfg_a, cfg_b = _het_pair(100, np.random.default_rng(100))
+    params = ProcessParams(0.6, 1.5)
+    fused, ref = _both_paths(monkeypatch, lambda: _coupled_bytes(
+        coupled_run(cfg_a, cfg_b, params, params, 41 * 3 + 7, CoinStream(100))))
     assert fused == ref
