@@ -14,10 +14,8 @@
    positions back into the block's x, wrapping them at the seam when the first
    particle's moved position passes it.  The moved positions are stored rather
    than rebuilt as x + disp, which is not exact in float64.  A block's words
-   and moved positions stay in L1 cache.  A run's scratch holds 3n + 4
-   doubles: the last step's displacements, then room for the moved positions
-   and for the words, whole 4-word Philox blocks, of which a step uses one
-   block's worth.
+   and moved positions stay in L1 cache, in the run function's own stack
+   buffers of BLOCK entries.
 
    On x86-64 each run function and pairwise are built as two target clones,
    x86-64-v4 (AVX-512) and the baseline, and the dynamic loader picks one per
@@ -86,9 +84,9 @@ CLONES static double pairwise(const double *a, int64_t n) {
 
 /* The arguments fixed for a run, one struct per position type T (tasep_args_i64,
    tasep_args_f64); _native.py mirrors them as ctypes structures.  A line
-   (ring == 0) bounds its last particle by CAP, a ring by x_0 + seam.  scratch
-   is the run's 3n + 4 doubles.  obs holds the m sorted obstacles; only the
-   obstacle run reads obs and m. */
+   (ring == 0) bounds its last particle by CAP, a ring by x_0 + seam.  disp
+   receives the n displacements of the last step.  obs holds the m sorted
+   obstacles; only the obstacle run reads obs and m. */
 #define ARGS(T, SUFFIX)                                                            \
     struct tasep_args_##SUFFIX {                                                   \
         int64_t n;                                                                 \
@@ -97,7 +95,7 @@ CLONES static double pairwise(const double *a, int64_t n) {
         const T *rr;                                                               \
         int64_t ring;                                                              \
         T seam, v;                                                                 \
-        double *wind, *scratch;                                                    \
+        double *wind, *disp;                                                       \
         const double *obs;                                                         \
         int64_t m;                                                                 \
     };
@@ -105,8 +103,9 @@ CLONES static double pairwise(const double *a, int64_t n) {
 ARGS(int64_t, i64)
 ARGS(double, f64)
 
-/* particles per block: 4 KB of moved positions and 4 KB of words */
+/* particles per block: 4 KB each of moved positions and words on the stack */
 #define BLOCK 512
+_Static_assert(BLOCK % 4 == 0, "a block's words must be whole 4-word Philox blocks");
 
 /* Pass 1 over the len particles of one block: next is the position after the
    block's last, *jp the merge walk's obstacle index.  It is always inlined, so
@@ -163,9 +162,9 @@ ARGS(double, f64)
         const T seam = a->seam, v = a->v, *rr = a->rr;                             \
         const double *obs = a->obs;                                                \
         const int ring = a->ring != 0, draw = cut && cut < (1LL << 53);            \
-        T *x = a->x, *moved = (T *)(a->scratch + n);                               \
-        double *wind = a->wind, *disp = a->scratch;                                \
-        uint64_t *w = (uint64_t *)(a->scratch + 2 * n);                            \
+        T *x = a->x, moved[BLOCK] __attribute__((aligned(64)));                    \
+        double *wind = a->wind, *disp = a->disp;                                   \
+        uint64_t w[BLOCK] __attribute__((aligned(64)));                            \
         for (int64_t s = 0; s < k; s++, t++) {                                     \
             const T last = n && ring ? x[0] + seam : (CAP);                        \
             int64_t j = 0;                                                         \

@@ -3,13 +3,15 @@
 The shared library lives in the package's ``__pycache__/`` under a name keyed
 by a hash of the source and the compiler flags, so an edited source or a
 changed flag builds afresh.  A build writes a temporary file and renames it
-into place, so processes racing on a cold cache each load a complete library.
+into place, so processes racing on a cold cache each load a complete library,
+and then removes the libraries of earlier sources.
 When no compiler is present, or the build or the load fails, ``kernel()`` is
 None and ``dynamics`` runs its numpy stepper instead.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -27,12 +29,13 @@ _BUILD_TIMEOUT_S = 120
 
 
 def _args(T):
-    """The ctypes mirror of the kernel's struct of run arguments, for positions of type T."""
+    """The ctypes mirror of the kernel's struct of run arguments, for positions of type T:
+    the run's own arrays, as the kernel keeps its block buffers on its stack."""
     P = ctypes.c_void_p
     U = ctypes.c_uint64
     I = ctypes.c_int64
     fields = [("n", I), ("k0", U), ("k1", U), ("cut", U), ("x", P), ("rr", P), ("ring", I),
-              ("seam", T), ("v", T), ("wind", P), ("scratch", P), ("obs", P), ("m", I)]
+              ("seam", T), ("v", T), ("wind", P), ("disp", P), ("obs", P), ("m", I)]
     return type(f"RunArgs_{T.__name__}", (ctypes.Structure,), {"_fields_": fields})
 
 
@@ -71,6 +74,10 @@ def load(cache: Path = _CACHE):
                 subprocess.run(["gcc", *_FLAGS, "-o", tmp, str(_SOURCE)], check=True,
                                capture_output=True, timeout=_BUILD_TIMEOUT_S)
                 os.replace(tmp, lib)
+                # the libraries of earlier sources; a *.so.tmp may still be another build
+                for stale in set(cache.glob("_kernel-*.so")) - {lib}:
+                    with contextlib.suppress(OSError):
+                        stale.unlink()
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)

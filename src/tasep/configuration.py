@@ -14,6 +14,7 @@ Lattice configurations keep int64 positions so lattice invariants are exact.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import IO, Sequence, Union
@@ -50,13 +51,6 @@ _INT_CAP = np.iinfo(np.int64).max // 4
 # (a touching contact re-read after the ring window shifts by L), not a real
 # violation; integer lattices use exact zero tolerance.
 _REL_SLACK = 32 * np.finfo(np.float64).eps
-
-
-def _overlap_slack(pos: np.ndarray, circumference: float | None) -> float:
-    if pos.dtype.kind in "iu":
-        return 0.0
-    scale = max(1.0, float(np.abs(pos).max(initial=0.0)), circumference or 0.0)
-    return _REL_SLACK * scale
 
 
 class AdmissibilityError(ValueError):
@@ -159,24 +153,26 @@ class Configuration:
                 raise ValueError(f"first ring position {pos[0]} outside [0, {L})")
             if pos[-1] > pos[0] + L:
                 raise ValueError("ring positions exceed one circumference window")
-        self._freeze(pos, rad, wind)
+        self._freeze(positions=pos, radii=rad, winding=wind)
 
-    def _freeze(self, pos: np.ndarray, rad: np.ndarray, wind: np.ndarray) -> None:
-        for name, arr in (("positions", pos), ("radii", rad), ("winding", wind)):
+    def _freeze(self, **arrays: np.ndarray) -> None:
+        for name, arr in arrays.items():
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def _of_state(cls, geometry, positions, radii, winding) -> "Configuration":
-        """A copy of a state the one-step map produced from a checked configuration.
+    def _of_state(cls, source: "Configuration", positions, winding, terms) -> "Configuration":
+        """A frozen copy of a state the one-step map produced from the checked ``source``.
 
-        The map keeps every invariant ``__post_init__`` checks, and positions are
-        already int64 or float64, so the arrays are only copied and frozen.
+        The map keeps every invariant ``__post_init__`` checks and changes neither the
+        geometry nor the radii, so the state shares them and takes the run's bound terms.
         """
         cfg = object.__new__(cls)
-        object.__setattr__(cfg, "geometry", geometry)
-        cfg._freeze(positions, radii, winding)
+        object.__setattr__(cfg, "geometry", source.geometry)
+        object.__setattr__(cfg, "radii", source.radii)
+        object.__setattr__(cfg, "_terms", terms)
+        cfg._freeze(positions=positions, winding=winding)
         return cfg
 
     @property
@@ -199,8 +195,24 @@ class Configuration:
 
         ``space="lattice"`` asserts this rule; a run rejects it with an obstacle field.
         """
-        L = self.circumference if self.is_ring else None
-        return _bound_terms(self.radii, L, self.positions.dtype.kind in "iu")[0].dtype.kind == "i"
+        return self._terms[0].dtype.kind == "i"
+
+    @functools.cached_property
+    def _terms(self):
+        """The successor bound's state-independent terms: read-only rr_i = r_i + r_{i+1}
+        and the seam L (None on a line), which makes x_0 + L the last particle's
+        successor; int64 when positions, every pair sum and L are integral, else float64.
+        """
+        rad = self.radii
+        rr = rad + np.concatenate((rad[1:], rad[:1]))  # np.roll costs 5x more on small rings
+        L = self.geometry.circumference if self.is_ring else None
+        # a line has no wrap pair: its last rr only offsets the unobstructed sentinel
+        pairs = rr if L is not None else rr[:-1]
+        exact = (self.positions.dtype.kind in "iu" and np.all(pairs == np.rint(pairs))
+                 and (L is None or float(L).is_integer()))
+        rr = rr.astype(np.int64 if exact else np.float64, copy=False)
+        rr.setflags(write=False)
+        return rr, None if L is None else (int if exact else float)(L)
 
     @property
     def uniform_radius(self) -> float | None:
@@ -223,24 +235,6 @@ class Configuration:
     def __repr__(self) -> str:
         geom = f"Ring(L={self.geometry.circumference})" if self.is_ring else "Line"
         return f"Configuration({geom}, n={self.n})"
-
-
-def _bound_terms(rad: np.ndarray, circumference: float | None, exact: bool):
-    """The state-independent terms of the successor bound: rr and the seam.
-
-    rr_i = r_i + r_{i+1}; the seam L makes x_0 + L the successor of the last
-    particle on a ring (None on a line).  Both are int64 when ``exact``
-    (integer positions; for a run also an integral jump and no obstacles),
-    every rr and the ring length are integral; otherwise both are float64.
-    """
-    rr = rad + np.concatenate((rad[1:], rad[:1]))  # np.roll costs 5x more on small rings
-    # a line has no wrap pair: its last rr only offsets the unobstructed sentinel
-    pairs = rr if circumference is not None else rr[:-1]
-    if exact and np.all(pairs == np.rint(pairs)) and (
-        circumference is None or float(circumference).is_integer()
-    ):
-        return rr.astype(np.int64), None if circumference is None else int(circumference)
-    return rr, None if circumference is None else float(circumference)
 
 
 def _bounds(pos: np.ndarray, rr: np.ndarray, seam) -> np.ndarray:
@@ -268,9 +262,7 @@ def _bounds(pos: np.ndarray, rr: np.ndarray, seam) -> np.ndarray:
 
 def successor_bounds(cfg: Configuration) -> np.ndarray:
     """Rightmost admissible position of each particle given its successor."""
-    L = cfg.circumference if cfg.is_ring else None
-    rr, seam = _bound_terms(cfg.radii, L, cfg.positions.dtype.kind in "iu")
-    return _bounds(cfg.positions, rr, seam)
+    return _bounds(cfg.positions, *cfg._terms)
 
 
 @dataclass(frozen=True)
@@ -286,8 +278,7 @@ def check_admissible(cfg: Configuration) -> AdmissibilityReport:
     """Report overlapping neighbor pairs and, on rings, excess total diameter."""
     if cfg.n == 0:
         return AdmissibilityReport(ok=True)
-    _, bad = _gaps_and_overlaps(cfg.positions, successor_bounds(cfg),
-                                cfg.circumference if cfg.is_ring else None)
+    _, bad = _gaps_and_overlaps(cfg)
     mass = False
     if cfg.is_ring:
         mass = 2.0 * float(cfg.radii.sum()) > cfg.circumference
@@ -304,24 +295,27 @@ def gaps(cfg: Configuration) -> np.ndarray:
     """
     if cfg.n == 0:
         return cfg.positions.copy()
-    g = _checked_gaps(cfg.positions, successor_bounds(cfg),
-                      cfg.circumference if cfg.is_ring else None)
+    g = _checked_gaps(cfg)
     return np.maximum(g, g.dtype.type(0))
 
 
-def _gaps_and_overlaps(pos: np.ndarray, bounds: np.ndarray, circumference):
-    """bounds - pos, less a line's last entry, and the overlapping pairs: the one rule."""
-    g = bounds - pos if circumference is not None else (bounds - pos)[:-1]
-    return g, np.nonzero(g < -_overlap_slack(pos, circumference))[0]
+def _gaps_and_overlaps(cfg: Configuration):
+    """bounds - positions, less a line's last entry, and the overlapping pairs: the one rule."""
+    pos, seam = cfg.positions, cfg._terms[1]
+    g = successor_bounds(cfg) - pos
+    g = g if seam is not None else g[:-1]
+    slack = 0.0 if pos.dtype.kind in "iu" else _REL_SLACK * max(
+        1.0, float(np.abs(pos).max(initial=0.0)), seam or 0.0)
+    return g, np.nonzero(g < -slack)[0]
 
 
-def _checked_gaps(pos: np.ndarray, bounds: np.ndarray, circumference) -> np.ndarray:
-    """bounds - pos, less a line's last entry; AdmissibilityError on overlap."""
-    g, bad = _gaps_and_overlaps(pos, bounds, circumference)
+def _checked_gaps(cfg: Configuration) -> np.ndarray:
+    """bounds - positions, less a line's last entry; AdmissibilityError on overlap."""
+    g, bad = _gaps_and_overlaps(cfg)
     if len(bad):
         i = int(bad[0])
         raise AdmissibilityError(
-            f"inadmissible configuration: balls {i} and {(i + 1) % len(pos)} overlap", bad
+            f"inadmissible configuration: balls {i} and {(i + 1) % cfg.n} overlap", bad
         )
     return g
 

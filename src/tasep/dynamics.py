@@ -24,7 +24,6 @@ from .configuration import (
     LineWindow,
     ProcessParams,
     Ring,
-    _bound_terms,
     _bounds,
     _checked_gaps,
 )
@@ -44,6 +43,13 @@ _UINT64 = 2**64
 _CHUNK_ELEMENTS = 4096
 
 
+def _uint64(name: str, v) -> int:
+    """v as an int when it is an integer in [0, 2**64) and not a bool; ValueError otherwise."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < _UINT64:
+        raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class CoinStream:
     """Reproducible Bernoulli coin source: coin(i, t) = uniforms(t, n)[i] < p.
@@ -61,16 +67,12 @@ class CoinStream:
 
     def __post_init__(self) -> None:
         for name in ("seed", "stream"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < _UINT64:
-                raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, _uint64(name, getattr(self, name)))
 
     def _philox(self, t: int) -> Philox:
         """The generator of step t: counter [0, t, 0, 0] under the key (seed, stream)."""
-        if t < 0:
-            raise ValueError("time index must be nonnegative")
-        return Philox(counter=[0, t, 0, 0], key=[self.seed, self.stream])
+        # numpy splits an int counter into words exactly; a list goes through float64
+        return Philox(counter=_uint64("time index", t) << 64, key=[self.seed, self.stream])
 
     def uniforms(self, t: int, n: int) -> np.ndarray:
         """The n uniform variates of step t, independent across (i, t)."""
@@ -177,38 +179,36 @@ class _Stepper:
                 raise ValueError("obstacle dynamics is defined for radius-0 particles")
             if field.geometry != cfg.geometry:
                 raise ValueError("obstacle field geometry must match the configuration")
-        exact = (field is None and cfg.positions.dtype.kind in "iu"
-                 and float(params.v).is_integer())
-        L = cfg.circumference if cfg.is_ring else None
-        self.rr, self.seam = _bound_terms(cfg.radii, L, exact)
-        if params.space == "lattice" and self.rr.dtype.kind != "i":
+        rr, seam = cfg._terms
+        if params.space == "lattice" and (rr.dtype.kind != "i" or field is not None):
             raise ValueError("lattice process needs integral positions, ring length and "
                              "r_i + r_{i+1}, and no obstacle field")
-        # rejects inadmissible input, under the slack of the input's own dtype
-        _checked_gaps(cfg.positions, _bounds(cfg.positions, self.rr, self.seam), self.seam)
+        _checked_gaps(cfg)  # rejects inadmissible input, under its own dtype's slack
+        if rr.dtype.kind == "i" and (field is not None or not float(params.v).is_integer()):
+            rr, seam = rr.astype(np.float64), None if seam is None else float(seam)
+            rr.setflags(write=False)
+        self.rr, self.seam = rr, seam
         self.cfg = cfg
         self.coins = coins
-        self.x = cfg.positions.astype(self.rr.dtype)
+        self.x = cfg.positions.astype(rr.dtype)
         self.wind = cfg.winding.copy()
-        self.v = int(params.v) if self.rr.dtype.kind == "i" else float(params.v)
+        self.v = int(params.v) if rr.dtype.kind == "i" else float(params.v)
         # k * 2**-53 < p exactly when k < ceil(p * 2**53); the product is exact
         self.cut = math.ceil(params.p * 2**53)
         self.tiled = None if field is None else _tiled_obstacles(field)
         n = cfg.n
-        # the kernel's scratch: the last step's displacements, its moved positions, its words
-        self._scratch = np.zeros(3 * n + 4)
-        self.disp = self._scratch[:n]
+        self.disp = np.zeros(n)  # the last step's displacements
         # the run's fixed kernel arguments, converted once; the pointers stay valid, as
         # these arrays live with the stepper and are never rebound
         fused = _native.kernel()
         self._fused = None
         if fused is not None:
-            fn, args = fused[self.rr.dtype.kind if field is None else "obstacles"]
+            fn, args = fused[rr.dtype.kind if field is None else "obstacles"]
             obs = (None, 0) if field is None else (self.tiled.ctypes.data, len(self.tiled))
             self._fused = functools.partial(fn, ctypes.pointer(args(
-                n, *coins._key, self.cut, self.x.ctypes.data, self.rr.ctypes.data,
-                self.seam is not None, self.seam or 0, self.v, self.wind.ctypes.data,
-                self._scratch.ctypes.data, *obs)))
+                n, *coins._key, self.cut, self.x.ctypes.data, rr.ctypes.data,
+                seam is not None, seam or 0, self.v, self.wind.ctypes.data,
+                self.disp.ctypes.data, *obs)))
         self._t = None  # the step the numpy word stream stands at
 
     def bounds(self) -> np.ndarray:
@@ -256,7 +256,7 @@ class _Stepper:
         self._t = t + len(totals)
 
     def configuration(self) -> Configuration:
-        return Configuration._of_state(self.cfg.geometry, self.x, self.cfg.radii, self.wind)
+        return Configuration._of_state(self.cfg, self.x, self.wind, (self.rr, self.seam))
 
 
 def step(
@@ -272,8 +272,7 @@ def step(
     stops at the first obstacle strictly beyond it, so an obstacle costs
     exactly one step to pass.
     """
-    if t < 0:
-        raise ValueError("time index must be nonnegative")
+    t = _uint64("time index", t)
     stepper = _Stepper(cfg, params, coins, field)
     stepper.steps(t, np.zeros(1))
     return stepper.configuration()

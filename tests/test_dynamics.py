@@ -23,6 +23,7 @@ from tasep import (
     step,
 )
 from tasep.dynamics import _Stepper
+from test_reproducibility import BACKEND_CASES, CASES, backend  # noqa: F401 (a fixture)
 
 DET = ProcessParams(p=1.0, v=1.0)
 
@@ -312,6 +313,64 @@ class TestCoinStream:
         free = Configuration(LINE, np.arange(len(words)) * 10, 0.5)
         disp = _Stepper(free, ProcessParams(p=p, v=1), CoinStream(8)).advance(words)
         assert np.array_equal(disp == 1, u < p)
+
+
+class TestTimeIndex:
+    @pytest.mark.parametrize("backend", ["default", "numpy"], indirect=True)
+    @pytest.mark.parametrize("bad", [2**64, -1, 1.5, True, np.float64(1.0), "3"])
+    def test_non_integer_or_out_of_range_rejected(self, bad, backend):
+        with pytest.raises(ValueError, match="time index"):
+            step(even_lattice_ring(20, 5), ProcessParams(0.5, 1), CoinStream(3), bad)
+        with pytest.raises(ValueError, match="time index"):
+            CoinStream(3).uniforms(bad, 4)
+
+    @pytest.mark.parametrize("backend", ["default", "numpy"], indirect=True)
+    def test_step_t_moves_on_uniforms_t_up_to_2_64(self, backend):
+        # each t has its own counter word; a list counter would round t >= 2**63 in float64
+        free, coins = Configuration(LINE, np.arange(64) * 10, 0.5), CoinStream(3)
+        ts = [0, 2**63 - 1, 2**63, 2**63 + 1, np.uint64(2**64 - 1)]
+        moves = [step(free, ProcessParams(0.5, 1), coins, t).winding == 1 for t in ts]
+        for t, moved in zip(ts, moves):
+            assert np.array_equal(moved, coins.uniforms(t, 64) < 0.5)
+        assert len({m.tobytes() for m in moves}) == len(ts)
+
+
+def _terms_are_fresh(cfg: Configuration) -> bool:
+    """cfg carries the bound terms a validated copy computes; its arrays are read-only."""
+    (rr, seam), (rr0, seam0) = cfg._terms, Configuration(
+        cfg.geometry, cfg.positions, cfg.radii, cfg.winding)._terms
+    return (np.array_equal(rr, rr0) and rr.dtype == rr0.dtype and seam == seam0
+            and type(seam) is type(seam0)
+            and not rr.flags.writeable and not cfg.radii.flags.writeable)
+
+
+class TestBoundTerms:
+    @pytest.mark.parametrize("name, backend", BACKEND_CASES, indirect=["backend"])
+    def test_every_state_carries_fresh_terms(self, name, backend):
+        cfg, params, field, steps, seed = CASES[name]
+        coins = CoinStream(seed)
+        states = [c for _, c in run(cfg, params, steps, coins, field=field,
+                                    snapshot_stride=7).snapshots]
+        state = cfg
+        for t in range(5):
+            state = step(state, params, coins, t, field=field)
+            states.append(state)
+        assert all(map(_terms_are_fresh, states))
+
+    @pytest.mark.parametrize("backend", ["default", "numpy"], indirect=True)
+    def test_integral_input_runs_in_float64_when_the_run_cannot_stay_exact(self, backend):
+        cfg = ring(20, np.arange(0, 20, 4), 0.0)
+        field = ObstacleField(Ring(20), [2.0])
+        assert cfg.is_lattice
+        for params, f in ((ProcessParams(0.5, 1.5), None), (ProcessParams(0.5, 1), field)):
+            final = run(cfg, params, 5, CoinStream(1), field=f).final
+            assert final.positions.dtype == final._terms[0].dtype == np.float64
+            assert type(final._terms[1]) is float and _terms_are_fresh(final)
+        assert cfg._terms[0].dtype == np.int64
+        with pytest.raises(ValueError, match="integer v"):
+            ProcessParams(0.5, 1.5, "lattice")
+        with pytest.raises(ValueError, match="r_i"):
+            run(cfg, ProcessParams(0.5, 1, "lattice"), 5, CoinStream(1), field=field)
 
 
 class TestCoupledRun:

@@ -61,8 +61,9 @@ def _build(lib: Path, *extra: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=_native._BUILD_TIMEOUT_S)
 
 
-# the production flags stay as they are; these catch shadowed names and the like
-STRICT = ("-Wall", "-Wextra", "-Wshadow", "-Werror")
+# the production flags stay as they are; these catch shadowed names and the like,
+# and bound the stack of a run function, which holds its block buffers
+STRICT = ("-Wall", "-Wextra", "-Wshadow", "-Wstack-usage=16384", "-Werror")
 
 
 def test_kernel_compiles_under_strict_warnings(tmp_path):
@@ -99,6 +100,20 @@ def test_library_exports_every_run_function(tmp_path):
     assert _build(tmp_path / "plain.so", "-DTASEP_NO_CLONES").returncode == 0
     kinds = _exported(tmp_path / "plain.so")
     assert {name: kinds.get(name) for name in RUN_FUNCTIONS} == dict.fromkeys(RUN_FUNCTIONS, "T")
+
+
+def test_a_build_removes_the_libraries_of_earlier_sources(tmp_path):
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on this machine")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "_kernel-0000000000000000.so").write_bytes(b"an earlier source's library")
+    # another process may still be building into its temporary file
+    building = cache / "_kernel-x1y2z3.so.tmp"
+    building.write_bytes(b"")
+    assert _native.load(cache) is not None
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [_native._library(cache).name, building.name])
 
 
 def test_unwritable_cache_falls_back(tmp_path):
