@@ -131,10 +131,9 @@ def _cmd_simulate(args) -> int:
                   snapshot_stride=args.snapshot_stride)
     est = estimate_velocity(summary, burn_in=args.burn_in)
     header = _header(args, "simulate")
-    traj_rows = []
-    for t, snap in summary.snapshots:
-        for i in range(snap.n):
-            traj_rows.append((t, i, float(snap.positions[i]), float(snap.winding[i])))
+    traj_rows = ((t, i, float(x), w)
+                 for t, snap in summary.snapshots
+                 for i, (x, w) in enumerate(zip(snap.positions.tolist(), snap.winding.tolist())))
     _write_rows(_outpath(args, "trajectory.csv"), header,
                 ["t", "particle", "position", "displacement"], traj_rows)
     _write_rows(_outpath(args, "velocity.csv"), header,

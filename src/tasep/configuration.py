@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Sequence, Union
 
 import numpy as np
@@ -51,6 +51,33 @@ _INT_CAP = np.iinfo(np.int64).max // 4
 # (a touching contact re-read after the ring window shifts by L), not a real
 # violation; integer lattices use exact zero tolerance.
 _REL_SLACK = 32 * np.finfo(np.float64).eps
+
+
+class _Value:
+    """Frozen dataclass values, equal when every field is (arrays by content) and unhashable.
+    Pickle, ``copy.copy`` and ``copy.deepcopy`` rebuild one through its constructor from
+    its ``init`` fields, so a copy is validated and frozen like any other construction."""
+
+    __hash__ = None
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                return False
+        return True
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+    def _freeze(self, **arrays: np.ndarray) -> None:
+        """Set each named field to a read-only copy of its array."""
+        for name, arr in arrays.items():
+            arr = arr.copy()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 class AdmissibilityError(ValueError):
@@ -117,7 +144,7 @@ def _as_positions(positions) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Configuration:
+class Configuration(_Value):
     """Ordered particles with radii and per-particle displacement counters."""
 
     geometry: Geometry
@@ -154,12 +181,6 @@ class Configuration:
             if pos[-1] > pos[0] + L:
                 raise ValueError("ring positions exceed one circumference window")
         self._freeze(positions=pos, radii=rad, winding=wind)
-
-    def _freeze(self, **arrays: np.ndarray) -> None:
-        for name, arr in arrays.items():
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @classmethod
     def _of_state(cls, source: "Configuration", positions, winding, terms) -> "Configuration":
@@ -221,16 +242,6 @@ class Configuration:
             return 0.0
         r0 = self.radii[0]
         return float(r0) if np.all(self.radii == r0) else None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Configuration):
-            return NotImplemented
-        return (
-            self.geometry == other.geometry
-            and np.array_equal(self.positions, other.positions)
-            and np.array_equal(self.radii, other.radii)
-            and np.array_equal(self.winding, other.winding)
-        )
 
     def __repr__(self) -> str:
         geom = f"Ring(L={self.geometry.circumference})" if self.is_ring else "Line"
@@ -320,16 +331,18 @@ def _checked_gaps(cfg: Configuration) -> np.ndarray:
     return g
 
 
-def density(cfg: Configuration) -> float:
-    """Particles per unit length: N/L on a ring, (N-1)/span on a line window."""
-    if cfg.is_ring:
-        return cfg.n / cfg.circumference
-    if cfg.n < 2:
-        raise ValueError("line-window density needs at least 2 particles")
+def density(cfg) -> float:
+    """Points per unit length of a configuration or an obstacle field: N/L on a ring,
+    (N-1)/span on a line window."""
+    n = len(cfg.positions)
+    if isinstance(cfg.geometry, Ring):
+        return n / cfg.geometry.circumference
+    if n < 2:
+        raise ValueError("line-window density needs at least 2 points")
     span = float(cfg.positions[-1] - cfg.positions[0])
     if span == 0:
         raise ValueError("line-window density undefined for zero span")
-    return (cfg.n - 1) / span
+    return (n - 1) / span
 
 
 def _wrap_start(pos: np.ndarray, circumference: float) -> np.ndarray:
@@ -423,17 +436,12 @@ def encode_word(cfg: Configuration) -> str:
     return "".join("1" if b else "0" for b in letters)
 
 
-def decode_word(word: str, geometry: Ring | None = None) -> Configuration:
+def decode_word(word: str) -> Configuration:
     """Inverse of encode_word: a lattice ring with particles at the '1' sites."""
     if not word or set(word) - {"0", "1"}:
         raise ValueError("word must be a nonempty string over {0, 1}")
-    n_sites = len(word)
-    if geometry is None:
-        geometry = Ring(n_sites)
-    elif not (isinstance(geometry, Ring) and float(geometry.circumference) == n_sites):
-        raise ValueError("geometry must be a ring whose circumference is the word length")
     pos = np.array([k for k, ch in enumerate(word) if ch == "1"], dtype=np.int64)
-    return Configuration(geometry, pos, np.full(len(pos), 0.5))
+    return Configuration(Ring(len(word)), pos, np.full(len(pos), 0.5))
 
 
 def evenly_spaced_ring(n_particles: int, rho: float, radius: float = 0.0) -> Configuration:

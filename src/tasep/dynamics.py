@@ -26,6 +26,8 @@ from .configuration import (
     Ring,
     _bounds,
     _checked_gaps,
+    _Value,
+    density,
 )
 
 __all__ = [
@@ -98,7 +100,7 @@ class CoinStream:
 
     def derive(self, *ids: int) -> "CoinStream":
         """Independent substream for an (experiment, replica, ...) tuple."""
-        entropy = (self.seed, self.stream) + tuple(int(i) for i in ids)
+        entropy = (self.seed, self.stream) + tuple(_uint64("substream id", i) for i in ids)
         child = int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
         return CoinStream(self.seed, child)
 
@@ -109,8 +111,8 @@ def _as_coins(coins_or_seed) -> CoinStream:
     return CoinStream(coins_or_seed)
 
 
-@dataclass(frozen=True)
-class ObstacleField:
+@dataclass(frozen=True, eq=False)
+class ObstacleField(_Value):
     """Static stopping points; sorted positions, on a ring within [0, L)."""
 
     geometry: Ring | LineWindow
@@ -128,20 +130,13 @@ class ObstacleField:
             L = self.geometry.circumference
             if pos[0] < 0 or pos[-1] >= L:
                 raise ValueError(f"ring obstacles must lie in [0, {L})")
-        pos = pos.copy()
-        pos.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
+        self._freeze(positions=pos)
 
     @property
     def n(self) -> int:
         return len(self.positions)
 
-    def density(self) -> float:
-        if isinstance(self.geometry, Ring):
-            return self.n / self.geometry.circumference
-        if self.n < 2:
-            raise ValueError("line obstacle density needs at least 2 obstacles")
-        return (self.n - 1) / float(self.positions[-1] - self.positions[0])
+    density = density  # the rule of configuration.density, as a method
 
 
 def _tiled_obstacles(field: ObstacleField) -> np.ndarray:

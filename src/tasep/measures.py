@@ -9,11 +9,11 @@ stationary(a_1) * prod transition(a_i, a_{i+1}).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configuration import Configuration, decode_word, radius_conjugate, scale_shift
+from .configuration import Configuration, _Value, decode_word, radius_conjugate, scale_shift
 
 __all__ = [
     "MarkovMatrix",
@@ -270,42 +270,39 @@ def sample_ring_configuration(
     return cfg
 
 
-@dataclass(frozen=True)
-class TransitionStructure:
-    """Irreducible 0/1 transition matrix with its leading eigendata."""
+@dataclass(frozen=True, eq=False)
+class TransitionStructure(_Value):
+    """Irreducible 2x2 transition matrix over {0, 1} with its leading eigendata."""
 
     matrix: np.ndarray
-    eigenvalue: float
-    eigenvector: np.ndarray
+    eigenvalue: float = field(init=False)
+    eigenvector: np.ndarray = field(init=False)
 
-    @classmethod
-    def from_matrix(cls, m) -> "TransitionStructure":
-        arr = np.asarray(m, dtype=np.int64)
+    def __post_init__(self) -> None:
+        arr = np.asarray(self.matrix)
         if arr.shape != (2, 2) or not np.all((arr == 0) | (arr == 1)):
             raise ValueError("transition structure must be a 2x2 matrix over {0, 1}")
+        arr = arr.astype(np.int64, copy=False)
         if arr[0, 1] == 0 or arr[1, 0] == 0:
             raise ValueError("transition structure must be irreducible")
         lam = (arr[0, 0] + arr[1, 1] + math.sqrt((arr[0, 0] - arr[1, 1]) ** 2 + 4)) / 2
         vec = np.array([float(arr[0, 1]), lam - arr[0, 0]])
-        vec = vec / vec.sum()
-        arr = arr.copy()
-        arr.setflags(write=False)
-        vec.setflags(write=False)
-        return cls(arr, lam, vec)
+        object.__setattr__(self, "eigenvalue", lam)
+        self._freeze(matrix=arr, eigenvector=vec / vec.sum())
 
     @classmethod
     def no_adjacent_ones(cls) -> "TransitionStructure":
         """The golden-mean shift: words never contain 11."""
-        return cls.from_matrix([[1, 1], [1, 0]])
+        return cls([[1, 1], [1, 0]])
 
     @classmethod
     def no_adjacent_zeros(cls) -> "TransitionStructure":
         """Letter-flipped golden-mean shift: words never contain 00."""
-        return cls.from_matrix([[0, 1], [1, 1]])
+        return cls([[0, 1], [1, 1]])
 
     @classmethod
     def full_shift(cls) -> "TransitionStructure":
-        return cls.from_matrix([[1, 1], [1, 1]])
+        return cls([[1, 1], [1, 1]])
 
     @property
     def entropy(self) -> float:

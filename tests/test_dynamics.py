@@ -263,6 +263,18 @@ class TestCoinStream:
         assert not np.array_equal(a.uniforms(0, 8), b.uniforms(0, 8))
         assert a == s.derive(0)
 
+    @pytest.mark.parametrize("bad", [1.5, True, "3", np.float64(2.0), -1, 2**64])
+    def test_derive_ids_checked_as_seeds_are(self, bad):
+        with pytest.raises(ValueError):
+            CoinStream(1).derive(bad)
+        with pytest.raises(ValueError):
+            CoinStream(1).derive(0, bad)
+
+    def test_integer_ids_keep_their_streams(self):
+        s = CoinStream(1)
+        assert s.derive(np.uint64(3), np.int32(4)) == s.derive(3, 4)
+        assert s.derive(2**64 - 1) != s.derive(1)
+
     @pytest.mark.parametrize("bad", [1.5, -0.5, "3", True, np.float64(2.0), -1, 2**64])
     def test_non_integer_or_out_of_range_seed_rejected(self, bad):
         with pytest.raises(ValueError):

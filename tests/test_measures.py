@@ -226,7 +226,7 @@ class TestParry:
 
     def test_reducible_rejected(self):
         with pytest.raises(ValueError):
-            TransitionStructure.from_matrix([[1, 1], [0, 1]])
+            TransitionStructure([[1, 1], [0, 1]])
 
 
 class TestPeriodicPoints:

@@ -122,6 +122,16 @@ def test_unwritable_cache_falls_back(tmp_path):
     assert _native.load(blocker / "sub") is None
 
 
+def test_no_compiler_falls_back(tmp_path, monkeypatch):
+    # the platform where the numpy stepper runs in production: no gcc on PATH
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    monkeypatch.setenv("PATH", str(empty))
+    cache = tmp_path / "cache"
+    assert _native.load(cache) is None
+    assert list(cache.glob("*.so.tmp")) == []
+
+
 def _ring(n, lattice, rng):
     L = 2 * n + 3
     pos = np.sort(rng.choice(L, n, replace=False))
