@@ -74,10 +74,13 @@ class _Value:
 
     def _freeze(self, **arrays: np.ndarray) -> None:
         """Set each named field to a read-only copy of its array."""
-        for name, arr in arrays.items():
-            arr = arr.copy()
+        self._own(**{name: arr.copy() for name, arr in arrays.items()})
+
+    def _own(self, **arrays: np.ndarray) -> None:
+        """Set each named field to its array, made read-only in place: the value takes it."""
+        for arr in arrays.values():
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        vars(self).update(arrays)
 
 
 class AdmissibilityError(ValueError):
@@ -184,16 +187,17 @@ class Configuration(_Value):
 
     @classmethod
     def _of_state(cls, source: "Configuration", positions, winding, terms) -> "Configuration":
-        """A frozen copy of a state the one-step map produced from the checked ``source``.
+        """A state the one-step map produced from the checked ``source``; it takes the
+        arrays ``positions`` and ``winding`` and makes them read-only in place.
 
-        The map keeps every invariant ``__post_init__`` checks and changes neither the
-        geometry nor the radii, so the state shares them and takes the run's bound terms.
+        The map keeps every invariant ``__post_init__`` checks and admissibility (see
+        ``_bounds``), and changes neither the geometry nor the radii, so the state shares
+        them, takes the run's bound terms and carries the admissible verdict.
         """
         cfg = object.__new__(cls)
-        object.__setattr__(cfg, "geometry", source.geometry)
-        object.__setattr__(cfg, "radii", source.radii)
-        object.__setattr__(cfg, "_terms", terms)
-        cfg._freeze(positions=positions, winding=winding)
+        vars(cfg).update(geometry=source.geometry, radii=source.radii, _terms=terms,
+                         _admissible=True)
+        cfg._own(positions=positions, winding=winding)
         return cfg
 
     @property
@@ -234,6 +238,14 @@ class Configuration(_Value):
         rr = rr.astype(np.int64 if exact else np.float64, copy=False)
         rr.setflags(write=False)
         return rr, None if L is None else (int if exact else float)(L)
+
+    @functools.cached_property
+    def _admissible(self) -> bool:
+        """True once no neighbour pair overlaps, under the slack of the terms' dtype;
+        AdmissibilityError otherwise.  Checked at the first run or step from this
+        configuration; the states a run or a step returns carry it (see ``_of_state``)."""
+        _checked_gaps(self)
+        return True
 
     @property
     def uniform_radius(self) -> float | None:

@@ -25,7 +25,6 @@ from .configuration import (
     ProcessParams,
     Ring,
     _bounds,
-    _checked_gaps,
     _Value,
     density,
 )
@@ -43,13 +42,20 @@ __all__ = [
 _UINT64 = 2**64
 # positions per side that coupled_run steps before it compares the sides
 _CHUNK_ELEMENTS = 4096
+# a zero-length ctypes type: its from_buffer takes any writable buffer, empty ones too
+_NO_BYTES = ctypes.c_char * 0
+
+
+def _integer(name: str, v, lo: int, hi: float = math.inf) -> int:
+    """v as an int when it is an integer in [lo, hi) and not a bool; ValueError otherwise."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not lo <= v < hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}), got {v!r}")
+    return int(v)
 
 
 def _uint64(name: str, v) -> int:
     """v as an int when it is an integer in [0, 2**64) and not a bool; ValueError otherwise."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < _UINT64:
-        raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v!r}")
-    return int(v)
+    return _integer(name, v, 0, _UINT64)
 
 
 @dataclass(frozen=True)
@@ -139,6 +145,12 @@ class ObstacleField(_Value):
     density = density  # the rule of configuration.density, as a method
 
 
+def _address(arr: np.ndarray) -> int:
+    """The data address of a writable C-contiguous array; ``arr.ctypes.data`` builds a
+    helper object each time and costs about three times as much."""
+    return ctypes.addressof(_NO_BYTES.from_buffer(arr))
+
+
 def _tiled_obstacles(field: ObstacleField) -> np.ndarray:
     """Obstacles extended over the ring window [0, 2L) particles can occupy."""
     z = field.positions
@@ -178,7 +190,7 @@ class _Stepper:
         if params.space == "lattice" and (rr.dtype.kind != "i" or field is not None):
             raise ValueError("lattice process needs integral positions, ring length and "
                              "r_i + r_{i+1}, and no obstacle field")
-        _checked_gaps(cfg)  # rejects inadmissible input, under its own dtype's slack
+        cfg._admissible  # rejects inadmissible input, once per configuration
         if rr.dtype.kind == "i" and (field is not None or not float(params.v).is_integer()):
             rr, seam = rr.astype(np.float64), None if seam is None else float(seam)
             rr.setflags(write=False)
@@ -186,24 +198,26 @@ class _Stepper:
         self.cfg = cfg
         self.coins = coins
         self.x = cfg.positions.astype(rr.dtype)
-        self.wind = cfg.winding.copy()
+        n = cfg.n
+        # the winding and the last step's displacements, rows of one buffer
+        buf = np.zeros((2, n))
+        buf[0] = cfg.winding
+        self.wind, self.disp = buf[0], buf[1]
         self.v = int(params.v) if rr.dtype.kind == "i" else float(params.v)
         # k * 2**-53 < p exactly when k < ceil(p * 2**53); the product is exact
         self.cut = math.ceil(params.p * 2**53)
         self.tiled = None if field is None else _tiled_obstacles(field)
-        n = cfg.n
-        self.disp = np.zeros(n)  # the last step's displacements
-        # the run's fixed kernel arguments, converted once; the pointers stay valid, as
+        # the run's fixed kernel arguments, converted once; the addresses stay valid, as
         # these arrays live with the stepper and are never rebound
         fused = _native.kernel()
         self._fused = None
         if fused is not None:
             fn, args = fused[rr.dtype.kind if field is None else "obstacles"]
             obs = (None, 0) if field is None else (self.tiled.ctypes.data, len(self.tiled))
-            self._fused = functools.partial(fn, ctypes.pointer(args(
-                n, *coins._key, self.cut, self.x.ctypes.data, rr.ctypes.data,
-                seam is not None, seam or 0, self.v, self.wind.ctypes.data,
-                self.disp.ctypes.data, *obs)))
+            wind = _address(buf)
+            self._fused = functools.partial(fn, ctypes.byref(args(
+                n, *coins._key, self.cut, _address(self.x), rr.ctypes.data,
+                seam is not None, seam or 0, self.v, wind, wind + 8 * n, *obs)))
         self._t = None  # the step the numpy word stream stands at
 
     def bounds(self) -> np.ndarray:
@@ -238,8 +252,8 @@ class _Stepper:
         only when a call does not start where the last one stopped.
         """
         if self._fused is not None:
-            rows = (None, None) if xs is None else (xs.ctypes.data, ds.ctypes.data)
-            self._fused(t, len(totals), totals.ctypes.data, *rows)
+            rows = (None, None) if xs is None else (_address(xs), _address(ds))
+            self._fused(t, len(totals), _address(totals), *rows)
             return
         if t != self._t:
             self._words = self.coins._words(len(self.x), t)
@@ -251,7 +265,9 @@ class _Stepper:
         self._t = t + len(totals)
 
     def configuration(self) -> Configuration:
-        return Configuration._of_state(self.cfg, self.x, self.wind, (self.rr, self.seam))
+        """The current state, on copies of the stepper's arrays."""
+        return Configuration._of_state(self.cfg, self.x.copy(), self.wind.copy(),
+                                       (self.rr, self.seam))
 
 
 def step(
@@ -270,12 +286,17 @@ def step(
     t = _uint64("time index", t)
     stepper = _Stepper(cfg, params, coins, field)
     stepper.steps(t, np.zeros(1))
-    return stepper.configuration()
+    # the stepper ends here, so the state takes its arrays rather than copies
+    return Configuration._of_state(cfg, stepper.x, stepper.wind, (stepper.rr, stepper.seam))
 
 
-@dataclass(frozen=True)
-class TrajectorySummary:
-    """What a run records: totals, a per-step series and sampled snapshots."""
+@dataclass(frozen=True, eq=False)
+class TrajectorySummary(_Value):
+    """What a run records: totals, a per-step series and sampled snapshots.
+
+    The summary takes its two arrays and makes them read-only in place, so a run
+    hands over its own arrays without a copy.
+    """
 
     steps: int
     n_particles: int
@@ -283,6 +304,11 @@ class TrajectorySummary:
     step_total_displacement: np.ndarray
     snapshots: tuple[tuple[int, Configuration], ...]
     final: Configuration
+
+    def __post_init__(self) -> None:
+        self._own(displacement=np.asarray(self.displacement, dtype=np.float64),
+                  step_total_displacement=np.asarray(self.step_total_displacement,
+                                                     dtype=np.float64))
 
 
 def _summary(cfg: Configuration, stepper: _Stepper, totals, snaps) -> TrajectorySummary:
@@ -310,10 +336,9 @@ def run(
     step; ``snapshot_stride=None`` keeps only the initial and final states.
     Every snapshot, the one at t = 0 included, has the run's dtype.
     """
-    if steps < 1:
-        raise ValueError("need at least one step")
-    if snapshot_stride is not None and snapshot_stride < 1:
-        raise ValueError(f"snapshot stride {snapshot_stride} must be at least 1")
+    steps = _integer("steps", steps, 1)
+    if snapshot_stride is not None:
+        snapshot_stride = _integer("snapshot stride", snapshot_stride, 1)
     stepper = _Stepper(cfg, params, _as_coins(coins_or_seed), field)
     totals = np.zeros(steps)
     snaps = [(0, stepper.configuration())]
@@ -357,8 +382,7 @@ def coupled_run(
     """
     if cfg_a.n != cfg_b.n:
         raise ValueError("statically coupled runs need equal particle counts")
-    if steps < 1:
-        raise ValueError("need at least one step")
+    steps = _integer("steps", steps, 1)
     coins = _as_coins(coins_or_seed)
     a, b = _Stepper(cfg_a, params_a, coins), _Stepper(cfg_b, params_b, coins)
     n = cfg_a.n

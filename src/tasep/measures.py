@@ -60,12 +60,19 @@ def all_words(max_length: int):
         yield from _words(n, {"00", "01", "10", "11"})
 
 
-@dataclass(frozen=True)
-class WeightedAutomaton:
-    """Word weights initial @ T[a_1] @ ... @ T[a_n] @ 1, with T[a] = transfer[:, a, :]."""
+@dataclass(frozen=True, eq=False)
+class WeightedAutomaton(_Value):
+    """Word weights initial @ T[a_1] @ ... @ T[a_n] @ 1, with T[a] = transfer[:, a, :].
+
+    The automaton takes its two arrays and makes them read-only in place.
+    """
 
     initial: np.ndarray
     transfer: np.ndarray
+
+    def __post_init__(self) -> None:
+        self._own(initial=np.asarray(self.initial, dtype=np.float64),
+                  transfer=np.asarray(self.transfer, dtype=np.float64))
 
     def _levels(self, blocks):
         """State weights after each block of letters; [T[0] | T[1]] extends every

@@ -18,7 +18,7 @@ from .configuration import (
     evenly_spaced_ring,
     scale_shift,
 )
-from .dynamics import CoinStream, ObstacleField, TrajectorySummary, coupled_run, run
+from .dynamics import CoinStream, ObstacleField, TrajectorySummary, _integer, coupled_run, run
 from .measures import (
     build_invariant_matrix,
     lattice_density,
@@ -136,19 +136,20 @@ def estimate_velocity(
 ) -> VelocityEstimate:
     """Velocity and batch-means standard error from a trajectory summary."""
     steps = summary.steps
-    if burn_in is None:
-        burn_in = steps // 4
-    if not 0 <= burn_in < steps:
-        raise ValueError(f"burn_in={burn_in} must leave at least one step of {steps}")
-    if batches < 2:
-        raise ValueError("need at least 2 batches")
+    burn_in = steps // 4 if burn_in is None else _integer("burn_in", burn_in, 0, steps)
+    batches = _integer("batches", batches, 2)
     # average the totals, then divide by N once: a constant total T gives exactly T / N
     post = summary.step_total_displacement[burn_in:]
     n = max(summary.n_particles, 1)
     if len(post) < batches:
         raise ValueError(f"{len(post)} post-burn-in steps cannot fill {batches} batches")
     value = float(post.mean() / n)
-    batch_means = np.array([chunk.mean() for chunk in np.array_split(post, batches)]) / n
+    # np.array_split's batches: the first r hold q + 1 steps, the rest q.  A row mean
+    # sums its contiguous row pairwise, as the mean of a 1-d chunk does, so the bits agree.
+    q, r = divmod(len(post), batches)
+    cut = r * (q + 1)
+    batch_means = np.concatenate((post[:cut].reshape(r, q + 1).mean(axis=1),
+                                  post[cut:].reshape(batches - r, q).mean(axis=1))) / n
     stderr = float(batch_means.std(ddof=1) / math.sqrt(batches))
     return VelocityEstimate(value, stderr, summary.n_particles, steps, burn_in)
 

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from tasep import (
     LINE,
+    AdmissibilityError,
     CoinStream,
     Configuration,
     ObstacleField,
@@ -237,6 +240,22 @@ class TestRun:
         with pytest.raises(ValueError, match="stride"):
             run(cfg, ProcessParams(p=0.8, v=1.0), 10, CoinStream(7), snapshot_stride=stride)
 
+    @pytest.mark.parametrize("kw", [{"steps": 2.5}, {"steps": True}, {"steps": "10"},
+                                    {"snapshot_stride": True}, {"snapshot_stride": 2.0}],
+                             ids=lambda kw: repr(kw).replace(" ", ""))
+    def test_non_integer_counts_rejected(self, kw):
+        cfg = ring(20.0, np.arange(5) * 4.0, 0.0)
+        args = {"steps": 10, "snapshot_stride": None, **kw}
+        with pytest.raises(ValueError, match=next(iter(kw)).replace("_", " ")):
+            run(cfg, ProcessParams(p=0.8, v=1.0), args["steps"], CoinStream(7),
+                snapshot_stride=args["snapshot_stride"])
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = ring(20.0, np.arange(5) * 4.0, 0.0)
+        params = ProcessParams(p=0.8, v=1.0)
+        plain = run(cfg, params, 10, CoinStream(7), snapshot_stride=3)
+        assert run(cfg, params, np.int64(10), CoinStream(7), snapshot_stride=np.int32(3)) == plain
+
     def test_ring_density_conserved_and_admissible(self):
         cfg = ring(15.0, np.sort(np.random.default_rng(2).uniform(0, 14, 8)), 0.0)
         summary = run(cfg, ProcessParams(p=0.65, v=1.3), 200, CoinStream(11))
@@ -385,6 +404,74 @@ class TestBoundTerms:
             run(cfg, ProcessParams(0.5, 1, "lattice"), 5, CoinStream(1), field=field)
 
 
+class TestAdmissibleVerdict:
+    """A configuration checks admissibility once, at its first run or step; the states a
+    run or a step returns carry the verdict, so they are not checked again."""
+
+    @pytest.mark.parametrize("name, backend", BACKEND_CASES, indirect=["backend"])
+    def test_every_state_of_a_run_or_a_step_is_admissible(self, name, backend):
+        cfg, params, field, steps, seed = CASES[name]
+        coins = CoinStream(seed)
+        states = [c for _, c in run(cfg, params, steps, coins, field=field,
+                                    snapshot_stride=1).snapshots]
+        state = cfg
+        for t in range(steps):
+            state = step(state, params, coins, t, field=field)
+            states.append(state)
+        assert len(states) == 2 * steps + 1
+        assert all(check_admissible(c).ok for c in states)
+        assert all(vars(c)["_admissible"] is True for c in states[1:])
+
+    @pytest.mark.parametrize("backend", ["default", "numpy"], indirect=True)
+    def test_overlap_built_by_the_user_is_rejected(self, backend):
+        bad = ring(10.0, [0.0, 0.5, 3.0], 0.5)  # balls 0 and 1 overlap
+        good = ring(10.0, [0.0, 2.0, 5.0], 0.5)
+        params = ProcessParams(p=0.5, v=1.0)
+        for _ in range(2):  # a failed check leaves no verdict behind
+            with pytest.raises(AdmissibilityError, match="balls 0 and 1"):
+                step(bad, params, CoinStream(1), 0)
+            with pytest.raises(AdmissibilityError):
+                run(bad, params, 5, CoinStream(1))
+            for a, b in ((bad, good), (good, bad)):
+                with pytest.raises(AdmissibilityError):
+                    coupled_run(a, b, params, params, 5, CoinStream(1))
+        assert "_admissible" not in vars(bad)
+
+    @pytest.mark.parametrize("copy_of", [lambda c: pickle.loads(pickle.dumps(c)), copy.copy,
+                                         copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+    def test_a_rebuilt_state_is_checked_afresh(self, copy_of):
+        params = ProcessParams(0.5, 1)
+        state = step(even_lattice_ring(20, 5), params, CoinStream(1), 0)
+        assert vars(state)["_admissible"] is True
+        fresh = copy_of(state)
+        assert "_admissible" not in vars(fresh)
+        step(fresh, params, CoinStream(1), 1)
+        assert vars(fresh)["_admissible"] is True
+        # an overlap put in behind the state's back is trusted by the state, which carries
+        # its verdict, and found in every copy, which is rebuilt without it
+        object.__setattr__(state, "positions", np.array([0, 0, 8, 12, 16]))
+        step(state, params, CoinStream(1), 1)
+        with pytest.raises(AdmissibilityError, match="balls 0 and 1"):
+            step(copy_of(state), params, CoinStream(1), 1)
+
+    @pytest.mark.parametrize("backend", ["default", "numpy"], indirect=True)
+    @pytest.mark.parametrize("field", [None, ObstacleField(Ring(20), [2.0, 9.5])],
+                             ids=["plain", "obstacles"])
+    def test_a_step_result_owns_read_only_arrays(self, field, backend):
+        cfg = ring(20, np.arange(0, 20, 4), 0.0)
+        params, coins = ProcessParams(0.5, 1), CoinStream(4)
+        first = step(cfg, params, coins, 0, field=field)
+        second = step(first, params, coins, 1, field=field)
+        for arr in (first.positions, first.winding):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+        for other in (cfg, first, second):
+            for a in (first.positions, first.winding):
+                for b in (other.positions, other.winding):
+                    assert a is b or not np.shares_memory(a, b)
+
+
 class TestCoupledRun:
     def test_identical_configurations_identical_trajectories(self):
         cfg = ring(24.0, np.arange(8) * 3.0, 0.5)
@@ -425,6 +512,13 @@ class TestCoupledRun:
             assert side.final == alone.final
             assert np.array_equal(side.displacement, alone.displacement)
             assert np.array_equal(side.step_total_displacement, alone.step_total_displacement)
+
+    @pytest.mark.parametrize("steps", [2.5, True, 0])
+    def test_steps_must_be_a_positive_integer(self, steps):
+        cfg = ring(24.0, np.arange(8) * 3.0, 0.5)
+        params = ProcessParams(p=0.5, v=1.0)
+        with pytest.raises(ValueError, match="steps"):
+            coupled_run(cfg, cfg, params, params, steps, CoinStream(1))
 
     def test_particle_count_mismatch_rejected(self):
         a = ring(10.0, [0.0, 5.0], 0.0)

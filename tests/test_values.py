@@ -1,6 +1,6 @@
-"""Frozen values: Configuration, ObstacleField and TransitionStructure compare by
-content, are unhashable, and come back from pickle and copies through their
-validating constructors, frozen."""
+"""Frozen values: Configuration, ObstacleField, TransitionStructure, TrajectorySummary
+and WeightedAutomaton compare by content, are unhashable, and come back from pickle
+and copies through their validating constructors, frozen."""
 
 from __future__ import annotations
 
@@ -19,11 +19,13 @@ from tasep import (
     ProcessParams,
     Ring,
     TransitionStructure,
+    build_invariant_matrix,
     density,
     even_lattice_ring,
     run,
     step,
 )
+from tasep.measures import markov_automaton
 
 
 def _step_on_integral_ring_with_fractional_jump():
@@ -40,6 +42,9 @@ VALUES = {
                                          [1.0, 0.0, 2.5]),
     "obstacle field": lambda: ObstacleField(Ring(10.0), [0.5, 3.0, 7.25]),
     "transition structure": TransitionStructure.no_adjacent_zeros,
+    "run summary": lambda: run(even_lattice_ring(30, 11), ProcessParams(0.5, 1), 12,
+                               CoinStream(5), snapshot_stride=4),
+    "weighted automaton": lambda: markov_automaton(build_invariant_matrix(0.35, 0.6)),
 }
 
 COPIES = {
@@ -111,6 +116,27 @@ class TestEquality:
         assert lattice == Configuration(Ring(10.0), [0.0, 3.0, 6.0], 0.5)
         assert lattice != Configuration(Ring(10), [0, 3, 6], 0.5, [0.0, 1.0, 0.0])
         assert lattice != Configuration(Ring(10), [0, 3, 6], 0.25)
+
+    def test_run_summaries_compare_by_content(self):
+        cfg, params = even_lattice_ring(30, 11), ProcessParams(0.5, 1)
+        a = run(cfg, params, 5, 1)
+        assert (a == run(cfg, params, 5, 1)) is True
+        assert (a == run(cfg, params, 5, 2)) is False
+        assert (a == run(cfg, params, 6, 1)) is False
+        assert (a != run(cfg, params, 5, 1, snapshot_stride=1)) is True
+
+    def test_run_summary_arrays_are_read_only(self):
+        summary = run(even_lattice_ring(30, 11), ProcessParams(0.5, 1), 5, 1)
+        for arr in (summary.displacement, summary.step_total_displacement):
+            with pytest.raises(ValueError):
+                arr[0] = 99
+
+    def test_weighted_automata_compare_by_content(self):
+        m = build_invariant_matrix(0.35, 0.6)
+        a = markov_automaton(m)
+        assert (a == markov_automaton(m)) is True
+        assert (a == markov_automaton(build_invariant_matrix(0.35, 0.7))) is False
+        assert not a.transfer.flags.writeable and not a.initial.flags.writeable
 
     def test_values_of_different_types_are_unequal(self):
         cfg = Configuration(Ring(10.0), [0.5, 3.0], 0.0)

@@ -167,6 +167,39 @@ class TestEstimateVelocity:
         with pytest.raises(ValueError):
             estimate_velocity(self._summary([1.0] * 10, 2), burn_in=9)
 
+    @pytest.mark.parametrize("kw", [{"batches": 2.5}, {"batches": True}, {"batches": "4"},
+                                    {"batches": np.float64(4)}, {"burn_in": True},
+                                    {"burn_in": 2.0}, {"burn_in": 40}],
+                             ids=lambda kw: repr(kw).replace(" ", ""))
+    def test_non_integer_arguments_rejected(self, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            estimate_velocity(self._summary(np.arange(40.0), 3), **kw)
+
+    def test_numpy_integer_arguments_accepted(self):
+        summary = self._summary(np.arange(40.0), 3)
+        assert (estimate_velocity(summary, burn_in=np.int32(5), batches=np.int64(7))
+                == estimate_velocity(summary, burn_in=5, batches=7))
+
+    def test_batch_means_are_the_array_split_means(self):
+        """The two row reductions give every batch mean bit for bit as the mean of its
+        np.array_split chunk: every length up to 600 with up to 8 batches, and every
+        batch count that fits on lengths around numpy's pairwise-sum blocks."""
+
+        def reference(post, batches, n):  # the batch means as they were first written
+            means = np.array([chunk.mean() for chunk in np.array_split(post, batches)]) / n
+            return float(post.mean() / n), float(means.std(ddof=1) / math.sqrt(batches))
+
+        rng = np.random.default_rng(15)
+        every = {*range(2, 41), 127, 128, 129, 257, 300, 599}
+        for length in range(2, 601):
+            totals = rng.uniform(0.0, 97.3, length + 3)
+            totals[::5] = np.rint(totals[::5])  # lattice runs move whole sites
+            summary = self._summary(totals, 7)
+            for batches in range(2, (length if length in every else min(length, 8)) + 1):
+                est = estimate_velocity(summary, burn_in=3, batches=batches)
+                assert (est.value, est.stderr) == reference(totals[3:], batches, 7), (
+                    length, batches)
+
     def test_monte_carlo_against_theory(self):
         cfg, space = initial_ring(0.5, 1.0, 0.5, 2000)
         summary = run(cfg, ProcessParams(p=0.5, v=1, space=space), 4000, CoinStream(42))
