@@ -399,6 +399,10 @@ def radius_conjugate(cfg: Configuration, r_new: float) -> Configuration:
         pos = np.empty(n, dtype=np.float64)
         pos[0] = cfg.positions[0]
         pos[1:] = pos[0] + np.cumsum(steps)
+        if isinstance(geometry, Ring):
+            # the rounded sum can overshoot the seam (by 3.6e-12 for 10^4 point
+            # particles stacked across it); clamp to a seam gap of at least 0
+            np.minimum(pos, pos[0] + (geometry.circumference - 2.0 * r_new), out=pos)
     if isinstance(geometry, Ring):
         pos = _wrap_start(pos, geometry.circumference)
     return Configuration(geometry, pos, np.full(n, float(r_new)), cfg.winding)

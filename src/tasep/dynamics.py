@@ -349,14 +349,22 @@ def run(
     return _summary(cfg, stepper, totals, snaps)
 
 
-@dataclass(frozen=True)
-class CoupledRun:
-    """Two runs driven by identical coins, with per-step divergence tracking."""
+@dataclass(frozen=True, eq=False)
+class CoupledRun(_Value):
+    """Two runs driven by identical coins, with per-step divergence tracking.
+
+    The value takes its two divergence arrays and makes them read-only in place.
+    """
 
     a: TrajectorySummary
     b: TrajectorySummary
     max_gap_divergence: np.ndarray
     max_displacement_divergence: np.ndarray
+
+    def __post_init__(self) -> None:
+        self._own(max_gap_divergence=np.asarray(self.max_gap_divergence, dtype=np.float64),
+                  max_displacement_divergence=np.asarray(self.max_displacement_divergence,
+                                                         dtype=np.float64))
 
 
 def _max_abs_difference(b: np.ndarray, sa: np.ndarray) -> np.ndarray:

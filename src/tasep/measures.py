@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .configuration import Configuration, _Value, decode_word, radius_conjugate, scale_shift
+from .dynamics import _integer
 
 __all__ = [
     "MarkovMatrix",
@@ -35,6 +37,7 @@ __all__ = [
 ]
 
 _TOL = 1e-12
+_SITE_CHUNK = 4096  # sites per whole-array pass of sample_ring_word
 
 
 def validate_word(word: str) -> str:
@@ -43,7 +46,7 @@ def validate_word(word: str) -> str:
     return word
 
 
-def _words(n: int, pairs):
+def _extended(n: int, pairs):
     """The words of length n whose adjacent pairs all lie in ``pairs``, in
     lexicographic order: each length extends the previous one by 0, then 1,
     through chained generators that never hold a whole length in memory."""
@@ -53,11 +56,29 @@ def _words(n: int, pairs):
     return words
 
 
+def _words(n: int, pairs, closing):
+    """The words of length n whose adjacent pairs lie in ``pairs`` and whose
+    closing pair w[-1] + w[0] lies in ``closing``, in lexicographic order.
+
+    From 6 letters on, where it is the faster, a word is a head of n - n//2
+    letters and a tail of n//2: the tails are listed once, by the head letter
+    they may follow and the letter they close to, and each head is extended by
+    its list.  The stream holds one tail table, never a whole length."""
+    if n < 6:
+        return (w for w in _extended(n, pairs) if w[-1] + w[0] in closing)
+    tails = list(_extended(n // 2, pairs))
+    table = {(a, b): [t for t in tails if a + t[0] in pairs and t[-1] + b in closing]
+             for a in "01" for b in "01"}
+    return chain.from_iterable(map(h.__add__, table[h[-1], h[0]])
+                               for h in _extended(n - n // 2, pairs))
+
+
 def all_words(max_length: int):
     """Every 0/1 word of length 1..max_length, shortest first, each length in
     lexicographic order; ``_words`` with all four pairs."""
+    pairs = {"00", "01", "10", "11"}
     for n in range(1, max_length + 1):
-        yield from _words(n, {"00", "01", "10", "11"})
+        yield from _words(n, pairs, pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,30 +242,50 @@ def sample_ring_word(m: MarkovMatrix, n_sites: int, seed) -> str:
     P^j = I + g_j (P - I) with g_j = 1 + lam + ... + lam^(j-1) and
     lam = 1 - p01 - p10, which needs no stationary vector: the identity
     matrix samples a constant word.
+
+    The conditional at a site depends only on the held letter, so each site
+    maps the held letter by a constant, the identity or a flip, computed for
+    both held letters at once.  A letter is then the last constant before it,
+    flipped once per flip since: a running maximum and a running parity over
+    chunks of ``_SITE_CHUNK`` sites, each starting from the letter held before.
     """
     if n_sites < 2:
         raise ValueError("cyclic sampling needs at least 2 sites")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     p = ((m.p00, m.p01), (m.p10, m.p11))
     lam = 1.0 - m.p01 - m.p10
-    # memoryviews index to Python floats at list speed and 8 bytes per entry
-    g = memoryview(np.concatenate(([0.0], np.cumsum(lam ** np.arange(n_sites)))))  # g[j] = g_j
+    g = np.concatenate(([0.0], np.cumsum(lam ** np.arange(n_sites))))  # g[j] = g_j
     tr = 1.0 + lam**n_sites  # trace of P^n
     if tr <= 0:
         raise ValueError("degenerate matrix: no cyclic word has positive weight")
-    u = memoryview(rng.random(n_sites))  # the same doubles as n_sites scalar draws
-    first = int(u[0] >= (1.0 + g[n_sites] * (m.p00 - 1.0)) / tr)
+    u = rng.random(n_sites)  # the same doubles as n_sites scalar draws
+    first = int(u[0] >= (1.0 + float(g[n_sites]) * (m.p00 - 1.0)) / tr)
     # column `first` of P - I; P^j[a, first] = (a == first) + g_j * d[a]
     d = [p[a][first] - (a == first) for a in (0, 1)]
-    letters = [first]
-    cur = first
-    for k in range(1, n_sites):
-        j = n_sites - k + 1  # edges from letter k-1 around the seam to letter 0
-        # closure weight of the held letter only: an unreachable one's can be 0
-        prob0 = p[cur][0] * ((first == 0) + g[j - 1] * d[0]) / ((cur == first) + g[j] * d[cur])
-        cur = int(u[k] >= prob0)
-        letters.append(cur)
-    return "".join("01"[b] for b in letters)
+    # row c of each column belongs to held letter c
+    p_c0, held_first, d_c = np.array([[p[c][0], c == first, d[c]] for c in (0, 1)]).T[..., None]
+    letters = np.empty(n_sites, np.uint8)
+    letters[0] = first
+    # an unreachable letter's closure weight can be 0; its row is never read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in range(1, n_sites, _SITE_CHUNK):
+            e = min(s + _SITE_CHUNK, n_sites)
+            # site k closes over j = n_sites - k + 1 edges, around the seam to letter 0
+            g_j = g[n_sites - e + 2 : n_sites - s + 2][::-1]
+            num = (first == 0) + g[n_sites - e + 1 : n_sites - s + 1][::-1] * d[0]
+            # rows: the next letter under held 0 and under held 1, then row 1
+            # becomes whether they agree (a constant map); column 0 is the letter
+            # held before the chunk, as a constant map
+            b = np.empty((2, e - s + 1), bool)
+            b[:, 0] = letters[s - 1], True
+            np.greater_equal(u[s:e], p_c0 * num / (held_first + g_j * d_c), out=b[:, 1:])
+            np.equal(b[0, 1:], b[1, 1:], out=b[1, 1:])
+            to, const = b  # `to` is the constant, or 1 for a flip and 0 for the identity
+            last = np.maximum.accumulate(const * np.arange(e - s + 1))
+            parity = np.bitwise_xor.accumulate(to)
+            # a letter is the xor of `to` from the last constant map up to its site
+            letters[s:e] = (parity ^ (parity ^ to)[last])[1:]
+    return (letters + ord("0")).tobytes().decode("ascii")
 
 
 def sample_ring_configuration(
@@ -328,16 +369,22 @@ def parry_matrix(ts: TransitionStructure) -> MarkovMatrix:
 
 
 def periodic_point_count(ts: TransitionStructure, n: int) -> int:
-    """Number of cyclically admissible words of length n, trace(M^n)."""
-    if not 1 <= n <= 24:
-        raise ValueError("period must lie in 1..24")
-    return int(np.trace(np.linalg.matrix_power(ts.matrix, n)))
+    """Number of cyclically admissible words of length n, trace(M^n), exactly in
+    Python integers for any period n >= 1."""
+    n = _integer("period", n, 1)
+    (a, b), (c, d) = ts.matrix.tolist()
+    (p, q), (r, s) = (1, 0), (0, 1)  # M^k for the bits of n read so far
+    for bit in bin(n)[2:]:
+        p, q, r, s = p * p + q * r, q * (p + s), r * (p + s), s * s + q * r
+        if bit == "1":
+            p, q, r, s = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+    return p + s
 
 
 def periodic_points(ts: TransitionStructure, n: int) -> list[str]:
     """All cyclically admissible words of length n, lexicographically sorted:
-    the words ``_words`` admits under the structure's pairs whose closing pair
-    w[-1] + w[0] is allowed too."""
+    the words ``_words`` admits under the structure's pairs, closing pair
+    w[-1] + w[0] included."""
     return list(_periodic_words(ts, n))
 
 
@@ -346,7 +393,7 @@ def _periodic_words(ts: TransitionStructure, n: int):
     if not 1 <= n <= 24:
         raise ValueError("period must lie in 1..24 (exhaustive enumeration)")
     pairs = {f"{a}{b}" for a in (0, 1) for b in (0, 1) if ts.matrix[a, b]}
-    return (w for w in _words(n, pairs) if w[-1] + w[0] in pairs)
+    return _words(n, pairs, pairs)
 
 
 def empirical_cylinder_frequency(points: list[str], word: str) -> float:

@@ -5,7 +5,7 @@ small systematics term 0.001*v.  It covers relaxation from the deterministic
 flat start, which the burn-in does not fully remove: the exact finite-ring
 velocity differs from the infinite-ring formula by at most 1.3e-5 at 10^4
 particles, yet runs from the even start sit 2.6 to 5 standard errors above
-theory at rho = 1/2 (ROADMAP, open item 3).  Every closed-form check runs at
+theory at rho = 1/2 (ROADMAP, open item 1(d)).  Every closed-form check runs at
 its stated tolerance with no allowance.
 """
 

@@ -157,6 +157,13 @@ class TestArtifacts:
         lines = read(tmp_path / "periodic_points.csv").splitlines()
         assert len(lines) == 2 + 7
 
+    def test_periodic_counts_past_the_enumeration_cap(self, tmp_path):
+        assert main(["--outdir", str(tmp_path), "periodic-points", "--count-only",
+                     "--n", "100"]) == 0
+        assert read(tmp_path / "periodic_counts.csv").splitlines()[-1] == (
+            "100,792070839848372253127")  # the Lucas number L_100
+        assert main(["--outdir", str(tmp_path), "periodic-points", "--n", "100"]) == 2
+
     def test_periodic_points_count_mismatch_raises(self, tmp_path, monkeypatch):
         # the rows are counted as they stream out, then checked against the trace
         monkeypatch.setattr(cli, "periodic_point_count", lambda ts, n: 8)

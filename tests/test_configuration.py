@@ -11,6 +11,7 @@ import pytest
 from tasep import (
     LINE,
     AdmissibilityError,
+    CoinStream,
     Configuration,
     ProcessParams,
     Ring,
@@ -26,6 +27,7 @@ from tasep import (
     scale_shift,
     write_configuration_csv,
 )
+from tasep.velocity import initial_ring
 
 
 def line(positions, radii):
@@ -148,6 +150,19 @@ class TestRadiusConjugate:
     def test_nonpositive_circumference_rejected(self):
         with pytest.raises(ValueError):
             radius_conjugate(ring(2.0, [0.0, 1.0], 0.5), 0.0)
+
+    def test_point_particles_stacked_across_the_seam(self):
+        # a criterion-5 state: its last particle sits exactly at x_0 + L, and the
+        # rebuilt positions' rounded sum overshoots the seam unless clamped
+        start, _ = initial_ring(0.6, 2.0, 0.0, 10_000)
+        state = run(start, ProcessParams(0.8, 2.0, "continuum"), 2000,
+                    CoinStream(20_250_505).derive(46)).final
+        assert state.positions[-1] == state.positions[0] + state.circumference
+        for r_new, tol in ((0.0, 1e-11), (0.1, 1e-8)):
+            out = radius_conjugate(state, r_new)
+            assert out.positions[-1] <= out.positions[0] + out.circumference
+            assert check_admissible(out).ok
+            assert np.abs(gaps(out) - gaps(state)).max() <= tol
 
     def test_lattice_stays_integer(self):
         cfg = ring(10, np.array([0, 2, 5, 7]), 0.5)

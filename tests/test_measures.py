@@ -25,6 +25,7 @@ from tasep import (
     sample_ring_word,
     solve_parameter,
 )
+from tasep.measures import _periodic_words, all_words
 
 LAMBDA = (1 + math.sqrt(5)) / 2
 
@@ -197,6 +198,60 @@ class TestSampleRingWord:
             sample_ring_word(checker, 5, 0)  # odd ring has no admissible word
 
 
+def _reference_ring_word(m: MarkovMatrix, n_sites: int, rng: np.random.Generator) -> str:
+    """The per-site sampler: one conditional draw per letter, from the held letter's
+    closure weight.  ``sample_ring_word`` must give its words bit for bit."""
+    p = ((m.p00, m.p01), (m.p10, m.p11))
+    lam = 1.0 - m.p01 - m.p10
+    g = np.concatenate(([0.0], np.cumsum(lam ** np.arange(n_sites)))).tolist()
+    tr = 1.0 + lam**n_sites
+    u = rng.random(n_sites).tolist()
+    first = int(u[0] >= (1.0 + g[n_sites] * (m.p00 - 1.0)) / tr)
+    d = [p[a][first] - (a == first) for a in (0, 1)]
+    letters = [first]
+    cur = first
+    for k in range(1, n_sites):
+        j = n_sites - k + 1
+        prob0 = p[cur][0] * ((first == 0) + g[j - 1] * d[0]) / ((cur == first) + g[j] * d[cur])
+        cur = int(u[k] >= prob0)
+        letters.append(cur)
+    return "".join("01"[b] for b in letters)
+
+
+ORACLE_MATRICES = {
+    "p < 1": build_invariant_matrix(0.3, 0.6),
+    "p = 1 sparse": build_invariant_matrix(0.25, 1.0),
+    "p = 1 dense": build_invariant_matrix(0.75, 1.0),
+    "bernoulli(0)": MarkovMatrix.bernoulli(0.0),
+    "bernoulli(0.4)": MarkovMatrix.bernoulli(0.4),
+    "bernoulli(1)": MarkovMatrix.bernoulli(1.0),
+    "identity": MarkovMatrix(1.0, 0.0, 0.0, 1.0),
+    "swap": MarkovMatrix(0.0, 1.0, 1.0, 0.0),
+    "near identity": MarkovMatrix(1 - 1e-12, 1e-12, 1e-12, 1 - 1e-12),
+}
+
+
+class TestSampleRingWordOracle:
+    """The whole-array sampler against the per-site loop: the same word and the same
+    generator state afterwards, on both sides of every chunk boundary."""
+
+    @pytest.mark.parametrize("m", ORACLE_MATRICES.values(), ids=ORACLE_MATRICES.keys())
+    def test_words_equal_the_per_site_loop(self, m):
+        sizes = [(n, seed) for n in range(2, 41) for seed in range(3)]
+        sizes += [(n, seed) for n in (4095, 4096, 4097, 4098, 8193) for seed in (0, 1)]
+        sizes += [(10**5, 3)]
+        for n, seed in sizes:
+            if m == ORACLE_MATRICES["swap"] and n % 2:
+                continue  # no cyclic word of odd length has positive weight
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert sample_ring_word(m, n, rng) == _reference_ring_word(m, n, ref_rng), (n, seed)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, (n, seed)
+
+    def test_swap_at_odd_length_rejected(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            sample_ring_word(ORACLE_MATRICES["swap"], 9, 0)
+
+
 class TestParry:
     def test_sparse_shift(self):
         m = parry_matrix(TransitionStructure.no_adjacent_ones())
@@ -244,21 +299,47 @@ class TestPeriodicPoints:
         assert periodic_point_count(TransitionStructure.no_adjacent_ones(), 5) == 11
 
     def test_enumeration_matches_trace(self):
+        # lengths 1..16 cover the plain extension and the head x tail split
+        words = {n: ["".join(bits) for bits in itertools.product("01", repeat=n)]
+                 for n in range(1, 17)}
         for ts in (TransitionStructure.no_adjacent_ones(), TransitionStructure.no_adjacent_zeros(),
                    TransitionStructure.full_shift()):
-            for n in range(1, 13):
+            forbidden = [f"{a}{b}" for a in (0, 1) for b in (0, 1) if not ts.matrix[a, b]]
+            for n, candidates in words.items():
+                brute = [w for w in candidates if not any(f in w + w[0] for f in forbidden)]
                 points = periodic_points(ts, n)
-                brute = [
-                    "".join(map(str, bits))
-                    for bits in itertools.product((0, 1), repeat=n)
-                    if all(ts.matrix[bits[i], bits[(i + 1) % n]] for i in range(n))
-                ]
-                assert points == brute
+                assert points == brute, (ts.matrix.tolist(), n)
                 assert len(points) == periodic_point_count(ts, n)
+        assert list(all_words(16)) == [w for n in range(1, 17) for w in words[n]]
 
     def test_range_guard(self):
         with pytest.raises(ValueError):
             periodic_points(TransitionStructure.no_adjacent_ones(), 25)
+
+
+class TestPeriodicPointCount:
+    def test_lucas_and_powers_of_two_in_exact_integers(self):
+        lucas = [1, 3]
+        while len(lucas) < 200:
+            lucas.append(lucas[-1] + lucas[-2])
+        for n in range(1, 201):
+            assert periodic_point_count(TransitionStructure.no_adjacent_ones(), n) == lucas[n - 1]
+            assert periodic_point_count(TransitionStructure.no_adjacent_zeros(), n) == lucas[n - 1]
+            assert periodic_point_count(TransitionStructure.full_shift(), n) == 2**n
+
+    def test_count_is_the_enumeration_length(self):
+        for ts in (TransitionStructure.no_adjacent_ones(), TransitionStructure.no_adjacent_zeros(),
+                   TransitionStructure.full_shift()):
+            for n in range(1, 21):
+                assert periodic_point_count(ts, n) == sum(1 for _ in _periodic_words(ts, n))
+        for n in range(1, 21):
+            ts = TransitionStructure.no_adjacent_ones()
+            assert periodic_point_count(ts, n) == len(periodic_points(ts, n))
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.0, True, "5"])
+    def test_bad_period_rejected(self, bad):
+        with pytest.raises(ValueError, match="period"):
+            periodic_point_count(TransitionStructure.no_adjacent_ones(), bad)
 
 
 class TestEmpiricalFrequency:

@@ -32,6 +32,7 @@ from tasep import (
     even_lattice_ring,
     evenly_spaced_ring,
     build_invariant_matrix,
+    gaps,
     radius_conjugate,
     run,
     sample_ring_configuration,
@@ -244,6 +245,15 @@ def test_stepper_states_equal_validated_configurations(name, backend):
             got, want = getattr(c, field_name), getattr(fresh, field_name)
             assert got.dtype == want.dtype
             assert not got.flags.writeable and not want.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_radius_conjugate_keeps_every_snapshot_gap(name):
+    for _, snap in _run(name, snapshot_stride=1).snapshots:
+        for r_new in (0.0, 0.25):
+            out = radius_conjugate(snap, r_new)
+            assert out.geometry.__class__ is snap.geometry.__class__
+            assert np.allclose(gaps(out), gaps(snap), rtol=0.0, atol=1e-9)
 
 
 # name -> (matrix, movement probability); the mu column at length 10

@@ -1,6 +1,6 @@
-"""Frozen values: Configuration, ObstacleField, TransitionStructure, TrajectorySummary
-and WeightedAutomaton compare by content, are unhashable, and come back from pickle
-and copies through their validating constructors, frozen."""
+"""Frozen values: Configuration, ObstacleField, TransitionStructure, TrajectorySummary,
+CoupledRun and WeightedAutomaton compare by content, are unhashable, and come back from
+pickle and copies through their validating constructors, frozen."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from tasep import (
     Ring,
     TransitionStructure,
     build_invariant_matrix,
+    coupled_run,
     density,
     even_lattice_ring,
     run,
@@ -45,6 +46,8 @@ VALUES = {
     "run summary": lambda: run(even_lattice_ring(30, 11), ProcessParams(0.5, 1), 12,
                                CoinStream(5), snapshot_stride=4),
     "weighted automaton": lambda: markov_automaton(build_invariant_matrix(0.35, 0.6)),
+    "coupled run": lambda: coupled_run(even_lattice_ring(20, 7), even_lattice_ring(20, 7),
+                                       ProcessParams(0.5, 1), ProcessParams(0.5, 1), 5, 1),
 }
 
 COPIES = {
@@ -128,6 +131,16 @@ class TestEquality:
     def test_run_summary_arrays_are_read_only(self):
         summary = run(even_lattice_ring(30, 11), ProcessParams(0.5, 1), 5, 1)
         for arr in (summary.displacement, summary.step_total_displacement):
+            with pytest.raises(ValueError):
+                arr[0] = 99
+
+    def test_coupled_runs_compare_by_content(self):
+        cfg, params = even_lattice_ring(20, 7), ProcessParams(0.5, 1)
+        a = coupled_run(cfg, cfg, params, params, 5, 1)
+        assert (a == coupled_run(cfg, cfg, params, params, 5, 1)) is True
+        assert (a == coupled_run(cfg, cfg, params, params, 5, 2)) is False
+        assert (a != coupled_run(cfg, cfg, params, ProcessParams(0.6, 1), 5, 1)) is True
+        for arr in (a.max_gap_divergence, a.max_displacement_divergence):
             with pytest.raises(ValueError):
                 arr[0] = 99
 
