@@ -12,12 +12,14 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from itertools import repeat
+from functools import cache
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from ._rows import write_rows
 from .configuration import (
     AdmissibilityError,
     Configuration,
@@ -90,22 +92,12 @@ def _outpath(args, name: str) -> Path:
     return outdir / name
 
 
-def _write_rows(path: Path, header: str, columns: list[str], rows) -> int:
-    """Write the CSV; returns the number of rows, which may stream from a generator."""
-    written = 0
-    with open(path, "w") as fh:
-        fh.write(header)
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
-            written += 1
-    return written
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".12g")
-    return str(x)
+def _write_csv(args, name: str, header: str, columns: str, template: str, rows) -> int:
+    """Write the artifact: header, column line, then the rows through ``template``
+    in bounded chunks; returns the number of rows, counted as they stream."""
+    with open(_outpath(args, name), "w") as fh:
+        fh.write(header + columns + "\n")
+        return write_rows(fh, template, rows)
 
 
 def _evenly_spaced(ring: float, count: int) -> np.ndarray:
@@ -131,14 +123,15 @@ def _cmd_simulate(args) -> int:
                   snapshot_stride=args.snapshot_stride)
     est = estimate_velocity(summary, burn_in=args.burn_in)
     header = _header(args, "simulate")
-    traj_rows = ((t, i, float(x), w)
-                 for t, snap in summary.snapshots
-                 for i, (x, w) in enumerate(zip(snap.positions.tolist(), snap.winding.tolist())))
-    _write_rows(_outpath(args, "trajectory.csv"), header,
-                ["t", "particle", "position", "displacement"], traj_rows)
-    _write_rows(_outpath(args, "velocity.csv"), header,
-                ["v_hat", "stderr", "particles", "steps", "burn_in"],
-                [(est.value, est.stderr, est.n_particles, est.steps, est.burn_in)])
+    traj_rows = chain.from_iterable(
+        zip(repeat(t), range(snap.n), snap.positions.tolist(), snap.winding.tolist())
+        for t, snap in summary.snapshots
+    )
+    _write_csv(args, "trajectory.csv", header, "t,particle,position,displacement",
+               "%d,%d,%.12g,%.12g\n", traj_rows)
+    _write_csv(args, "velocity.csv", header, "v_hat,stderr,particles,steps,burn_in",
+               "%.12g,%.12g,%d,%d,%d\n",
+               [(est.value, est.stderr, est.n_particles, est.steps, est.burn_in)])
     print(f"v_hat={est.value:.6f} stderr={est.stderr:.2g}")
     return 0
 
@@ -156,9 +149,9 @@ def _cmd_fundamental_diagram(args) -> int:
             rows = list(pool.map(diagram_point, *columns))
     else:
         rows = list(map(diagram_point, *columns))
-    _write_rows(
-        _outpath(args, "fd.csv"), _header(args, "fundamental-diagram"),
-        ["rho", "p", "v", "r", "V_theory", "V_hat", "stderr", "flux"],
+    _write_csv(
+        args, "fd.csv", _header(args, "fundamental-diagram"),
+        "rho,p,v,r,V_theory,V_hat,stderr,flux", "%.12g," * 7 + "%.12g\n",
         [(w.rho, w.p, w.v, w.r, w.v_theory, w.v_hat, w.stderr, w.flux) for w in rows],
     )
     return 0
@@ -173,7 +166,7 @@ def _cmd_verify_invariance(args) -> int:
         write_pushforward_csv(report, fh)
     verdict = "stationary" if report.stationary else "NON-STATIONARY"
     print(f"{verdict}: max |mu' - mu| = {report.max_abs_error:.3e} over words "
-          f"up to length {args.max_len}")
+          f"up to length {args.max_len}, worst cylinder {report.worst_word}")
     return 0 if report.stationary else VERIFY_FAILED
 
 
@@ -181,13 +174,12 @@ def _cmd_measure(args) -> int:
     header = _header(args, f"measure-{args.what}")
     m = build_invariant_matrix(args.rho, args.p)
     if args.what == "matrix":
-        _write_rows(_outpath(args, "matrix.csv"), header,
-                    ["p00", "p01", "p10", "p11"],
-                    [(m.p00, m.p01, m.p10, m.p11)])
+        _write_csv(args, "matrix.csv", header, "p00,p01,p10,p11", "%.12g,%.12g,%.12g,%.12g\n",
+                   [(m.p00, m.p01, m.p10, m.p11)])
         print(f"p00={m.p00:.6f} p01={m.p01:.6f} p10={m.p10:.6f} p11={m.p11:.6f}")
     elif args.what == "cylinder":
         rows = zip(all_words(args.max_len), markov_automaton(m).table(args.max_len).tolist())
-        _write_rows(_outpath(args, "cylinders.csv"), header, ["word", "measure"], rows)
+        _write_csv(args, "cylinders.csv", header, "word,measure", "%s,%.12g\n", rows)
     else:  # sample
         if args.configuration:
             cfg = sample_ring_configuration(
@@ -200,7 +192,7 @@ def _cmd_measure(args) -> int:
                 write_configuration_csv(cfg, fh)
         else:
             word = sample_ring_word(m, args.sites, args.seed)
-            _write_rows(_outpath(args, "sample.csv"), header, ["word"], [(word,)])
+            _write_csv(args, "sample.csv", header, "word", "%s\n", [(word,)])
             print(word)
     return 0
 
@@ -214,11 +206,10 @@ def _cmd_periodic_points(args) -> int:
     count = periodic_point_count(ts, args.n)
     header = _header(args, "periodic-points")
     if args.count_only:
-        rows = [(args.n, count)]
-        _write_rows(_outpath(args, "periodic_counts.csv"), header, ["n", "count"], rows)
+        _write_csv(args, "periodic_counts.csv", header, "n,count", "%d,%d\n", [(args.n, count)])
     else:
-        written = _write_rows(_outpath(args, "periodic_points.csv"), header, ["word"],
-                              ((w,) for w in _periodic_words(ts, args.n)))
+        written = _write_csv(args, "periodic_points.csv", header, "word", "%s\n",
+                             zip(_periodic_words(ts, args.n)))
         if written != count:
             raise RuntimeError(f"enumeration wrote {written} words, trace count is {count}")
     pm = parry_matrix(ts)
@@ -230,9 +221,9 @@ def _cmd_stability_sweep(args) -> int:
     p_values = [float(x) for x in args.p_list.split(",")]
     rows = stability_sweep(args.rho, args.v, args.r, p_values,
                            args.particles, args.steps, args.seed, args.burn_in)
-    _write_rows(
-        _outpath(args, "sweep.csv"), _header(args, "stability-sweep"),
-        ["p", "V_theory", "V_hat", "stderr", "measure_dist"],
+    _write_csv(
+        args, "sweep.csv", _header(args, "stability-sweep"),
+        "p,V_theory,V_hat,stderr,measure_dist", "%.12g," * 4 + "%.12g\n",
         [(w.p, w.v_theory, w.v_hat, w.stderr, w.measure_dist) for w in rows],
     )
     return 0
@@ -252,9 +243,9 @@ def _cmd_obstacles(args) -> int:
     summary = run(cfg, params, args.steps, CoinStream(args.seed), field=field)
     est = estimate_velocity(summary, burn_in=args.burn_in)
     theory = theoretical_velocity_obstacles(n_particles / args.ring, rho_ext, args.p)
-    _write_rows(
-        _outpath(args, "obstacles.csv"), _header(args, "obstacles"),
-        ["rho_x", "rho_extended", "p", "v", "V_theory", "V_hat", "stderr"],
+    _write_csv(
+        args, "obstacles.csv", _header(args, "obstacles"),
+        "rho_x,rho_extended,p,v,V_theory,V_hat,stderr", "%.12g," * 6 + "%.12g\n",
         [(n_particles / args.ring, rho_ext, args.p, args.v, theory, est.value, est.stderr)],
     )
     print(f"rho_ext={rho_ext:.6f} V_theory={theory:.6f} V_hat={est.value:.6f}")
@@ -289,17 +280,17 @@ def _cmd_couple_check(args) -> int:
         report = similarity_check(cfg, params, args.u, args.steps, coins)
         worst = report.max_displacement_error
         label = f"scaled displacement divergence (u={args.u})"
-    _write_rows(
-        _outpath(args, "couple.csv"), _header(args, "couple-check"),
-        ["mode", "max_divergence", "tol"], [(args.mode, worst, tol)],
-    )
+    _write_csv(args, "couple.csv", _header(args, "couple-check"), "mode,max_divergence,tol",
+               "%s,%.12g,%.12g\n", [(args.mode, worst, tol)])
     print(f"{label}: {worst:.3e} (tol {tol:.1e})")
     return 0 if worst <= tol else VERIFY_FAILED
 
 
+@cache
 def build_parser() -> _Parser:
+    """The parser, built on first use and shared for the rest of the process."""
     parser = _Parser(prog="tasep", description=__doc__)
-    parser.add_argument("--outdir", default=os.environ.get("TASEP_OUTDIR", "."),
+    parser.add_argument("--outdir", default=None,
                         help="output directory (default $TASEP_OUTDIR or .)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -392,6 +383,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    if args.outdir is None:  # read per call: the parser outlives the environment
+        args.outdir = os.environ.get("TASEP_OUTDIR", ".")
     try:
         return args.func(args)
     except (AdmissibilityError, ValueError) as exc:

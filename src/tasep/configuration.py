@@ -17,9 +17,12 @@ import csv
 import functools
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import IO, Sequence, Union
 
 import numpy as np
+
+from ._rows import CHUNK_ROWS, write_rows
 
 __all__ = [
     "AdmissibilityError",
@@ -489,12 +492,13 @@ def write_configuration_csv(cfg: Configuration, stream: IO[str]) -> None:
         stream.write(f"# geometry=ring circumference={ltxt}\n")
     else:
         stream.write("# geometry=line\n")
-    writer = csv.writer(stream)
-    writer.writerow(["index", "position", "radius"])
-    for i in range(cfg.n):
-        p = cfg.positions[i]
-        ptxt = repr(int(p)) if cfg.positions.dtype.kind in "iu" else repr(float(p))
-        writer.writerow([i, ptxt, repr(float(cfg.radii[i]))])
+    # the table's lines end in "\r\n", the csv module's line end; the comment's in "\n"
+    stream.write("index,position,radius\r\n")
+    pos, rad, size = cfg.positions, cfg.radii, CHUNK_ROWS
+    write_rows(stream, "%d,%r,%r\r\n", chain.from_iterable(
+        zip(range(k, k + size), pos[k:k + size].tolist(), rad[k:k + size].tolist())
+        for k in range(0, cfg.n, size)
+    ))
 
 
 def read_configuration_csv(stream: IO[str]) -> Configuration:

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import attrgetter
 from typing import IO, Callable
 
 import numpy as np
 
+from ._rows import write_rows
 from .measures import MarkovMatrix, WeightedAutomaton, all_words, markov_automaton
 
 __all__ = [
@@ -83,13 +85,15 @@ class CylinderComparison:
 
 @dataclass(frozen=True)
 class PushforwardReport:
-    """Per-cylinder measure vs image measure, with a stationarity verdict."""
+    """Per-cylinder measure vs image measure, with a stationarity verdict;
+    ``worst_word`` is the first cylinder whose error is ``max_abs_error``."""
 
     max_length: int
     tolerance: float
     rows: tuple[CylinderComparison, ...]
     max_abs_error: float
     stationary: bool
+    worst_word: str
 
 
 def verify_invariance(
@@ -99,17 +103,16 @@ def verify_invariance(
     mu = markov_automaton(m).table(max_length)
     pushed = _image_automaton(m, p).table(max_length)
     rows = tuple(map(CylinderComparison, all_words(max_length), mu.tolist(), pushed.tolist()))
-    worst = float(np.abs(pushed - mu).max())
-    return PushforwardReport(max_length, tol, rows, worst, stationary=worst <= tol)
+    err = np.abs(pushed - mu)
+    k = int(err.argmax())  # the first largest
+    worst = float(err[k])
+    return PushforwardReport(max_length, tol, rows, worst, worst <= tol, rows[k].word)
 
 
 def write_pushforward_csv(report: PushforwardReport, stream: IO[str]) -> None:
     stream.write("cylinder,mu,mu_pushed,abs_err\n")
-    for row in report.rows:
-        stream.write(
-            f"{row.word},{float(row.mu):.17g},{float(row.mu_pushed):.17g},"
-            f"{float(row.abs_err):.3g}\n"
-        )
+    write_rows(stream, "%s,%.17g,%.17g,%.3g\n",
+               map(attrgetter("word", "mu", "mu_pushed", "abs_err"), report.rows))
     verdict = "stationary" if report.stationary else "non-stationary"
     stream.write(f"# max_abs_error={report.max_abs_error:.3g} verdict={verdict}\n")
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import io
+import tracemalloc
+
 import pytest
 
-from tasep import cli
+from tasep import build_invariant_matrix, cli, verify_invariance
+from tasep._rows import CHUNK_ROWS, write_rows
 from tasep.cli import main, parse_grid
 
 
@@ -56,6 +60,25 @@ class TestExitCodes:
         text = read(tmp_path / "invariance.csv")
         assert "verdict=stationary" in text
         assert "seed" not in text.splitlines()[0] or "rho=0.5" in text.splitlines()[0]
+
+    @pytest.mark.parametrize("rho, p, tol, verdict", [
+        ("0.35", "0.6", "1e-10", "stationary:"),
+        ("0.7", "1", "1e-10", "stationary:"),
+        ("0.35", "0.6", "-1", "NON-STATIONARY:"),
+    ])
+    def test_verify_invariance_prints_the_worst_cylinder(self, tmp_path, capsys,
+                                                          rho, p, tol, verdict):
+        code = main(["--outdir", str(tmp_path), "verify-invariance", "--rho", rho, "--p", p,
+                     "--max-len", "7", "--tol", tol])
+        assert code == (0 if verdict == "stationary:" else 3)
+        line = capsys.readouterr().out.strip()
+        report = verify_invariance(build_invariant_matrix(float(rho), float(p)), float(p), 7)
+        errs = [row.abs_err for row in report.rows]
+        worst = report.rows[errs.index(max(errs))].word  # the first largest
+        assert line.startswith(verdict)
+        assert line.endswith(f"over words up to length 7, worst cylinder {worst}")
+        last = read(tmp_path / "invariance.csv").splitlines()[-1]
+        assert last.endswith("verdict=stationary" if code == 0 else "verdict=non-stationary")
 
     def test_simulate_rejects_a_rounded_lattice_ring(self, tmp_path, capsys):
         # the lattice start rounds the ring to 1001 sites
@@ -192,3 +215,83 @@ class TestArtifacts:
                          "--rho", "0.3", "--p", "0.7", "--particles", "60",
                          "--steps", "50", "--tol", tol])
             assert code == 0, mode
+
+
+class TestOutdir:
+    def test_tasep_outdir_is_read_on_each_call(self, tmp_path, monkeypatch):
+        # the parser is built once per process; the environment is read per call
+        first, second, flag = tmp_path / "first", tmp_path / "second", tmp_path / "flag"
+        monkeypatch.setenv("TASEP_OUTDIR", str(first))
+        assert main(["periodic-points", "--n", "4"]) == 0
+        monkeypatch.setenv("TASEP_OUTDIR", str(second))
+        assert main(["measure", "matrix", "--rho", "0.25", "--p", "1"]) == 0
+        assert main(["--outdir", str(flag), "periodic-points", "--count-only", "--n", "4"]) == 0
+        assert sorted(f.name for f in first.iterdir()) == ["periodic_points.csv"]
+        assert sorted(f.name for f in second.iterdir()) == ["matrix.csv"]
+        assert sorted(f.name for f in flag.iterdir()) == ["periodic_counts.csv"]
+
+
+class TestRowWriter:
+    VALUES = [0.0, -0.0, 1.0, -2.5, 1 / 3, 1e-300, 5e-324, 1.7976931348623157e308, 1e12,
+              123456789012.5, 0.1 + 0.2, float("nan"), float("inf"), -float("inf"), 7, 10**13]
+
+    def test_templates_give_the_per_cell_text(self):
+        buf = io.StringIO()
+        rows = [(i, x, x, x, x) for i, x in enumerate(self.VALUES)]
+        assert write_rows(buf, "%d,%.12g,%.17g,%.3g,%r\n", rows) == len(rows)
+        want = "".join(f"{i},{format(x, '.12g')},{format(x, '.17g')},{format(x, '.3g')},"
+                       f"{x!r}\n" for i, x in enumerate(self.VALUES))
+        assert buf.getvalue() == want
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                                   3 * CHUNK_ROWS + 5])
+    def test_chunks_count_and_join_every_row(self, n):
+        class Counting(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        stream = Counting()
+        rows = ((k, f"w{k}") for k in range(n))  # a generator: counted as it streams
+        assert write_rows(stream, "%d,%s\n", rows) == n
+        assert stream.getvalue() == "".join(f"{k},w{k}\n" for k in range(n))
+        assert stream.writes == -(-n // CHUNK_ROWS)
+
+
+class TestBoundedWriter:
+    """The writer holds one chunk of rows, never the whole body.
+
+    The traced peak is taken from the moment the first artifact opens, above the
+    memory then held (the run's snapshots, the word tables). For the two commands
+    below, a row-at-a-time writer peaks at 0.05 and 0.04 MB, the chunked writer at
+    0.31 and 0.27 MB, and one join over every row at 14.5 and 18.6 MB.
+    """
+
+    BOUND = 1_000_000  # bytes
+
+    @pytest.mark.parametrize("argv, name, min_size", [
+        (["simulate", "--ring", "250", "--particles", "97", "--p", "0.5", "--v", "1.37",
+          "--r", "0.2", "--steps", "700", "--snapshot-stride", "1"], "trajectory.csv", 2e6),
+        (["periodic-points", "--n", "24"], "periodic_points.csv", 2.5e6),
+    ], ids=["simulate", "periodic-points"])
+    def test_writer_peak_is_bounded(self, tmp_path, monkeypatch, argv, name, min_size):
+        held = []
+
+        def opening(*args, **kwargs):
+            if not held:
+                held.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", opening, raising=False)
+        tracemalloc.start()
+        try:
+            assert main(["--outdir", str(tmp_path), *argv]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - held[0]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / name).stat().st_size
+        assert size > min_size  # the body alone is twice the bound and more
+        assert peak < self.BOUND, f"writer peak {peak / 1e6:.2f} MB for {size / 1e6:.1f} MB"

@@ -171,6 +171,15 @@ class TestVerifyInvariance:
         assert text.startswith("cylinder,mu,mu_pushed,abs_err")
         assert "verdict=stationary" in text
 
+    def test_worst_word_is_the_first_largest_error(self):
+        m = build_invariant_matrix(0.5, 0.5)
+        perturbed = MarkovMatrix(m.p00, m.p01, m.p10 - 0.01, m.p11 + 0.01)
+        for matrix in (perturbed, m, MarkovMatrix.bernoulli(0.5)):
+            report = verify_invariance(matrix, 0.5, 5)
+            errs = [row.abs_err for row in report.rows]
+            assert report.worst_word == report.rows[errs.index(max(errs))].word
+            assert report.max_abs_error == max(errs)
+
     def test_length_guard(self):
         for max_length in (0, 13):
             with pytest.raises(ValueError):

@@ -11,6 +11,8 @@ them and as ``tasep measure cylinder`` writes them, pin those bytes too.
 (d) Digests of cyclic ring samples, of a sampled configuration (which also pins
 the generator state the word draw leaves behind) and of the periodic-point and
 sample CSVs pin the sampler and the word enumerator.
+(e) Digests of every other CLI artifact pin the CSV writers: trajectories on a
+lattice and a continuum ring, both invariance verdicts, and each table.
 """
 
 from __future__ import annotations
@@ -320,19 +322,41 @@ def test_sample_ring_configuration_digest():
     assert digest(cfg.positions) == "a4b8f7c537fb5237"
 
 
+# argv -> {artifact: digest}
 CLI_DIGESTS = {
-    ("periodic-points", "--n", "12"): ("periodic_points.csv", "17134cecf2ec0765"),
-    ("periodic-points", "--n", "24"): ("periodic_points.csv", "2fd7eacc2831851f"),
+    ("periodic-points", "--n", "12"): {"periodic_points.csv": "17134cecf2ec0765"},
+    ("periodic-points", "--n", "24"): {"periodic_points.csv": "2fd7eacc2831851f"},
     ("measure", "sample", "--rho", "0.35", "--p", "0.6", "--sites", "1000", "--seed", "7"):
-        ("sample.csv", "d6fcbc483f61a3f7"),
+        {"sample.csv": "d6fcbc483f61a3f7"},
     ("measure", "sample", "--rho", "0.3", "--p", "0.7", "--v", "2", "--r", "0.25",
      "--sites", "500", "--seed", "8", "--configuration", "--randomize-offset"):
-        ("sample.csv", "59834c4559221c7f"),
+        {"sample.csv": "59834c4559221c7f"},
+    ("simulate", "--ring", "100", "--particles", "50", "--p", "0.5", "--v", "1", "--r", "0.5",
+     "--steps", "60", "--seed", "7", "--snapshot-stride", "20"):
+        {"trajectory.csv": "7e01a19056d5456d", "velocity.csv": "bf96d7becfdfdc37"},
+    ("simulate", "--ring", "150", "--particles", "60", "--p", "0.6", "--v", "1.5",
+     "--r", "0.25", "--steps", "60", "--seed", "8", "--snapshot-stride", "20"):
+        {"trajectory.csv": "6c2d8d6495df2f5d", "velocity.csv": "06f01069ad151819"},
+    ("verify-invariance", "--rho", "0.35", "--p", "0.6", "--max-len", "6"):
+        {"invariance.csv": "a631ba5286cfb765"},
+    ("verify-invariance", "--rho", "0.3", "--p", "1", "--max-len", "6"):
+        {"invariance.csv": "9679f8b580c7ff82"},
+    ("fundamental-diagram", "--rho", "0.2:0.4:0.1", "--p", "0.8", "--v", "1", "--r", "0.5",
+     "--particles", "200", "--steps", "300", "--seed", "11"): {"fd.csv": "963c8c443f6fcad6"},
+    ("couple-check", "--mode", "heterogeneous", "--rho", "0.3", "--p", "0.7",
+     "--particles", "60", "--steps", "50", "--seed", "4"): {"couple.csv": "aba30f92f14b2262"},
+    ("obstacles", "--ring", "100", "--rho-x", "0.25", "--count", "40", "--p", "0.5",
+     "--v", "1", "--steps", "400", "--seed", "1"): {"obstacles.csv": "611505d94880a86e"},
+    ("stability-sweep", "--rho", "0.5", "--v", "1", "--r", "0", "--p-list", "0.9,1.0",
+     "--particles", "100", "--steps", "100", "--seed", "2"): {"sweep.csv": "1ca0d306388faf7e"},
+    ("measure", "matrix", "--rho", "0.35", "--p", "0.6"): {"matrix.csv": "350a664af2c01835"},
+    ("periodic-points", "--count-only", "--n", "100"):
+        {"periodic_counts.csv": "c3d819cca39b616b"},
 }
 
 
 @pytest.mark.parametrize("argv", sorted(CLI_DIGESTS), ids=" ".join)
 def test_cyclic_cli_digests(argv, tmp_path):
-    name, expected = CLI_DIGESTS[argv]
     assert main(["--outdir", str(tmp_path), *argv]) == 0
-    assert _sha((tmp_path / name).read_bytes()) == expected
+    got = {name: _sha((tmp_path / name).read_bytes()) for name in CLI_DIGESTS[argv]}
+    assert got == CLI_DIGESTS[argv]
