@@ -17,6 +17,41 @@
    and moved positions stay in L1 cache, in the run function's own stack
    buffers of BLOCK entries.
 
+   A call given threads > 1 that records no rows runs each step on two
+   threads: the caller moves particles [0, c) and a helper thread, started for
+   the call and joined at its end, moves [c, n).  The split c is always a
+   point where pairwise's recursion over n splits a node of more than 128
+   elements, so a multiple of 8.  It starts at the top split, n/2 rounded down
+   to a multiple of 8, and every ROUND steps moves toward the point where both
+   threads take equally long, as the two CPUs need not run equally fast.  Each
+   thread sums the children on the path from the root to c's node that lie in
+   its range (tree_part), and the caller adds them up in pairwise's order
+   (tree_sum), so the step's total has the bits of pairwise over all n.  A
+   multiple of 8 particles is whole Philox blocks and, as _Stepper aligns x,
+   disp and wind to 64 bytes, whole cache lines, so the threads never write
+   one line.
+
+   Step s of a thread needs positions that the other thread moved, as they
+   stood when the step began: the caller needs x[c] for its last particle's
+   bound, and the helper x[0] and x[1], for its last particle's bound and for
+   particle 0's move, which decides the seam wrap (the helper repeats pass 1
+   on particle 0 alone, with Philox block 0).  Each thread moves the block
+   holding its boundary first and then puts those positions out, raising a
+   count (say); the other waits on that count (await) only when it needs
+   them, the helper at the start of its step and the caller at its last 8
+   particles.  So neither thread waits on the other at every step, and
+   either may run up to a step ahead: the caller adds up step s - 1's total
+   after its step s, once the helper's count of finished steps shows its
+   sums.  Positions, sums and splits go out in slots by step modulo RING,
+   more slots than steps the threads can be apart, so a slot is not written
+   again before it has been read.  A new split moves particles between the
+   threads, so both finish the step before it first; the caller sets each
+   split three steps ahead, so that the thread moving particle c the step
+   before knows to put x[c] out.  A waiting thread spins while the other runs
+   on another CPU and yields when the two share one; the helper starts on
+   another CPU than the caller's, as a new thread is often placed beside the
+   thread that made it.
+
    On x86-64 each run function and pairwise are built as two target clones,
    x86-64-v4 (AVX-512) and the baseline, and the dynamic loader picks one per
    machine.  There is no avx2 clone: AVX2 has no int64 -> double convert, so
@@ -26,9 +61,14 @@
    code cost about 250 ns per step.  The baseline clone is the portable
    reference; defining TASEP_NO_CLONES builds it alone, as every other
    architecture does. */
+#define _GNU_SOURCE /* sched_getcpu, CPU_COUNT, pthread_attr_setaffinity_np */
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 typedef unsigned __int128 u128;
 
@@ -60,6 +100,12 @@ static void philox(uint64_t *w, uint64_t b, uint64_t t, uint64_t k0, uint64_t k1
 #define CLONES
 #endif
 
+/* Where numpy's pairwise sum splits a node of len elements: len/2 rounded
+   down to a multiple of 8. */
+static int64_t half_of(int64_t len) {
+    return len / 2 - len / 2 % 8;
+}
+
 /* numpy's pairwise float sum: 8 accumulators, blocks of at most 128. */
 CLONES static double pairwise(const double *a, int64_t n) {
     if (n < 8) {
@@ -77,9 +123,74 @@ CLONES static double pairwise(const double *a, int64_t n) {
         for (; i < n; i++) s += a[i];
         return s;
     }
-    int64_t n2 = n / 2;
-    n2 -= n2 % 8;
+    const int64_t n2 = half_of(n);
     return pairwise(a, n2) + pairwise(a + n2, n - n2);
+}
+
+/* pairwise's recursion depth is below this for any int64 length */
+#define DEPTH 64
+
+/* The split nearest to c of a node of pairwise's tree over n elements (of a
+   node above 128 elements, so a multiple of 8): where a split call may
+   divide its particles between its threads and still sum as pairwise does. */
+static int64_t nearest_split(int64_t n, int64_t c) {
+    int64_t b = 0, e = n, best = half_of(n);
+    while (e - b > 128) {
+        const int64_t mid = b + half_of(e - b);
+        if (llabs(mid - c) < llabs(best - c))
+            best = mid;
+        if (c < mid)
+            e = mid;
+        else
+            b = mid;
+    }
+    return best;
+}
+
+/* Thread me's share of pairwise(disp, n) when thread 0 holds [0, c) and
+   thread 1 [c, n), c a split of the tree: on the path from the root to the
+   node that splits at c, the sum of each child wholly in its range, in
+   part[depth].  Thread 0 then adds the shares up with tree_sum. */
+CLONES static void tree_part(const double *disp, int64_t n, int64_t c, int me,
+                             double *part) {
+    int64_t b = 0, e = n;
+    for (int d = 0;; d++) {
+        const int64_t mid = b + half_of(e - b);
+        if (me && c <= mid)
+            part[d] = pairwise(disp + mid, e - mid);
+        if (!me && c >= mid)
+            part[d] = pairwise(disp + b, mid - b);
+        if (c == mid)
+            return;
+        if (c < mid)
+            e = mid;
+        else
+            b = mid;
+    }
+}
+
+/* pairwise(disp, n) from both threads' tree_part: the node that splits at c
+   is left + right, and each node above it the same, in pairwise's order. */
+static double tree_sum(int64_t n, int64_t c, const double *part0,
+                       const double *part1) {
+    int64_t b = 0, e = n;
+    uint64_t left = 0; /* bit d: the path goes left at depth d */
+    int d = 0;
+    for (;; d++) {
+        const int64_t mid = b + half_of(e - b);
+        if (c == mid)
+            break;
+        if (c < mid) {
+            left |= 1ULL << d;
+            e = mid;
+        } else {
+            b = mid;
+        }
+    }
+    double sum = part0[d] + part1[d];
+    while (d-- > 0)
+        sum = left >> d & 1 ? sum + part1[d] : part0[d] + sum;
+    return sum;
 }
 
 /* The arguments fixed for a run, one struct per position type T (tasep_args_i64,
@@ -146,47 +257,326 @@ _Static_assert(BLOCK % 4 == 0, "a block's words must be whole 4-word Philox bloc
         *jp = j;                                                                   \
     }
 
+/* The number of the m sorted obstacles at or below x: where the merge walk of
+   pass 1 stands at x when it starts from the first obstacle. */
+static int64_t at_or_below(const double *obs, int64_t m, double x) {
+    int64_t lo = 0;
+    while (lo < m) {
+        int64_t mid = lo + (m - lo) / 2;
+        if (obs[mid] <= x)
+            lo = mid + 1;
+        else
+            m = mid;
+    }
+    return lo;
+}
+
+/* steps between two settings of a split call's split */
+#define ROUND 16
+
+/* Nanoseconds on the monotonic clock. */
+static int64_t now_ns(void) {
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+/* The CPU the calling thread runs on, or -1 where that cannot be known. */
+static int this_cpu(void) {
+#ifdef __linux__
+    return sched_getcpu();
+#else
+    return -1;
+#endif
+}
+
+/* Start a helper on another CPU than the calling thread's: a new thread is
+   often placed beside its creator, and two threads of a team on one CPU take
+   turns.  Where the CPUs cannot be read or set, the scheduler places it. */
+static void place_helper(pthread_attr_t *attr) {
+#if defined(__linux__) && defined(__GLIBC__)
+    cpu_set_t cpus;
+    const int cpu = sched_getcpu();
+    if (cpu >= 0 && cpu < CPU_SETSIZE &&
+        !sched_getaffinity(0, sizeof cpus, &cpus) && CPU_COUNT(&cpus) > 1) {
+        CPU_CLR(cpu, &cpus);
+        pthread_attr_setaffinity_np(attr, sizeof cpus, &cpus);
+    }
+#else
+    (void)attr;
+#endif
+}
+
+/* A count one thread of a split call raises and the other waits on, with
+   the CPU the thread last raised it from, alone on its cache line. */
+struct count {
+    int64_t steps;
+    int cpu;
+} __attribute__((aligned(64)));
+
+/* rounds a waiting thread spins, about 18 ns each on a Xeon, before it yields */
+#define SPINS 4096
+
+/* Raise *mine to s: the release store orders every write before it before
+   the reads of a thread that sees s. */
+static void say(struct count *mine, int64_t s) {
+    __atomic_store_n(&mine->cpu, this_cpu(), __ATOMIC_RELAXED);
+    __atomic_store_n(&mine->steps, s, __ATOMIC_RELEASE);
+}
+
+/* Wait until *theirs reaches s; returns the ns waited.  A waiter spins while
+   the other thread runs on another CPU; when the two share one, the other
+   cannot run until this one yields, so it yields at once. */
+static int64_t await(const struct count *theirs, int64_t s) {
+    if (__atomic_load_n(&theirs->steps, __ATOMIC_ACQUIRE) >= s)
+        return 0;
+    const int64_t start = now_ns();
+    const int cpu = this_cpu();
+    for (int spins = 0; __atomic_load_n(&theirs->steps, __ATOMIC_ACQUIRE) < s;
+         spins++) {
+        const int apart =
+            cpu < 0 || __atomic_load_n(&theirs->cpu, __ATOMIC_RELAXED) != cpu;
+        if (spins < SPINS && apart) {
+#if defined(__x86_64__) || defined(__i386__)
+            __builtin_ia32_pause();
+#endif
+        } else {
+            sched_yield();
+        }
+    }
+    return now_ns() - start;
+}
+
+/* slots of a split call's published values: neither thread ever runs more
+   than a step ahead of the other, so the two touch the slots of three steps
+   at most */
+#define RING 4
+
 /* Steps t, t + 1, ..., t + k - 1 of the run a under the key (k0, k1); step t's
    words are those of the counter blocks [1 .. ceil(n/4), t, 0, 0].  x and wind
    are updated in place and totals[s] receives step t + s's total displacement.
    When cut is 0 or 2**53 every coin is decided without its word, so the step
    draws none.  The obstacle instantiation (OBS) also stops each particle at the
    first obstacle strictly beyond it.  When xs and ds are given, row s of each
-   receives the positions and the displacements after step t + s. */
+   receives the positions and the displacements after step t + s.  Otherwise,
+   when threads > 1 and n > 128, the steps are split between two threads; a
+   helper that cannot be started leaves the call to one. */
 #define RUN(NAME, T, SUFFIX, CAP, OBS)                                             \
     PASS1(NAME##_pass1, T, OBS)                                                    \
-    CLONES void NAME(const struct tasep_args_##SUFFIX *a, uint64_t t, int64_t k,   \
-                     double *totals, T *xs, double *ds) {                          \
-        const int64_t n = a->n, m = a->m, cut = (int64_t)a->cut;                   \
+                                                                                   \
+    /* Particles [lo, hi) of step t, lo a multiple of 4: next is the position      \
+       after particle hi - 1 as the step began, and wrap says whether the step     \
+       wraps at the seam; a part that holds particle 0 decides that itself.        \
+       Returns wrap.  The displacements go to disp, the winding to a->wind. */     \
+    CLONES __attribute__((noinline)) static int NAME##_part(                       \
+        const struct tasep_args_##SUFFIX *a, uint64_t t, int64_t lo, int64_t hi,   \
+        T next, int wrap, double *restrict disp, T *restrict moved,                \
+        uint64_t *restrict w) {                                                    \
+        const int64_t m = a->m, cut = (int64_t)a->cut;                             \
         const uint64_t k0 = a->k0, k1 = a->k1;                                     \
         const T seam = a->seam, v = a->v, *rr = a->rr;                             \
         const double *obs = a->obs;                                                \
         const int ring = a->ring != 0, draw = cut && cut < (1LL << 53);            \
-        T *x = a->x, moved[BLOCK] __attribute__((aligned(64)));                    \
-        double *wind = a->wind, *disp = a->disp;                                   \
+        T *x = a->x;                                                               \
+        double *wind = a->wind;                                                    \
+        int64_t j = OBS && lo ? at_or_below(obs, m, x[lo]) : 0;                    \
+        for (int64_t b = lo; b < hi; b += BLOCK) {                                 \
+            const int64_t e = hi - b < BLOCK ? hi : b + BLOCK;                     \
+            if (draw)                                                              \
+                for (int64_t i = b; i < e; i += 4)                                 \
+                    philox(w + (i - b), i / 4, t, k0, k1);                         \
+            NAME##_pass1(e - b, x + b, e < hi ? x[e] : next, rr + b, w, cut, v,    \
+                         obs, m, &j, moved, disp + b, wind + b);                   \
+            if (b == 0)                                                            \
+                wrap = ring && moved[0] >= seam;                                   \
+            if (wrap)                                                              \
+                for (int64_t i = b; i < e; i++) x[i] = moved[i - b] - seam;        \
+            else                                                                   \
+                memcpy(x + b, moved, (e - b) * sizeof(T));                         \
+        }                                                                          \
+        return wrap;                                                               \
+    }                                                                              \
+                                                                                   \
+    /* What one thread of a split call writes for the other, in slots by step      \
+       modulo RING. */                                                             \
+    struct NAME##_post {                                                           \
+        struct count head;         /* steps whose boundary positions are out */    \
+        struct count done;         /* steps finished */                            \
+        T pos[RING][2];            /* thread 0: x[0] and x[1] as step s begins */  \
+        T at[RING];                /* x[c] as step s begins, c its split */        \
+        int64_t split[RING];       /* thread 0: the split of step s */             \
+        int64_t busy[RING];        /* thread 1: ns it worked on step s */          \
+        double part[RING][DEPTH];  /* thread 1: its tree_part of step s */         \
+    } __attribute__((aligned(64)));                                                \
+                                                                                   \
+    struct NAME##_team {                                                           \
+        const struct tasep_args_##SUFFIX *a;                                       \
+        uint64_t t;                                                                \
+        int64_t k;                                                                 \
+        double *totals;                                                            \
+        struct NAME##_post post[2];                                                \
+    };                                                                             \
+                                                                                   \
+    /* Thread me's share of every step of a split call: thread 0 moves the         \
+       particles [0, c), thread 1 [c, n). */                                       \
+    CLONES __attribute__((noinline)) static void NAME##_share(                     \
+        struct NAME##_team *tm, const int me) {                                    \
+        const struct tasep_args_##SUFFIX *a = tm->a;                               \
+        const int64_t n = a->n, k = tm->k, cut = (int64_t)a->cut;                  \
+        const T seam = a->seam, *x = a->x;                                         \
+        struct NAME##_post *mine = &tm->post[me], *theirs = &tm->post[!me];        \
+        const int64_t *split = tm->post[0].split;                                  \
+        T moved[BLOCK] __attribute__((aligned(64)));                               \
+        uint64_t w[BLOCK] __attribute__((aligned(64)));                            \
+        double part[RING][DEPTH], work[2] = {0., 0.}, spent[2] = {0., 0.};         \
+        int64_t busy[RING] = {0}, c_last = split[0];                               \
+        for (int64_t s = 0; s < k; s++) {                                          \
+            const uint64_t t = tm->t + s;                                          \
+            const int64_t start = now_ns();                                        \
+            /* thread 1 needs x[0] and x[1]; once they are out, so are the splits  \
+               of steps s and s + 1, which thread 0 set at the end of step s - 2 */\
+            int64_t waited = me ? await(&theirs->head, s) : 0;                     \
+            const int64_t c = split[s % RING], c_next = split[(s + 1) % RING];     \
+            /* a new split moves particles between the threads: both finish the    \
+               last step first */                                                  \
+            if (c != c_last)                                                       \
+                waited += await(&theirs->done, s);                                 \
+            if (me == 0) {                                                         \
+                /* block 0 first, so that x[0] and x[1] go out early */            \
+                const int64_t h = c - 8 < BLOCK ? c - 8 : BLOCK;                   \
+                int wrap = NAME##_part(a, t, 0, h, x[h], 0, a->disp, moved, w);    \
+                mine->pos[(s + 1) % RING][0] = x[0];                               \
+                mine->pos[(s + 1) % RING][1] = x[1];                               \
+                say(&mine->head, s + 1);                                           \
+                wrap = NAME##_part(a, t, h, c - 8, x[c - 8], wrap, a->disp, moved, \
+                                   w);                                             \
+                /* x[c] comes from the thread that moved particle c last step */   \
+                const struct NAME##_post *from = c < c_last ? mine : theirs;       \
+                if (c == c_last)                                                   \
+                    waited += await(&theirs->head, s);                             \
+                const T xc = from->at[s % RING];                                   \
+                NAME##_part(a, t, c - 8, c, xc, wrap, a->disp, moved, w);          \
+                tree_part(a->disp, n, c, 0, part[s % RING]);                       \
+            } else {                                                               \
+                const T *in = theirs->pos[s % RING], x0 = in[0];                   \
+                const T last = a->ring ? x0 + seam : (CAP);                        \
+                int wrap = 0;                                                      \
+                if (a->ring) {                                                     \
+                    /* particle 0's move, as thread 0 makes it */                  \
+                    uint64_t w0[4] = {0};                                          \
+                    int64_t j = OBS ? at_or_below(a->obs, a->m, x0) : 0;           \
+                    T to;                                                          \
+                    double d, wd = 0.;                                             \
+                    if (cut && cut < (1LL << 53))                                  \
+                        philox(w0, 0, t, a->k0, a->k1);                            \
+                    NAME##_pass1(1, &x0, in[1], a->rr, w0, cut, a->v, a->obs, a->m,\
+                                 &j, &to, &d, &wd);                                \
+                    wrap = to >= seam;                                             \
+                }                                                                  \
+                /* the first block first, so that x[c] goes out early */           \
+                const int64_t h = n - c < BLOCK ? n : c + BLOCK;                   \
+                NAME##_part(a, t, c, h, h < n ? x[h] : last, wrap, a->disp, moved, \
+                            w);                                                    \
+                if (c_next == c) {                                                 \
+                    mine->at[(s + 1) % RING] = x[c];                               \
+                    say(&mine->head, s + 1);                                       \
+                }                                                                  \
+                NAME##_part(a, t, h, n, last, wrap, a->disp, moved, w);            \
+                tree_part(a->disp, n, c, 1, mine->part[s % RING]);                 \
+            }                                                                      \
+            if (c_next != c) {                                                     \
+                /* whoever moved particle c_next puts it out, after the step */    \
+                if ((c_next < c) == (me == 0))                                     \
+                    mine->at[(s + 1) % RING] = x[c_next];                          \
+                if (me == 1)                                                       \
+                    say(&mine->head, s + 1);                                       \
+            }                                                                      \
+            if (me == 0)                                                           \
+                busy[s % RING] = now_ns() - start - waited;                        \
+            else                                                                   \
+                mine->busy[s % RING] = now_ns() - start - waited;                  \
+            say(&mine->done, s + 1);                                               \
+            c_last = c;                                                            \
+            if (me == 1 || s == 0)                                                 \
+                continue;                                                          \
+            /* thread 0: step s - 1's total, once thread 1 has finished it */      \
+            await(&theirs->done, s);                                               \
+            const int64_t c_prev = split[(s - 1) % RING];                          \
+            tm->totals[s - 1] = 0. + tree_sum(n, c_prev, part[(s - 1) % RING],     \
+                                              theirs->part[(s - 1) % RING]);       \
+            /* the split of step s + 3: every ROUND steps, toward the one at       \
+               which both threads would have worked equally long */                \
+            work[0] += c_prev;                                                     \
+            work[1] += n - c_prev;                                                 \
+            spent[0] += busy[(s - 1) % RING];                                      \
+            spent[1] += theirs->busy[(s - 1) % RING];                              \
+            int64_t c_new = split[(s + 2) % RING];                                 \
+            if (s % ROUND == 0) {                                                  \
+                if (spent[0] > 0 && spent[1] > 0) {                                \
+                    const double r0 = work[0] / spent[0], r1 = work[1] / spent[1]; \
+                    int64_t to = (int64_t)(n * r0 / (r0 + r1));                    \
+                    to = to < c_new - n / 16 ? c_new - n / 16 : to;                \
+                    to = to > c_new + n / 16 ? c_new + n / 16 : to;                \
+                    to = to < n / 8 ? n / 8 : to > n - n / 8 ? n - n / 8 : to;     \
+                    c_new = nearest_split(n, to);                                  \
+                }                                                                  \
+                work[0] = work[1] = spent[0] = spent[1] = 0.;                      \
+            }                                                                      \
+            mine->split[(s + 3) % RING] = c_new;                                   \
+        }                                                                          \
+        if (me == 0 && k > 0) {                                                    \
+            await(&theirs->done, k);                                               \
+            tm->totals[k - 1] = 0. + tree_sum(n, split[(k - 1) % RING],            \
+                                              part[(k - 1) % RING],                \
+                                              theirs->part[(k - 1) % RING]);       \
+        }                                                                          \
+    }                                                                              \
+                                                                                   \
+    static void *NAME##_helper(void *tm) {                                         \
+        NAME##_share(tm, 1);                                                       \
+        return NULL;                                                               \
+    }                                                                              \
+                                                                                   \
+    /* The steps of a call split between this thread and a helper; 0 when the      \
+       helper cannot be started. */                                                \
+    __attribute__((noinline)) static int NAME##_split(                             \
+        const struct tasep_args_##SUFFIX *a, uint64_t t, int64_t k,                \
+        double *totals) {                                                          \
+        const int64_t n2 = half_of(a->n);                                          \
+        struct NAME##_team tm = {.a = a, .t = t, .k = k, .totals = totals};        \
+        tm.post[0].pos[0][0] = a->x[0];                                            \
+        tm.post[0].pos[0][1] = a->x[1];                                            \
+        for (int i = 0; i < RING; i++)                                             \
+            tm.post[0].split[i] = n2;                                              \
+        tm.post[1].at[0] = a->x[n2];                                               \
+        pthread_t helper;                                                          \
+        pthread_attr_t attr;                                                       \
+        if (pthread_attr_init(&attr))                                              \
+            return 0;                                                              \
+        place_helper(&attr);                                                       \
+        const int failed = pthread_create(&helper, &attr, NAME##_helper, &tm);     \
+        pthread_attr_destroy(&attr);                                               \
+        if (failed)                                                                \
+            return 0;                                                              \
+        NAME##_share(&tm, 0);                                                      \
+        pthread_join(helper, NULL);                                                \
+        return 1;                                                                  \
+    }                                                                              \
+                                                                                   \
+    CLONES void NAME(const struct tasep_args_##SUFFIX *a, uint64_t t, int64_t k,   \
+                     double *totals, T *xs, double *ds, int64_t threads) {         \
+        const int64_t n = a->n;                                                    \
+        if (threads > 1 && !xs && n > 128 && NAME##_split(a, t, k, totals))        \
+            return;                                                                \
+        T moved[BLOCK] __attribute__((aligned(64)));                               \
         uint64_t w[BLOCK] __attribute__((aligned(64)));                            \
         for (int64_t s = 0; s < k; s++, t++) {                                     \
-            const T last = n && ring ? x[0] + seam : (CAP);                        \
-            int64_t j = 0;                                                         \
-            int wrap = 0;                                                          \
-            for (int64_t b = 0; b < n; b += BLOCK) {                               \
-                const int64_t e = n - b < BLOCK ? n : b + BLOCK;                   \
-                if (draw)                                                          \
-                    for (int64_t i = b; i < e; i += 4)                             \
-                        philox(w + (i - b), i / 4, t, k0, k1);                     \
-                NAME##_pass1(e - b, x + b, e < n ? x[e] : last, rr + b, w, cut, v, \
-                             obs, m, &j, moved, disp + b, wind + b);               \
-                if (b == 0)                                                        \
-                    wrap = ring && moved[0] >= seam;                               \
-                if (wrap)                                                          \
-                    for (int64_t i = b; i < e; i++) x[i] = moved[i - b] - seam;    \
-                else                                                               \
-                    memcpy(x + b, moved, (e - b) * sizeof(T));                     \
-            }                                                                      \
-            totals[s] = 0. + pairwise(disp, n);                                    \
+            NAME##_part(a, t, 0, n, n && a->ring ? a->x[0] + a->seam : (CAP), 0,   \
+                        a->disp, moved, w);                                        \
+            totals[s] = 0. + pairwise(a->disp, n);                                 \
             if (xs) {                                                              \
-                memcpy(xs + s * n, x, n * sizeof(T));                              \
-                memcpy(ds + s * n, disp, n * sizeof(double));                      \
+                memcpy(xs + s * n, a->x, n * sizeof(T));                           \
+                memcpy(ds + s * n, a->disp, n * sizeof(double));                   \
             }                                                                      \
         }                                                                          \
     }

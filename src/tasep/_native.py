@@ -7,6 +7,9 @@ into place, so processes racing on a cold cache each load a complete library,
 and then removes the libraries of earlier sources.
 When no compiler is present, or the build or the load fails, ``kernel()`` is
 None and ``dynamics`` runs its numpy stepper instead.
+
+``threads(n, k)`` is the split rule: how many threads a k-step call of n
+particles runs on.
 """
 
 from __future__ import annotations
@@ -24,8 +27,40 @@ _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE = _SOURCE.parent / "__pycache__"
 # no -ffast-math or -march=native: the float path must keep numpy's operation order, and
 # the library must run on any machine of its architecture (_kernel.c adds a SIMD clone)
-_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
 _BUILD_TIMEOUT_S = 120
+
+# A call splits between two threads when it has at least SPLIT_PARTICLES particles and
+# SPLIT_WORK particle-steps.  On a 2-vCPU Xeon the split costs about 0.5 us a step, and
+# starting and joining the helper 30-50 us a call; at p = 1, where a step draws no
+# coins, a call of 2048 particles and 2**18 particle-steps ran slower on two threads
+# and one of 4096 particles faster (BENCH_18.json).
+SPLIT_PARTICLES = 4096
+SPLIT_WORK = 2**18
+# the most threads a call may split across; a worker of a process pool sets 1
+max_threads = 2
+
+
+def one_thread() -> None:
+    """Run every call of this process on one thread: the initializer of a pool's
+    workers, whose siblings hold the other CPUs."""
+    global max_threads
+    max_threads = 1
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def threads(n: int, k: int) -> int:
+    """The threads a k-step call of n particles runs on: two when the call is large
+    enough to pay for the second and the process may run on two CPUs, one otherwise."""
+    if n < SPLIT_PARTICLES or n * k < SPLIT_WORK:
+        return 1
+    return min(max_threads, _cpus())
 
 
 def _args(T):
@@ -44,14 +79,16 @@ def bind(dll) -> dict:
 
     "i" and "f" are the int64 and float64 runs, "obstacles" the float64 run among
     obstacles.  A run fills its structure once with its fixed arguments; each call
-    takes a pointer to it, then the first step t, the step count k, totals, xs and ds.
+    takes a pointer to it, then the first step t, the step count k, totals, xs, ds and
+    the threads it may split across.
     """
     P = ctypes.c_void_p
     i64, f64 = _args(ctypes.c_int64), _args(ctypes.c_double)
     fns = {"i": (dll.tasep_run_i64, i64), "f": (dll.tasep_run_f64, f64),
            "obstacles": (dll.tasep_run_f64_obstacles, f64)}
     for fn, args in fns.values():
-        fn.argtypes = [ctypes.POINTER(args), ctypes.c_uint64, ctypes.c_int64, P, P, P]
+        fn.argtypes = [ctypes.POINTER(args), ctypes.c_uint64, ctypes.c_int64, P, P, P,
+                      ctypes.c_int64]
         fn.restype = None
     return fns
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _native
 from ._rows import write_rows
 from .configuration import (
     AdmissibilityError,
@@ -61,6 +61,17 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 instead of argparse's 2
         raise _UsageError(message)
+
+
+def _positive(text: str) -> int:
+    """An integer of at least 1; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
 
 
 def parse_grid(text: str) -> list[float]:
@@ -145,7 +156,8 @@ def _cmd_fundamental_diagram(args) -> int:
         repeat(args.initial),
     )
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # each worker runs its points on one thread, as its siblings hold the other CPUs
+        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_native.one_thread) as pool:
             rows = list(pool.map(diagram_point, *columns))
     else:
         rows = list(map(diagram_point, *columns))
@@ -312,7 +324,8 @@ def build_parser() -> _Parser:
     q = sub.add_parser("fundamental-diagram", help="velocity vs density grid")
     q.add_argument("--rho", required=True, help="grid start:stop:step or value")
     q.add_argument("--r", type=float, default=0.0)
-    q.add_argument("--jobs", type=int, default=1)
+    q.add_argument("--jobs", type=_positive, default=1,
+                   help="worker processes, one grid point each at a time (default 1)")
     q.add_argument("--initial", choices=["even", "sampled"], default="even")
     common_run(q, steps=20_000)
     q.set_defaults(func=_cmd_fundamental_diagram)

@@ -44,6 +44,8 @@ _UINT64 = 2**64
 _CHUNK_ELEMENTS = 4096
 # a zero-length ctypes type: its from_buffer takes any writable buffer, empty ones too
 _NO_BYTES = ctypes.c_char * 0
+# particles from which _Stepper places its arrays on cache lines (4 KB of positions)
+_ALIGNED_FROM = 512
 
 
 def _integer(name: str, v, lo: int, hi: float = math.inf) -> int:
@@ -151,6 +153,32 @@ def _address(arr: np.ndarray) -> int:
     return ctypes.addressof(_NO_BYTES.from_buffer(arr))
 
 
+def _kernel_arrays(positions: np.ndarray, winding: np.ndarray, dtype):
+    """A copy of the positions in dtype (8 bytes a value), and a 2 x n float64 buffer
+    holding a copy of the winding and a row of zeros.
+
+    From _ALIGNED_FROM particles on the two are cut from one allocation so that each
+    starts a 64-byte cache line: the positions at 0 and the buffer at 2048 bytes mod
+    4096, so the streams the kernel reads and writes together do not collide in 4 KB
+    steps, and a split call, which divides the particles between its threads at a
+    multiple of 8, gives each thread whole cache lines.  Smaller arrays lie within a
+    page or two, where their placement did not show in timings and the cut would add
+    a twentieth to a step() call at 100 particles.
+    """
+    n = len(positions)
+    if n < _ALIGNED_FROM:
+        x, buf = positions.astype(dtype), np.zeros((2, n))
+    else:
+        raw = np.empty(3 * n + 1024, np.float64)
+        i = -_address(raw) % 4096 // 8
+        j = i + n + (256 - n) % 512
+        x, buf = raw[i:i + n].view(dtype), raw[j:j + 2 * n].reshape(2, n)
+        x[...] = positions
+        buf[1] = 0.0
+    buf[0] = winding
+    return x, buf
+
+
 def _tiled_obstacles(field: ObstacleField) -> np.ndarray:
     """Obstacles extended over the ring window [0, 2L) particles can occupy."""
     z = field.positions
@@ -197,11 +225,9 @@ class _Stepper:
         self.rr, self.seam = rr, seam
         self.cfg = cfg
         self.coins = coins
-        self.x = cfg.positions.astype(rr.dtype)
         n = cfg.n
-        # the winding and the last step's displacements, rows of one buffer
-        buf = np.zeros((2, n))
-        buf[0] = cfg.winding
+        # the winding and the last step's displacements are rows of one buffer
+        self.x, buf = _kernel_arrays(cfg.positions, cfg.winding, rr.dtype)
         self.wind, self.disp = buf[0], buf[1]
         self.v = int(params.v) if rr.dtype.kind == "i" else float(params.v)
         # k * 2**-53 < p exactly when k < ceil(p * 2**53); the product is exact
@@ -241,19 +267,21 @@ class _Stepper:
         return self.disp
 
     def steps(self, t: int, totals: np.ndarray, xs: np.ndarray | None = None,
-              ds: np.ndarray | None = None) -> None:
+              ds: np.ndarray | None = None, threads: int = 1) -> None:
         """Steps t, t + 1, ..., one per entry of totals, each set to its step's total displacement.
 
         totals is a contiguous float64 array.  When xs and ds are given (C-contiguous,
         n columns, at least len(totals) rows, xs of the run's dtype and ds float64),
         row i of each receives the positions and the displacements after step t + i.
-        The fused kernel runs the steps in one call when it is loaded.  Otherwise
-        ``advance`` runs them on the stepper's one word stream, which is rebuilt
-        only when a call does not start where the last one stopped.
+        The fused kernel runs the steps in one call when it is loaded, split across
+        ``threads`` threads when they are more than one and no rows are recorded; the
+        bits are the same on any number.  Otherwise ``advance`` runs them on the
+        stepper's one word stream, which is rebuilt only when a call does not start
+        where the last one stopped.
         """
         if self._fused is not None:
             rows = (None, None) if xs is None else (_address(xs), _address(ds))
-            self._fused(t, len(totals), _address(totals), *rows)
+            self._fused(t, len(totals), _address(totals), *rows, threads)
             return
         if t != self._t:
             self._words = self.coins._words(len(self.x), t)
@@ -344,7 +372,8 @@ def run(
     snaps = [(0, stepper.configuration())]
     stride = snapshot_stride or steps
     for t in range(0, steps, stride):
-        stepper.steps(t, totals[t:t + stride])
+        chunk = totals[t:t + stride]
+        stepper.steps(t, chunk, threads=_native.threads(cfg.n, len(chunk)))
         snaps.append((min(t + stride, steps), stepper.configuration()))
     return _summary(cfg, stepper, totals, snaps)
 

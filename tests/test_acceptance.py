@@ -13,9 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from itertools import repeat
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -115,10 +112,9 @@ def test_criterion_05_fundamental_diagram_grid():
     grid = [(rho10 / 10, p, v, r)
             for rho10 in range(1, 10) for p in (0.5, 0.8) for v in (1.0, 2.0)
             for r in (0.0, 0.5) if not 2 * r * (rho10 / 10) >= 1]
-    # the serial loop's calls, index k for the k-th grid point, two processes at a time
-    with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
-        rows = list(pool.map(diagram_point, *zip(*grid), repeat(10_000), repeat(20_000),
-                             repeat(20_250_505), range(len(grid))))
+    # index k for the k-th grid point; each run splits its steps across the CPUs itself
+    rows = [diagram_point(rho, p, v, r, 10_000, 20_000, 20_250_505, k)
+            for k, (rho, p, v, r) in enumerate(grid)]
     failures = []
     worst_excess = -1.0
     worst_label = ""

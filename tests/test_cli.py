@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from tasep import build_invariant_matrix, cli, verify_invariance
+from tasep import _native, build_invariant_matrix, cli, verify_invariance
 from tasep._rows import CHUNK_ROWS, write_rows
 from tasep.cli import main, parse_grid
 
@@ -145,13 +145,25 @@ class TestArtifacts:
         ["fundamental-diagram", "--rho", "0.30:0.32:0.002", "--p", "0.5",
          "--v", "1", "--r", "0.5", "--particles", "100", "--steps", "100",
          "--seed", "1", "--initial", "sampled"],
-    ], ids=["even", "sampled"])
+        # serial runs split across two threads where two CPUs are there; the pool's
+        # workers run one thread each
+        ["fundamental-diagram", "--rho", "0.2:0.4:0.2", "--p", "0.8",
+         "--v", "2", "--r", "0", "--particles", str(2 * _native.SPLIT_PARTICLES),
+         "--steps", "200", "--seed", "5"],
+    ], ids=["even", "sampled", "above_the_split"])
     def test_fundamental_diagram_jobs_matches_serial(self, tmp_path, base):
         a_dir, b_dir = tmp_path / "serial", tmp_path / "par"
         assert main(["--outdir", str(a_dir)] + base) == 0
         assert main(["--outdir", str(b_dir)] + base + ["--jobs", "2"]) == 0
         strip = lambda text: [ln for ln in text.splitlines() if not ln.startswith("#")]
         assert strip(read(a_dir / "fd.csv")) == strip(read(b_dir / "fd.csv"))
+
+    @pytest.mark.parametrize("jobs", ["0", "-4", "two"])
+    def test_fundamental_diagram_rejects_jobs_below_one(self, tmp_path, jobs, capsys):
+        assert main(["--outdir", str(tmp_path), "fundamental-diagram", "--rho", "0.3",
+                     "--particles", "50", "--steps", "400", "--jobs", jobs]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "fd.csv").exists()
 
     def test_measure_family(self, tmp_path):
         assert main(["--outdir", str(tmp_path), "measure", "matrix",

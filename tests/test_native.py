@@ -1,12 +1,13 @@
 """The fused C run kernel: it builds where a compiler exists, survives a cold-cache
 race, compiles cleanly under strict warnings, exports every run function, and repeats
 the numpy stepper bit for bit on plain runs, obstacle runs and coupled runs, in its
-SIMD clone and in its portable default clone."""
+SIMD clone and in its portable default clone, on one thread and split across two."""
 
 from __future__ import annotations
 
 import ctypes
 import multiprocessing
+import os
 import platform
 import shutil
 import subprocess
@@ -141,14 +142,46 @@ def _ring(n, lattice, rng):
 
 
 # sizes around the 4-word coin blocks and the 8-lane and 128-element blocks of
-# numpy's pairwise sum, which the reproducibility cases (n <= 120) do not reach
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 127, 129, 257, 1031])
+# numpy's pairwise sum, which the reproducibility cases (n <= 120) do not reach, then
+# sizes around the split rule: just below, at and just above its particle count, one
+# that is not a multiple of 8, and 10^4
+SPLIT = _native.SPLIT_PARTICLES
+SIZES = [1, 2, 3, 5, 8, 9, 127, 129, 257, 1031, SPLIT - 1, SPLIT, SPLIT + 1, 6001, 10_000]
+
+
+def _shape(n):
+    """(steps, snapshot stride) of a size's run.  From the split rule's particle count
+    on, two chunks of exactly the rule's work split and a short last chunk does not."""
+    if n < SPLIT - 1:
+        return 40, 9
+    k = -(-_native.SPLIT_WORK // n)
+    return 2 * k + 3, k
+
+
+@pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("lattice", [True, False], ids=["lattice", "continuum"])
 def test_kernel_equals_numpy_across_sizes(n, lattice, monkeypatch):
     cfg, params = _ring(n, lattice, np.random.default_rng(n))
-    fused, ref = _both_paths(
-        monkeypatch, lambda: _summary_bytes(run(cfg, params, 40, CoinStream(n), snapshot_stride=9)))
+    steps, stride = _shape(n)
+    fused, ref = _both_paths(monkeypatch, lambda: _summary_bytes(
+        run(cfg, params, steps, CoinStream(n), snapshot_stride=stride)))
     assert fused == ref
+
+
+def test_split_rule(monkeypatch):
+    k = -(-_native.SPLIT_WORK // SPLIT)
+    assert _native.threads(SPLIT - 1, 100 * k) == 1
+    assert _native.threads(SPLIT, k - 1) == 1
+    assert _native.threads(SPLIT, k) == min(2, _native._cpus())
+    # the chunks of _shape: full ones split where two CPUs are there, the last does not
+    for n in SIZES[SIZES.index(SPLIT):]:
+        steps, stride = _shape(n)
+        assert _native.threads(n, stride) == _native.threads(SPLIT, k)
+        assert _native.threads(n, steps % stride) == 1
+    # what a process pool's initializer sets in each worker
+    monkeypatch.setattr(_native, "max_threads", 2)
+    _native.one_thread()
+    assert _native.threads(10_000, 10_000) == 1
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, 1 - 2.0**-53])
@@ -191,14 +224,91 @@ def _obstacle_bytes(cfg, params, field, steps=40, seed=7, stride=9):
                               snapshot_stride=stride))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 127, 129, 257, 1031])
+@pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("geometry", ["ring", "line"])
 def test_obstacle_kernel_equals_numpy_across_sizes(n, geometry, monkeypatch):
     make = _obstacle_ring if geometry == "ring" else _obstacle_line
     cfg, field = make(n, np.random.default_rng(n))
-    fused, ref = _both_paths(
-        monkeypatch, lambda: _obstacle_bytes(cfg, ProcessParams(0.6, 1.5), field, seed=n))
+    steps, stride = _shape(n)
+    fused, ref = _both_paths(monkeypatch, lambda: _obstacle_bytes(
+        cfg, ProcessParams(0.6, 1.5), field, steps=steps, seed=n, stride=stride))
     assert fused == ref
+
+
+def _before_the_seam(cfg, gap):
+    """cfg turned on its ring so that particle 0 sits gap below the seam."""
+    L = cfg.circumference
+    pos = cfg.positions - cfg.positions[0] + (L - gap)
+    return Configuration(Ring(L), pos.astype(cfg.positions.dtype), cfg.radii)
+
+
+# particle 0 reaches the seam after a few hundred steps of one split call, after the
+# split has had time to move
+@pytest.mark.parametrize("kind", ["lattice", "continuum", "obstacles"])
+def test_split_call_wraps_at_the_seam(kind, monkeypatch):
+    n, steps, gap = SPLIT + 1, 600, 300
+    rng = np.random.default_rng(17)
+    if kind == "obstacles":
+        cfg, field = _obstacle_ring(n, rng)
+    else:
+        (cfg, _), field = _ring(n, kind == "lattice", rng), None
+    params = ProcessParams(0.9, 3 if kind == "lattice" else 3.0)
+    cfg = _before_the_seam(cfg, gap)
+    if field is not None:
+        field = ObstacleField(cfg.geometry, field.positions)
+    assert _native.threads(n, steps) == min(2, _native._cpus())
+    firsts = [float(c.positions[0]) for _, c in
+              run(cfg, params, steps, CoinStream(5), field=field, snapshot_stride=100).snapshots]
+    # particle 0 wrapped once, after the first 100 steps and inside one chunk's call
+    assert firsts[1] > firsts[0] and sum(b < a for a, b in zip(firsts, firsts[1:])) == 1
+    fused, ref = _both_paths(monkeypatch, lambda: _summary_bytes(
+        run(cfg, params, steps, CoinStream(5), field=field)))
+    assert fused == ref
+
+
+# a split call on any machine: two threads that may share one CPU, at the smallest
+# size the kernel splits (n > 128) and around it
+@pytest.mark.parametrize("n", [129, 130, 136, 1000, SPLIT + 1])
+@pytest.mark.parametrize("kind", ["lattice", "continuum", "ring_obstacles", "line_obstacles"])
+def test_forced_split_equals_numpy(n, kind, monkeypatch):
+    rng = np.random.default_rng(n)
+    field = None
+    if kind in ("lattice", "continuum"):
+        cfg, params = _ring(n, kind == "lattice", rng)
+    else:
+        cfg, field = (_obstacle_ring if kind == "ring_obstacles" else _obstacle_line)(n, rng)
+        params = ProcessParams(0.6, 1.5)
+
+    def walk():
+        stepper, totals = _Stepper(cfg, params, CoinStream(n), field), np.zeros(300)
+        for t, lo, hi in ((0, 0, 100), (100, 100, 300)):
+            stepper.steps(t, totals[lo:hi], threads=2)
+        return stepper.x.tobytes(), stepper.wind.tobytes(), stepper.disp.tobytes(), totals.tobytes()
+
+    fused, ref = _both_paths(monkeypatch, walk)
+    assert fused == ref
+
+
+def _pinned_run(results) -> None:
+    """In a process allowed one CPU: the split rule's verdict and the bytes of a run."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    cfg, params = _ring(10_000, True, np.random.default_rng(3))
+    results.put((_native.threads(10_000, 100),
+                 _summary_bytes(run(cfg, params, 100, CoinStream(3), snapshot_stride=40))))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_a_process_on_one_cpu_runs_one_thread_to_the_same_bytes():
+    ctx = multiprocessing.get_context("spawn")
+    results = ctx.Queue()
+    proc = ctx.Process(target=_pinned_run, args=(results,))
+    proc.start()
+    threads, got = results.get(timeout=120)
+    proc.join(timeout=30)
+    assert not proc.is_alive() and proc.exitcode == 0
+    assert threads == 1
+    cfg, params = _ring(10_000, True, np.random.default_rng(3))
+    assert got == _summary_bytes(run(cfg, params, 100, CoinStream(3), snapshot_stride=40))
 
 
 def _obstacles_on_every_site():
@@ -357,17 +467,21 @@ def default_clone(default_clone_library, monkeypatch):
     monkeypatch.setattr(_native, "kernel", lambda: default_clone_library)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 127, 129, 257, 1031])
+@pytest.mark.parametrize("n", SIZES)
 def test_default_clone_equals_numpy_across_sizes(n, default_clone, monkeypatch):
+    steps, stride = _shape(n)
+
     def runs():
         rng = np.random.default_rng(n)
         out = []
         for lattice in (True, False):
             cfg, params = _ring(n, lattice, rng)
-            out.append(_summary_bytes(run(cfg, params, 40, CoinStream(n), snapshot_stride=9)))
+            out.append(_summary_bytes(run(cfg, params, steps, CoinStream(n),
+                                          snapshot_stride=stride)))
         for make in (_obstacle_ring, _obstacle_line):
             cfg, field = make(n, rng)
-            out.append(_obstacle_bytes(cfg, ProcessParams(0.6, 1.5), field, seed=n))
+            out.append(_obstacle_bytes(cfg, ProcessParams(0.6, 1.5), field, steps=steps,
+                                       seed=n, stride=stride))
         return out
 
     fused, ref = _both_paths(monkeypatch, runs)
