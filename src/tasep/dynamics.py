@@ -51,7 +51,8 @@ _ALIGNED_FROM = 512
 def _integer(name: str, v, lo: int, hi: float = math.inf) -> int:
     """v as an int when it is an integer in [lo, hi) and not a bool; ValueError otherwise."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not lo <= v < hi:
-        raise ValueError(f"{name} must be an integer in [{lo}, {hi}), got {v!r}")
+        span = f"in {lo}..{hi - 1}" if hi < math.inf else f"of at least {lo}"
+        raise ValueError(f"{name} must be an integer {span}, got {v!r}")
     return int(v)
 
 

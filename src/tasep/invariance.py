@@ -13,13 +13,14 @@ the measure's own automaton compares all cylinders up to length 12.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from operator import attrgetter
 from typing import IO, Callable
 
 import numpy as np
 
 from ._rows import write_rows
+from .dynamics import _integer
 from .measures import MarkovMatrix, WeightedAutomaton, all_words, markov_automaton
 
 __all__ = [
@@ -136,16 +137,39 @@ def markov_identity_check(
     """Test the conditional-independence identity on all contexts up to max_context.
 
     The identity reads words of up to 2*max_context + 1 letters, so max_context
-    lies in 1..5; a MarkovMatrix is read from one table of those words.
+    lies in 1..5.  Either kind of measure is read from one table of those words
+    in ``all_words`` order: a MarkovMatrix's automaton table, or the callable
+    called once per word, whose values must be finite and lie in [0, 1].  The
+    triples (A, b, C) run over b, then A, then C, with contexts "" and then
+    ``all_words(max_context)``; each word's table index comes from its length
+    and binary value, so every residual is one array expression, and the worst
+    triple is the first largest.
     """
-    if not 1 <= max_context <= 5:
-        raise ValueError(f"max_context must lie in 1..5, got {max_context}")
-    ev = measure
+    k = _integer("max_context", max_context, 1, 6)
+    n = 2 * k + 1
     if isinstance(measure, MarkovMatrix):
-        n = 2 * max_context + 1
-        ev = dict(zip(all_words(n), markov_automaton(measure).table(n).tolist())).__getitem__
-    contexts = [""] + list(all_words(max_context))
-    triples = [(a, b, c) for b in "01" for a in contexts for c in contexts]
-    resid = [abs(ev(b) * ev(a + b + c) - ev(a + b) * ev(b + c)) for a, b, c in triples]
-    k = max(range(len(triples)), key=resid.__getitem__)  # the first largest
-    return MarkovIdentityReport(resid[k], triples[k] if resid[k] else ("", "", ""), len(triples))
+        table = markov_automaton(measure).table(n)
+    else:
+        table = np.fromiter(map(measure, all_words(n)), np.float64, 2 ** (n + 1) - 2)
+        bad = ~((table >= 0) & (table <= 1))
+        if bad.any():
+            i = int(bad.argmax())
+            word = next(islice(all_words(n), i, None))
+            raise ValueError(f"measure of {word!r} is {float(table[i])!r}, "
+                             "not a probability in [0, 1]")
+    # the word of length l and value v sits at 2^l - 2 + v in the table, and context i
+    # ("" first) has length l and value i + 1 - 2^l; b, A and C run along axes 0, 1, 2
+    length = np.repeat(np.arange(k + 1), 1 << np.arange(k + 1))
+    value = np.arange(len(length)) + 1 - (1 << length)
+    la, va, b = length[:, None], value[:, None], np.arange(2)[:, None, None]
+    v_bc = (b << length) + value
+    i_abc = (2 << (la + length)) - 2 + (va << (1 + length)) + v_bc
+    i_ab = (2 << la) - 2 + 2 * va + b
+    i_bc = (2 << length) - 2 + v_bc
+    resid = np.abs(table[b] * table[i_abc] - table[i_ab] * table[i_bc])
+    w = np.unravel_index(resid.argmax(), resid.shape)  # the first largest
+    if not resid[w]:
+        return MarkovIdentityReport(0.0, ("", "", ""), resid.size)
+    contexts = ["", *all_words(k)]
+    triple = (contexts[w[1]], "01"[w[0]], contexts[w[2]])
+    return MarkovIdentityReport(float(resid[w]), triple, resid.size)

@@ -113,8 +113,7 @@ class WeightedAutomaton(_Value):
 
     def table(self, max_length: int) -> np.ndarray:
         """Weights of every word of length 1..max_length, in ``all_words`` order."""
-        if not 1 <= max_length <= 12:  # the table holds every word in memory
-            raise ValueError(f"max_length must lie in 1..12, got {max_length}")
+        max_length = _integer("max_length", max_length, 1, 13)  # the table holds every word
         both = self.transfer.reshape(len(self.initial), -1)
         return np.concatenate([sum(rows.T) for rows in self._levels([both] * max_length)])
 
@@ -243,18 +242,24 @@ def sample_ring_word(m: MarkovMatrix, n_sites: int, seed) -> str:
     lam = 1 - p01 - p10, which needs no stationary vector: the identity
     matrix samples a constant word.
 
+    The closure table g is cumsum(lam^j) with a 0 in front, and its powers are
+    taken only until one is at most 2^-56 of the running sum (``_closure_sums``):
+    below half the spacing of the doubles next to the sum, a term rounds away
+    under round-to-nearest, and every later term is smaller, so the rest of the
+    table repeats that sum with the bits of the full expression.  Near |lam| = 1,
+    where no term gets that small within n_sites, the table is the full expression.
+
     The conditional at a site depends only on the held letter, so each site
     maps the held letter by a constant, the identity or a flip, computed for
     both held letters at once.  A letter is then the last constant before it,
     flipped once per flip since: a running maximum and a running parity over
     chunks of ``_SITE_CHUNK`` sites, each starting from the letter held before.
     """
-    if n_sites < 2:
-        raise ValueError("cyclic sampling needs at least 2 sites")
+    n_sites = _integer("n_sites", n_sites, 2)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     p = ((m.p00, m.p01), (m.p10, m.p11))
     lam = 1.0 - m.p01 - m.p10
-    g = np.concatenate(([0.0], np.cumsum(lam ** np.arange(n_sites))))  # g[j] = g_j
+    g = _closure_sums(lam, n_sites)  # g[j] = g_j
     tr = 1.0 + lam**n_sites  # trace of P^n
     if tr <= 0:
         raise ValueError("degenerate matrix: no cyclic word has positive weight")
@@ -286,6 +291,30 @@ def sample_ring_word(m: MarkovMatrix, n_sites: int, seed) -> str:
             # a letter is the xor of `to` from the last constant map up to its site
             letters[s:e] = (parity ^ (parity ^ to)[last])[1:]
     return (letters + ord("0")).tobytes().decode("ascii")
+
+
+def _closure_sums(lam: float, n: int) -> np.ndarray:
+    """``np.concatenate(([0.0], np.cumsum(lam ** np.arange(n))))``, bit for bit,
+    with powers taken only up to the first term j that is at most 2^-56 of the sum
+    before it; from there on the sum cannot change, so the table repeats it.
+
+    The partial sums never fall below 1 - |lam|, so term j is that small once
+    |lam|^j <= (1 - |lam|) 2^-57, and the first k terms reach it, one to spare.
+    Where k is not below n, the full expression is all there is to compute."""
+    a = abs(lam)
+    k = n
+    if a < 2.0**-57:
+        k = 2
+    elif a < 1:
+        k = math.ceil((57 - math.log2(1 - a)) / -math.log2(a)) + 2
+    if k < n:
+        terms = lam ** np.arange(k)
+        sums = np.cumsum(terms)
+        stops = np.abs(terms[1:]) <= np.abs(sums[:-1]) * 2.0**-56
+        if stops.any():
+            j = int(stops.argmax()) + 1
+            return np.concatenate(([0.0], sums[:j], np.full(n - j, sums[j - 1])))
+    return np.concatenate(([0.0], np.cumsum(lam ** np.arange(n))))
 
 
 def sample_ring_configuration(
@@ -390,8 +419,7 @@ def periodic_points(ts: TransitionStructure, n: int) -> list[str]:
 
 def _periodic_words(ts: TransitionStructure, n: int):
     """``periodic_points`` one word at a time; a bad period fails at the call."""
-    if not 1 <= n <= 24:
-        raise ValueError("period must lie in 1..24 (exhaustive enumeration)")
+    n = _integer("period", n, 1, 25)  # the enumeration is exhaustive
     pairs = {f"{a}{b}" for a in (0, 1) for b in (0, 1) if ts.matrix[a, b]}
     return _words(n, pairs, pairs)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from tasep import (
     verify_invariance,
 )
 from tasep.invariance import write_pushforward_csv
-from tasep.measures import TransitionStructure
+from tasep.measures import TransitionStructure, markov_automaton
 
 
 def _post_letter(window, k, coins):
@@ -181,7 +182,7 @@ class TestVerifyInvariance:
             assert report.max_abs_error == max(errs)
 
     def test_length_guard(self):
-        for max_length in (0, 13):
+        for max_length in (0, 13, 8.0, True):
             with pytest.raises(ValueError):
                 verify_invariance(build_invariant_matrix(0.5, 0.5), 0.5, max_length)
 
@@ -203,6 +204,73 @@ class TestVerifyInvariance:
             assert verify_invariance(m, 0.5, 4, tol=1e-9).stationary
 
 
+def _reference_identity_check(measure, max_context):
+    """The per-triple loop: each residual from four word lookups, a MarkovMatrix
+    through a dict of its table.  ``markov_identity_check`` must give its report
+    bit for bit."""
+    ev = measure
+    if isinstance(measure, MarkovMatrix):
+        n = 2 * max_context + 1
+        ev = dict(zip(all_words(n), markov_automaton(measure).table(n).tolist())).__getitem__
+    contexts = [""] + list(all_words(max_context))
+    triples = [(a, b, c) for b in "01" for a in contexts for c in contexts]
+    resid = [abs(ev(b) * ev(a + b + c) - ev(a + b) * ev(b + c)) for a, b, c in triples]
+    k = max(range(len(triples)), key=resid.__getitem__)  # the first largest
+    return resid[k], triples[k] if resid[k] else ("", "", ""), len(triples)
+
+
+def _mixture(word):
+    def bern(theta):
+        out = 1.0
+        for ch in word:
+            out *= theta if ch == "1" else 1 - theta
+        return out
+
+    return 0.5 * bern(0.2) + 0.5 * bern(0.8)
+
+
+class TestMarkovIdentityOracle:
+    """The one-table check against the per-triple loop, at every context length."""
+
+    @pytest.mark.parametrize("max_context", [1, 2, 3, 4, 5])
+    def test_reports_equal_the_per_triple_loop(self, max_context):
+        rng = np.random.default_rng(max_context)
+        measures = [MarkovMatrix.from_rows([[1 - a, a], [b, 1 - b]])
+                    for a, b in rng.uniform(0, 1, (100, 2))]
+        measures += [build_invariant_matrix(0.3, 0.8), build_invariant_matrix(0.25, 1.0),
+                     MarkovMatrix.bernoulli(0.3), _mixture]
+        for m in measures:
+            report = markov_identity_check(m, max_context)
+            got = (report.max_abs_residual, report.worst_triple, report.n_checked)
+            assert got == _reference_identity_check(m, max_context), m
+            assert type(report.max_abs_residual) is float
+
+    @pytest.mark.parametrize("max_context", [1, 2, 3, 4, 5])
+    def test_a_callable_is_called_once_per_word(self, max_context):
+        calls = []
+
+        def measure(word):
+            calls.append(word)
+            return 0.5 ** len(word)
+
+        assert markov_identity_check(measure, max_context).is_markov
+        assert calls == list(all_words(2 * max_context + 1))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2.0, -0.25])
+    def test_a_callable_that_is_not_a_measure_is_rejected(self, value):
+        # one bad word among good ones, named in the message
+        def measure(word):
+            return value if word == "0110" else 0.5 ** len(word)
+
+        with pytest.raises(ValueError, match="'0110'"):
+            markov_identity_check(measure)
+
+    @pytest.mark.parametrize("max_context", [3.0, True, "3"])
+    def test_context_must_be_an_integer(self, max_context):
+        with pytest.raises(ValueError, match="1..5"):
+            markov_identity_check(build_invariant_matrix(0.3, 0.8), max_context)
+
+
 class TestMarkovIdentity:
     def test_markov_measures_pass(self):
         report = markov_identity_check(build_invariant_matrix(0.3, 0.8))
@@ -214,18 +282,9 @@ class TestMarkovIdentity:
         assert report.max_abs_residual <= 1e-15
 
     def test_mixture_fails(self):
-        def mixture(word):
-            def bern(theta):
-                out = 1.0
-                for ch in word:
-                    out *= theta if ch == "1" else 1 - theta
-                return out
-
-            return 0.5 * bern(0.2) + 0.5 * bern(0.8)
-
-        assert mixture("1") * mixture("111") == pytest.approx(0.13)
-        assert mixture("11") * mixture("11") == pytest.approx(0.1156)
-        report = markov_identity_check(mixture)
+        assert _mixture("1") * _mixture("111") == pytest.approx(0.13)
+        assert _mixture("11") * _mixture("11") == pytest.approx(0.1156)
+        report = markov_identity_check(_mixture)
         assert not report.is_markov
         assert report.max_abs_residual >= 0.13 - 0.1156 - 1e-12
 

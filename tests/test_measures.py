@@ -25,7 +25,7 @@ from tasep import (
     sample_ring_word,
     solve_parameter,
 )
-from tasep.measures import _periodic_words, all_words
+from tasep.measures import _closure_sums, _periodic_words, all_words, markov_automaton
 
 LAMBDA = (1 + math.sqrt(5)) / 2
 
@@ -250,6 +250,46 @@ class TestSampleRingWordOracle:
     def test_swap_at_odd_length_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             sample_ring_word(ORACLE_MATRICES["swap"], 9, 0)
+
+
+# 2001 values spread over (-1, 1), then the edges: 0, +-1, +-1e-300, +-(1 - 1e-6)
+CLOSURE_LAMBDAS = np.linspace(-1.0, 1.0, 2003)[1:-1].tolist() + [
+    0.0, 1.0, -1.0, 1e-300, -1e-300, 1 - 1e-6, -(1 - 1e-6)]
+
+
+class TestClosureSums:
+    """The closure table that stops taking powers against the full expression."""
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 4097, 10**5])
+    def test_table_equals_the_full_expression(self, n):
+        # at 10^5 sites a power costs about 9 ms, so every 16th value and the edges
+        lams = CLOSURE_LAMBDAS if n < 10**5 else CLOSURE_LAMBDAS[::16] + CLOSURE_LAMBDAS[-7:]
+        for lam in lams:
+            full = np.concatenate(([0.0], np.cumsum(lam ** np.arange(n))))
+            assert _closure_sums(lam, n).tobytes() == full.tobytes(), (lam, n)
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("bad", [10.5, 8.0, True, 1, "8"])
+    def test_sample_ring_word_sites(self, bad):
+        with pytest.raises(ValueError, match="n_sites"):
+            sample_ring_word(build_invariant_matrix(0.3, 0.6), bad, 0)
+
+    @pytest.mark.parametrize("bad", [8.0, True, 0, 13])
+    def test_table_length(self, bad):
+        with pytest.raises(ValueError, match="1..12"):
+            markov_automaton(build_invariant_matrix(0.3, 0.6)).table(bad)
+
+    @pytest.mark.parametrize("bad", [4.0, True, 0, 25])
+    def test_periodic_points_period(self, bad):
+        with pytest.raises(ValueError, match="period"):
+            periodic_points(TransitionStructure.no_adjacent_ones(), bad)
+
+    def test_numpy_integers_are_integers(self):
+        m = build_invariant_matrix(0.3, 0.6)
+        assert sample_ring_word(m, np.int64(40), 3) == sample_ring_word(m, 40, 3)
+        ts = TransitionStructure.no_adjacent_ones()
+        assert periodic_points(ts, np.int32(6)) == periodic_points(ts, 6)
 
 
 class TestParry:

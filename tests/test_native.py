@@ -72,8 +72,18 @@ def test_kernel_compiles_under_strict_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_default_clone_compiles_under_strict_warnings(tmp_path):
-    proc = _build(tmp_path / "strict.so", *STRICT, "-DTASEP_NO_CLONES")
+@pytest.fixture(scope="module")
+def default_clone_build(tmp_path_factory):
+    """(library, compiler run) of the kernel built without target clones under the
+    strict warnings, built once for the module.  Warning flags change no generated
+    code, so this one library serves the strict check, the export check and the
+    default-clone runs."""
+    lib = tmp_path_factory.mktemp("no_clones") / "_kernel.so"
+    return lib, _build(lib, *STRICT, "-DTASEP_NO_CLONES")
+
+
+def test_default_clone_compiles_under_strict_warnings(default_clone_build):
+    _, proc = default_clone_build
     assert proc.returncode == 0, proc.stderr
 
 
@@ -89,7 +99,7 @@ def _exported(lib: Path) -> dict[str, str]:
     return {f[2]: f[1] for f in map(str.split, out.splitlines()) if len(f) == 3}
 
 
-def test_library_exports_every_run_function(tmp_path):
+def test_library_exports_every_run_function(default_clone_build):
     # each run function is an indirect function (its clones behind one resolver) on
     # x86-64 and a plain one elsewhere; without clones it is plain everywhere
     if _native.kernel() is None:
@@ -98,8 +108,9 @@ def test_library_exports_every_run_function(tmp_path):
     expected = "i" if platform.machine() in ("x86_64", "AMD64") else "T"
     assert {name: kinds.get(name) for name in RUN_FUNCTIONS} == dict.fromkeys(RUN_FUNCTIONS,
                                                                               expected)
-    assert _build(tmp_path / "plain.so", "-DTASEP_NO_CLONES").returncode == 0
-    kinds = _exported(tmp_path / "plain.so")
+    lib, proc = default_clone_build
+    assert proc.returncode == 0, proc.stderr
+    kinds = _exported(lib)
     assert {name: kinds.get(name) for name in RUN_FUNCTIONS} == dict.fromkeys(RUN_FUNCTIONS, "T")
 
 
@@ -452,10 +463,9 @@ def test_steps_start_at_the_step_they_are_given(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def default_clone_library(tmp_path_factory):
+def default_clone_library(default_clone_build):
     """The run functions of the kernel built without target clones."""
-    lib = tmp_path_factory.mktemp("no_clones") / "_kernel.so"
-    proc = _build(lib, "-DTASEP_NO_CLONES")
+    lib, proc = default_clone_build
     assert proc.returncode == 0, proc.stderr
     return _native.bind(ctypes.CDLL(str(lib)))
 
