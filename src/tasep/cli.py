@@ -9,6 +9,7 @@ Exit codes: 0 success or verified, 1 usage error, 2 domain error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +22,6 @@ import numpy as np
 from . import __version__, _native
 from ._rows import write_rows
 from .configuration import (
-    AdmissibilityError,
     Configuration,
     ProcessParams,
     Ring,
@@ -53,6 +53,12 @@ from .velocity import (
 
 USAGE_ERROR, DOMAIN_ERROR, VERIFY_FAILED = 1, 2, 3
 
+_STRUCTURES = {
+    "no-11": TransitionStructure.no_adjacent_ones,
+    "no-00": TransitionStructure.no_adjacent_zeros,
+    "full": TransitionStructure.full_shift,
+}
+
 
 class _UsageError(Exception):
     pass
@@ -82,7 +88,7 @@ def parse_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {text!r}")
     start, stop, step_ = (float(x) for x in parts)
-    if step_ <= 0 or stop < start:
+    if not (0 < step_ < math.inf and -math.inf < start <= stop < math.inf):
         raise ValueError(f"bad grid {text!r}")
     n = int(round((stop - start) / step_))
     values = [start + k * step_ for k in range(n + 1)]
@@ -210,11 +216,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_periodic_points(args) -> int:
-    ts = {
-        "no-11": TransitionStructure.no_adjacent_ones,
-        "no-00": TransitionStructure.no_adjacent_zeros,
-        "full": TransitionStructure.full_shift,
-    }[args.structure]()
+    ts = _STRUCTURES[args.structure]()
     count = periodic_point_count(ts, args.n)
     header = _header(args, "periodic-points")
     if args.count_only:
@@ -352,7 +354,7 @@ def build_parser() -> _Parser:
     q.set_defaults(func=_cmd_measure)
 
     q = sub.add_parser("periodic-points", help="cyclic words of a subshift")
-    q.add_argument("--structure", choices=["no-11", "no-00", "full"], default="no-11")
+    q.add_argument("--structure", choices=list(_STRUCTURES), default="no-11")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--count-only", action="store_true")
     q.set_defaults(func=_cmd_periodic_points)
@@ -400,7 +402,7 @@ def main(argv=None) -> int:
         args.outdir = os.environ.get("TASEP_OUTDIR", ".")
     try:
         return args.func(args)
-    except (AdmissibilityError, ValueError) as exc:
+    except ValueError as exc:  # AdmissibilityError is a ValueError
         print(f"domain error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
 

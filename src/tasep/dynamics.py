@@ -25,6 +25,9 @@ from .configuration import (
     ProcessParams,
     Ring,
     _bounds,
+    _integer,
+    _uint64,
+    _UINT64,
     _Value,
     density,
 )
@@ -39,26 +42,12 @@ __all__ = [
     "step",
 ]
 
-_UINT64 = 2**64
 # positions per side that coupled_run steps before it compares the sides
 _CHUNK_ELEMENTS = 4096
 # a zero-length ctypes type: its from_buffer takes any writable buffer, empty ones too
 _NO_BYTES = ctypes.c_char * 0
 # particles from which _Stepper places its arrays on cache lines (4 KB of positions)
 _ALIGNED_FROM = 512
-
-
-def _integer(name: str, v, lo: int, hi: float = math.inf) -> int:
-    """v as an int when it is an integer in [lo, hi) and not a bool; ValueError otherwise."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not lo <= v < hi:
-        span = f"in {lo}..{hi - 1}" if hi < math.inf else f"of at least {lo}"
-        raise ValueError(f"{name} must be an integer {span}, got {v!r}")
-    return int(v)
-
-
-def _uint64(name: str, v) -> int:
-    """v as an int when it is an integer in [0, 2**64) and not a bool; ValueError otherwise."""
-    return _integer(name, v, 0, _UINT64)
 
 
 @dataclass(frozen=True)

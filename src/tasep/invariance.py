@@ -20,7 +20,7 @@ from typing import IO, Callable
 import numpy as np
 
 from ._rows import write_rows
-from .dynamics import _integer
+from .configuration import _integer
 from .measures import MarkovMatrix, WeightedAutomaton, all_words, markov_automaton
 
 __all__ = [

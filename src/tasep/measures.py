@@ -14,8 +14,15 @@ from itertools import chain
 
 import numpy as np
 
-from .configuration import Configuration, _Value, decode_word, radius_conjugate, scale_shift
-from .dynamics import _integer
+from .configuration import (
+    Configuration,
+    _integer,
+    _Value,
+    decode_word,
+    radius_conjugate,
+    scale_shift,
+    validate_word,
+)
 
 __all__ = [
     "MarkovMatrix",
@@ -38,12 +45,6 @@ __all__ = [
 
 _TOL = 1e-12
 _SITE_CHUNK = 4096  # sites per whole-array pass of sample_ring_word
-
-
-def validate_word(word: str) -> str:
-    if not word or set(word) - {"0", "1"}:
-        raise ValueError(f"cylinder word must be a nonempty 0/1 string, got {word!r}")
-    return word
 
 
 def _extended(n: int, pairs):
@@ -227,6 +228,8 @@ def cylinder_measure(m: MarkovMatrix, word: str) -> float:
 
 def lattice_density(rho: float, v: float, r: float) -> float:
     """Density of the unit-jump hard-core lattice image of a (rho, v, r) process."""
+    if not 0 < rho < math.inf:
+        raise ValueError(f"density rho={rho} must be positive and finite")
     rho_free = rho / (1 - 2 * r * rho)
     return v * rho_free / (1 + v * rho_free)
 
@@ -256,7 +259,7 @@ def sample_ring_word(m: MarkovMatrix, n_sites: int, seed) -> str:
     chunks of ``_SITE_CHUNK`` sites, each starting from the letter held before.
     """
     n_sites = _integer("n_sites", n_sites, 2)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     p = ((m.p00, m.p01), (m.p10, m.p11))
     lam = 1.0 - m.p01 - m.p10
     g = _closure_sums(lam, n_sites)  # g[j] = g_j
@@ -300,21 +303,19 @@ def _closure_sums(lam: float, n: int) -> np.ndarray:
 
     The partial sums never fall below 1 - |lam|, so term j is that small once
     |lam|^j <= (1 - |lam|) 2^-57, and the first k terms reach it, one to spare.
-    Where k is not below n, the full expression is all there is to compute."""
+    Of the first min(k, n) powers, then, none is that small only when k >= n, and
+    they are the full expression."""
     a = abs(lam)
     k = n
     if a < 2.0**-57:
         k = 2
     elif a < 1:
         k = math.ceil((57 - math.log2(1 - a)) / -math.log2(a)) + 2
-    if k < n:
-        terms = lam ** np.arange(k)
-        sums = np.cumsum(terms)
-        stops = np.abs(terms[1:]) <= np.abs(sums[:-1]) * 2.0**-56
-        if stops.any():
-            j = int(stops.argmax()) + 1
-            return np.concatenate(([0.0], sums[:j], np.full(n - j, sums[j - 1])))
-    return np.concatenate(([0.0], np.cumsum(lam ** np.arange(n))))
+    terms = lam ** np.arange(min(k, n))
+    sums = np.cumsum(terms)
+    stops = np.abs(terms[1:]) <= np.abs(sums[:-1]) * 2.0**-56
+    j = int(stops.argmax()) + 1 if stops.any() else len(sums)
+    return np.concatenate(([0.0], sums[:j], np.full(n - j, sums[j - 1])))
 
 
 def sample_ring_configuration(
@@ -336,7 +337,7 @@ def sample_ring_configuration(
     """
     if rho <= 0 or (r > 0 and 2 * r * rho >= 1):
         raise ValueError("density incompatible with the ball radius")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     word = sample_ring_word(build_invariant_matrix(lattice_density(rho, v, r), p), n_sites, rng)
     cfg = decode_word(word)
     cfg = radius_conjugate(cfg, 0.0)

@@ -13,12 +13,13 @@ from .configuration import (
     Configuration,
     ProcessParams,
     Ring,
+    _integer,
     density,
     even_lattice_ring,
     evenly_spaced_ring,
     scale_shift,
 )
-from .dynamics import CoinStream, ObstacleField, TrajectorySummary, _integer, coupled_run, run
+from .dynamics import CoinStream, ObstacleField, TrajectorySummary, coupled_run, run
 from .measures import (
     build_invariant_matrix,
     lattice_density,
@@ -58,11 +59,11 @@ def theoretical_velocity(rho: float, p: float, v: float = 1.0, r: float = 0.0) -
     Radius enters only through the gap-preserving change to point particles at
     the free density rho/(1 - 2*r*rho); a fully packed ring returns 0.
     """
-    if rho <= 0:
+    if not 0 < rho < math.inf:
         raise ValueError("density must be positive")
     if not 0 < p <= 1:
         raise ValueError(f"movement probability p={p} outside (0, 1]")
-    if v <= 0 or r < 0:
+    if not (0 < v < math.inf and r >= 0):
         raise ValueError("need v > 0 and r >= 0")
     packing = 2 * r * rho
     if packing > 1:
@@ -79,7 +80,7 @@ def theoretical_velocity_obstacles(rho_particles: float, rho_extended: float, p:
     inserting virtual obstacles every v; with rho_extended = 1/v this reduces
     algebraically to the obstacle-free formula.
     """
-    if rho_particles <= 0 or rho_extended <= 0:
+    if not (0 < rho_particles < math.inf and 0 < rho_extended < math.inf):
         raise ValueError("densities must be positive")
     if not 0 < p <= 1:
         raise ValueError(f"movement probability p={p} outside (0, 1]")
@@ -94,7 +95,7 @@ def extend_obstacles(field: ObstacleField, v: float) -> ObstacleField:
     exact-multiple gaps do not create duplicates.  On a ring the wrap gap is
     extended as well.
     """
-    if v <= 0:
+    if not 0 < v < math.inf:
         raise ValueError("need v > 0")
     z = field.positions
     if len(z) == 0:
@@ -160,7 +161,7 @@ def initial_ring(rho: float, v: float, r: float, n_particles: int) -> tuple[Conf
     Hard-core radii 1/2 with integer v get an integer-lattice occupancy spread
     as evenly as possible; anything else gets an evenly spaced continuum ring.
     """
-    if n_particles < 1 or rho <= 0:
+    if n_particles < 1 or not 0 < rho < math.inf:
         raise ValueError("need n_particles >= 1 and rho > 0")
     if r == 0.5 and float(v).is_integer():
         n_sites = int(round(n_particles / rho))
@@ -297,8 +298,6 @@ def similarity_check(
     """Run (x, v) against (u*x, u*v) on shared coins; displacements must scale by u."""
     if cfg.n and np.any(cfg.radii != 0):
         raise ValueError("the similarity transform applies to radius-0 particles")
-    if u <= 0:
-        raise ValueError("need u > 0")
     scaled = scale_shift(cfg, u, 0.0)
     params_scaled = ProcessParams(p=params.p, v=u * params.v, space="continuum")
     params_plain = ProcessParams(p=params.p, v=params.v, space="continuum")

@@ -11,6 +11,7 @@ import pytest
 from tasep import (
     LINE,
     AdmissibilityError,
+    AdmissibilityReport,
     CoinStream,
     Configuration,
     ProcessParams,
@@ -59,6 +60,17 @@ class TestGaps:
         with pytest.raises(AdmissibilityError) as err:
             gaps(line([0.0, 0.9, 5.0], 0.5))
         assert err.value.indices == (0,)
+
+
+class TestEmpty:
+    @pytest.mark.parametrize("geometry", [Ring(10), Ring(10.0), LINE],
+                             ids=["int-ring", "float-ring", "line"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_empty_gaps_and_report(self, geometry, dtype):
+        cfg = Configuration(geometry, np.empty(0, dtype), 0.0)
+        g = gaps(cfg)
+        assert g.shape == (0,) and g.dtype == dtype
+        assert check_admissible(cfg) == AdmissibilityReport(ok=True)
 
 
 class TestDensity:
@@ -200,6 +212,35 @@ class TestScaleShift:
             scale_shift(line([0.0], 0.0), 0.0, 1.0)
 
 
+class TestRewrap:
+    """Conjugacies whose first position leaves [0, L) shift the window back by L."""
+
+    CFG = Configuration(Ring(10), np.array([8, 9]), 0.5)
+
+    def test_radius_conjugate_lattice(self):
+        out = radius_conjugate(self.CFG, 0.0)
+        assert out.geometry == Ring(8)
+        assert out.positions.dtype == np.int64
+        assert np.array_equal(out.positions, [0, 0])
+        assert np.array_equal(gaps(out), gaps(self.CFG))
+
+    @pytest.mark.parametrize("w, expected", [(12, [0, 1]), (-9, [9, 10])])
+    def test_scale_shift_lattice(self, w, expected):
+        out = scale_shift(self.CFG, 1, w)
+        assert out.geometry == Ring(10)
+        assert out.positions.dtype == np.int64
+        assert np.array_equal(out.positions, expected)
+        assert np.array_equal(gaps(out), gaps(self.CFG))
+
+    def test_radius_conjugate_float(self):
+        cfg = Configuration(Ring(10.0), [8.5, 9.5], 0.5)
+        out = radius_conjugate(cfg, 0.0)
+        assert out.geometry == Ring(8.0)
+        assert out.positions.dtype == np.float64
+        assert np.array_equal(out.positions, [0.5, 0.5])
+        assert np.array_equal(gaps(out), gaps(cfg))
+
+
 class TestEncodeDecode:
     def test_encode(self):
         assert encode_word(ring(5, np.array([0, 2, 3]), 0.5)) == "10110"
@@ -223,6 +264,16 @@ class TestEncodeDecode:
     def test_rejects_wrong_radius(self):
         with pytest.raises(ValueError):
             encode_word(ring(5, np.array([0, 2]), 0.0))
+
+    def test_whole_arrays_match_a_per_letter_codec(self):
+        word = "".join(np.random.default_rng(11).choice(["0", "1"], 20_000))
+        cfg = decode_word(word)
+        assert np.array_equal(cfg.positions, [k for k, ch in enumerate(word) if ch == "1"])
+        assert cfg.positions.dtype == np.int64
+        assert encode_word(cfg) == word
+
+    def test_positions_past_the_seam_name_their_sites_mod_L(self):
+        assert encode_word(ring(10, np.array([3, 12]), 0.5)) == "0011000000"
 
 
 class TestConfigurationInvariants:
@@ -295,3 +346,17 @@ class TestCsv:
         back = read_configuration_csv(buf)
         assert back.positions.dtype.kind == "i"
         assert np.array_equal(back.positions, cfg.positions)
+
+    @pytest.mark.parametrize("cfg", [
+        Configuration(Ring(3.0), [0.1, 1 / 3, 2.9], [0.05, 0.1, 0.0]),
+        Configuration(Ring(12), np.array([0, 5, 11]), 0.5),
+        Configuration(LINE, np.empty(0), 0.0),
+    ], ids=["float-ring", "lattice-ring", "empty-line"])
+    def test_roundtrip_is_exact_under_a_replay_header(self, cfg):
+        buf = io.StringIO()
+        buf.write("# tasep=0.1.0 command=measure-sample p=0.5 rho=0.3\n")
+        write_configuration_csv(cfg, buf)
+        buf.seek(0)
+        back = read_configuration_csv(buf)
+        assert back == cfg
+        assert back.positions.dtype == cfg.positions.dtype

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tasep
 from tasep import (
     MarkovMatrix,
     TransitionStructure,
@@ -436,3 +439,12 @@ class TestSampleRingConfiguration:
         word = sample_ring_word(m, 30, 5)
         cfg = decode_word(word)
         assert cfg.n == word.count("1")
+
+
+def test_exact_layer_imports_nothing_of_the_simulator():
+    src = Path(tasep.__file__).parent
+    for name in ("measures.py", "invariance.py"):
+        tree = ast.parse((src / name).read_text())
+        modules = {node.module for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1}
+        assert modules <= {"configuration", "measures", "_rows"}, (name, modules)
