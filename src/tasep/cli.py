@@ -25,6 +25,7 @@ from .configuration import (
     Configuration,
     ProcessParams,
     Ring,
+    _integer,
     radius_conjugate,
     write_configuration_csv,
 )
@@ -119,9 +120,7 @@ def _write_csv(args, name: str, header: str, columns: str, template: str, rows) 
 
 def _evenly_spaced(ring: float, count: int) -> np.ndarray:
     """count points at k * ring / count; count * (1 / rho) can miss the ring by an ulp."""
-    if count < 1:
-        raise ValueError(f"need at least one point on the ring, got {count}")
-    return np.arange(count) * (ring / count)
+    return np.arange(_integer("points on the ring", count, 1)) * (ring / count)
 
 
 def _cmd_simulate(args) -> int:

@@ -71,6 +71,36 @@ def _uint64(name: str, v) -> int:
     return _integer(name, v, 0, _UINT64)
 
 
+def _probability(name: str, p):
+    """p when it is a movement probability in (0, 1]; ValueError otherwise."""
+    if not 0 < p <= 1:
+        raise ValueError(f"movement probability {name}={p} outside (0, 1]")
+    return p
+
+
+def _positive(name: str, x):
+    """x when it is positive and finite; ValueError otherwise."""
+    if not 0 < x < math.inf:
+        raise ValueError(f"{name}={x} must be positive and finite")
+    return x
+
+
+def _nonnegative(name: str, x):
+    """x when it is nonnegative and finite; ValueError otherwise."""
+    if not 0 <= x < math.inf:
+        raise ValueError(f"{name}={x} must be nonnegative and finite")
+    return x
+
+
+def _free_density(rho, r) -> float:
+    """rho / (1 - 2 r rho): the density of the gap-preserving point image of balls of
+    radius r at density rho, math.inf at close packing 2 r rho = 1; ValueError beyond it."""
+    packing = 2 * _nonnegative("radius r", r) * _positive("density rho", rho)
+    if packing > 1:
+        raise ValueError(f"2*r*rho = {packing} > 1 is denser than close packing")
+    return math.inf if packing == 1 else rho / (1 - packing)
+
+
 class _Value:
     """Frozen dataclass values, equal when every field is (arrays by content) and unhashable.
     Pickle, ``copy.copy`` and ``copy.deepcopy`` rebuild one through its constructor from
@@ -116,8 +146,7 @@ class Ring:
     circumference: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.circumference < math.inf:
-            raise ValueError("ring circumference must be positive and finite")
+        _positive("ring circumference", self.circumference)
 
 
 @dataclass(frozen=True)
@@ -147,8 +176,7 @@ class ProcessParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"movement probability p={self.p} outside [0, 1]")
-        if not 0 < self.v < math.inf:
-            raise ValueError(f"maximal jump v={self.v} must be positive and finite")
+        _positive("maximal jump v", self.v)
         if self.space not in ("lattice", "continuum"):
             raise ValueError(f"unknown space tag {self.space!r}")
         if self.space == "lattice" and not float(self.v).is_integer():
@@ -384,15 +412,12 @@ def radius_conjugate(cfg: Configuration, r_new: float) -> Configuration:
     in a gap at 10^4 particles with r_new = 0.1.  Coupled runs of a
     configuration and its conjugate make identical moves step for step.
     """
-    if r_new < 0:
-        raise ValueError("r_new must be nonnegative")
+    _nonnegative("radius r_new", r_new)
     g = gaps(cfg)
     n = cfg.n
     int_ok = cfg.positions.dtype.kind in "iu" and float(2 * r_new).is_integer()
     if cfg.is_ring:
         L_new = cfg.circumference - 2.0 * (float(cfg.radii.sum()) - n * r_new)
-        if L_new <= 0:
-            raise ValueError("radius conjugation would need a nonpositive circumference")
         geometry = Ring(int(L_new) if int_ok and float(L_new).is_integer() else L_new)
     else:
         geometry = LINE
@@ -418,8 +443,7 @@ def radius_conjugate(cfg: Configuration, r_new: float) -> Configuration:
 
 def scale_shift(cfg: Configuration, u: float, w: float = 0.0) -> Configuration:
     """Spatial change of variables x -> u*x + w (radii and circumference scale by u)."""
-    if not 0 < u < math.inf:
-        raise ValueError("scale factor u must be positive")
+    _positive("scale factor u", u)
     if not -math.inf < w < math.inf:
         raise ValueError(f"shift w={w} must be finite")
     int_ok = (
@@ -474,11 +498,9 @@ def decode_word(word: str) -> Configuration:
 
 
 def evenly_spaced_ring(n_particles: int, rho: float, radius: float = 0.0) -> Configuration:
-    """Ring of n particles at exact density rho, spacing 1/rho (continuum)."""
-    if n_particles < 1 or rho <= 0:
-        raise ValueError("need n_particles >= 1 and rho > 0")
-    if 2 * radius * rho > 1:
-        raise ValueError(f"2*r*rho = {2 * radius * rho} > 1 leaves no admissible spacing")
+    """Ring of n particles at exact density rho, spacing 1/rho; at 2*r*rho = 1 balls touch."""
+    n_particles = _integer("n_particles", n_particles, 1)
+    _free_density(rho, radius)  # rho, radius and their packing
     spacing = 1.0 / rho
     pos = np.arange(n_particles, dtype=np.float64) * spacing
     return Configuration(Ring(n_particles * spacing), pos, np.full(n_particles, float(radius)))
@@ -486,8 +508,8 @@ def evenly_spaced_ring(n_particles: int, rho: float, radius: float = 0.0) -> Con
 
 def even_lattice_ring(n_sites: int, n_particles: int, radius: float = 0.5) -> Configuration:
     """Lattice ring with n particles spread as evenly as integer sites allow."""
-    if not 0 <= n_particles <= n_sites:
-        raise ValueError("need 0 <= n_particles <= n_sites")
+    n_sites = _integer("n_sites", n_sites, 1)
+    n_particles = _integer("n_particles", n_particles, 0, n_sites + 1)
     j = np.arange(n_sites, dtype=np.int64)
     occupied = (j + 1) * n_particles // n_sites > j * n_particles // n_sites
     pos = j[occupied]

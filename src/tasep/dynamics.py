@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 from . import _native
 from .configuration import (
@@ -76,7 +76,7 @@ class CoinStream:
 
     def uniforms(self, t: int, n: int) -> np.ndarray:
         """The n uniform variates of step t, independent across (i, t)."""
-        return Generator(self._philox(t)).random(n)
+        return next(self._words(n, t)) * 2.0**-53
 
     @functools.cached_property
     def _key(self) -> tuple[int, int]:

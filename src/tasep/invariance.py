@@ -20,7 +20,7 @@ from typing import IO, Callable
 import numpy as np
 
 from ._rows import write_rows
-from .configuration import _integer
+from .configuration import _integer, _probability
 from .measures import MarkovMatrix, WeightedAutomaton, all_words, markov_automaton
 
 __all__ = [
@@ -51,9 +51,7 @@ def _image_automaton(m: MarkovMatrix, p: float) -> WeightedAutomaton:
     Reading letter e moves (s0, s1) to (s1, s2), weighted by the new site's
     transition and coin, when site s1 holds e after the step.
     """
-    if not 0 < p <= 1:
-        raise ValueError(f"movement probability p={p} outside (0, 1]")
-    occ, coin = (0, 1, 1), (1.0, p, 1.0 - p)
+    occ, coin = (0, 1, 1), (1.0, _probability("p", p), 1.0 - p)
     trans, pi = m.matrix(), m.stationary
     initial, transfer = np.zeros(9), np.zeros((9, 2, 9))
     for s0, s1 in product(range(3), repeat=2):

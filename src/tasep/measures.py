@@ -16,7 +16,10 @@ import numpy as np
 
 from .configuration import (
     Configuration,
+    _free_density,
     _integer,
+    _positive,
+    _probability,
     _Value,
     decode_word,
     radius_conjugate,
@@ -142,9 +145,8 @@ class MarkovMatrix:
         if abs(self.p00 + self.p01 - 1) > _TOL or abs(self.p10 + self.p11 - 1) > _TOL:
             raise ValueError("rows must sum to 1")
         if self.movement_p is not None:
-            if not 0 < self.movement_p <= 1:
-                raise ValueError("movement_p must lie in (0, 1]")
-            resid = self.p00 * self.p11 - (1 - self.movement_p) * self.p10 * self.p01
+            q = 1 - _probability("movement_p", self.movement_p)
+            resid = self.p00 * self.p11 - q * self.p10 * self.p01
             if abs(resid) > _TOL:
                 raise ValueError(
                     f"matrix violates the invariance identity (residual {resid:.3e})"
@@ -181,9 +183,7 @@ def solve_parameter(rho: float, p: float) -> float:
     """
     if not 0 < rho < 1:
         raise ValueError(f"density rho={rho} outside (0, 1)")
-    if not 0 < p <= 1:
-        raise ValueError(f"movement probability p={p} outside (0, 1]")
-    disc = max(1 - 4 * p * rho * (1 - rho), 0.0)
+    disc = max(1 - 4 * _probability("p", p) * rho * (1 - rho), 0.0)
     return 2 * rho / (1 + math.sqrt(disc))
 
 
@@ -194,17 +194,13 @@ def build_invariant_matrix(rho: float, p: float) -> MarkovMatrix:
     p = 1 the family splits at rho = 1/2 into the sparse branch (no two
     adjacent 1s) and the dense branch (no two adjacent 0s).
     """
-    if not 0 < rho < 1:
-        raise ValueError(f"density rho={rho} outside (0, 1)")
-    if not 0 < p <= 1:
-        raise ValueError(f"movement probability p={p} outside (0, 1]")
+    a = solve_parameter(rho, p)  # checks rho and p; the p = 1 branches do not read a
     if p == 1:
         if rho < 0.5:
             a = rho / (1 - rho)
             return MarkovMatrix(1 - a, a, 1.0, 0.0, movement_p=1.0)
         b = (1 - rho) / rho
         return MarkovMatrix(0.0, 1.0, b, 1 - b, movement_p=1.0)
-    a = solve_parameter(rho, p)
     p10 = (1 - a) / (1 - p * a)
     return MarkovMatrix(1 - a, a, p10, 1 - p10, movement_p=p)
 
@@ -228,10 +224,10 @@ def cylinder_measure(m: MarkovMatrix, word: str) -> float:
 
 def lattice_density(rho: float, v: float, r: float) -> float:
     """Density of the unit-jump hard-core lattice image of a (rho, v, r) process."""
-    if not 0 < rho < math.inf:
-        raise ValueError(f"density rho={rho} must be positive and finite")
-    rho_free = rho / (1 - 2 * r * rho)
-    return v * rho_free / (1 + v * rho_free)
+    rho_free = _free_density(rho, r)
+    if rho_free == math.inf:
+        raise ValueError(f"2*r*rho = 1 at rho={rho}, r={r} is close packing: no lattice image")
+    return _positive("maximal jump v", v) * rho_free / (1 + v * rho_free)
 
 
 def sample_ring_word(m: MarkovMatrix, n_sites: int, seed) -> str:
@@ -335,8 +331,6 @@ def sample_ring_configuration(
     shifts the sub-lattice by a uniform offset in [0, v), which realizes the
     offset-mixture measure operationally.
     """
-    if rho <= 0 or (r > 0 and 2 * r * rho >= 1):
-        raise ValueError("density incompatible with the ball radius")
     rng = np.random.default_rng(seed)
     word = sample_ring_word(build_invariant_matrix(lattice_density(rho, v, r), p), n_sites, rng)
     cfg = decode_word(word)

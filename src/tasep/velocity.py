@@ -13,7 +13,10 @@ from .configuration import (
     Configuration,
     ProcessParams,
     Ring,
+    _free_density,
     _integer,
+    _positive,
+    _probability,
     density,
     even_lattice_ring,
     evenly_spaced_ring,
@@ -59,18 +62,9 @@ def theoretical_velocity(rho: float, p: float, v: float = 1.0, r: float = 0.0) -
     Radius enters only through the gap-preserving change to point particles at
     the free density rho/(1 - 2*r*rho); a fully packed ring returns 0.
     """
-    if not 0 < rho < math.inf:
-        raise ValueError("density must be positive")
-    if not 0 < p <= 1:
-        raise ValueError(f"movement probability p={p} outside (0, 1]")
-    if not (0 < v < math.inf and r >= 0):
-        raise ValueError("need v > 0 and r >= 0")
-    packing = 2 * r * rho
-    if packing > 1:
-        raise ValueError(f"2*r*rho = {packing} > 1 is denser than close packing")
-    if packing == 1:
-        return 0.0
-    return _free_velocity(rho / (1 - packing), p, v)
+    p, v = _probability("p", p), _positive("maximal jump v", v)
+    rho_free = _free_density(rho, r)
+    return 0.0 if rho_free == math.inf else _free_velocity(rho_free, p, v)
 
 
 def theoretical_velocity_obstacles(rho_particles: float, rho_extended: float, p: float) -> float:
@@ -80,11 +74,8 @@ def theoretical_velocity_obstacles(rho_particles: float, rho_extended: float, p:
     inserting virtual obstacles every v; with rho_extended = 1/v this reduces
     algebraically to the obstacle-free formula.
     """
-    if not (0 < rho_particles < math.inf and 0 < rho_extended < math.inf):
-        raise ValueError("densities must be positive")
-    if not 0 < p <= 1:
-        raise ValueError(f"movement probability p={p} outside (0, 1]")
-    s = rho_particles + rho_extended
+    _probability("p", p)
+    s = _positive("rho_particles", rho_particles) + _positive("rho_extended", rho_extended)
     return 2 * p / (s + math.sqrt(max(s * s - 4 * p * rho_particles * rho_extended, 0.0)))
 
 
@@ -95,8 +86,7 @@ def extend_obstacles(field: ObstacleField, v: float) -> ObstacleField:
     exact-multiple gaps do not create duplicates.  On a ring the wrap gap is
     extended as well.
     """
-    if not 0 < v < math.inf:
-        raise ValueError("need v > 0")
+    _positive("maximal jump v", v)
     z = field.positions
     if len(z) == 0:
         return field
@@ -161,10 +151,9 @@ def initial_ring(rho: float, v: float, r: float, n_particles: int) -> tuple[Conf
     Hard-core radii 1/2 with integer v get an integer-lattice occupancy spread
     as evenly as possible; anything else gets an evenly spaced continuum ring.
     """
-    if n_particles < 1 or not 0 < rho < math.inf:
-        raise ValueError("need n_particles >= 1 and rho > 0")
     if r == 0.5 and float(v).is_integer():
-        n_sites = int(round(n_particles / rho))
+        n = _integer("n_particles", n_particles, 1)
+        n_sites = int(round(n / _positive("density rho", rho)))
         k = int(round(rho * n_sites))
         return even_lattice_ring(n_sites, k), "lattice"
     return evenly_spaced_ring(n_particles, rho, radius=r), "continuum"
@@ -201,14 +190,12 @@ def diagram_point(
     measure, whose particle count fluctuates, so the row then reports the
     realized density and the theory value at that density.
     """
-    if r > 0 and 2 * r * rho >= 1:
-        raise ValueError(f"grid point rho={rho} has 2*r*rho >= 1")
+    rho_lat = lattice_density(rho, v, r)  # checks rho, v, r and 2*r*rho < 1
     if initial == "even":
         cfg, space = initial_ring(rho, v, r, n_particles)
         rho_run = float(rho)
     elif initial == "sampled":
-        rho_lat = lattice_density(rho, v, r)
-        n_sites = max(2, int(round(n_particles / rho_lat)))
+        n_sites = max(2, int(round(_integer("n_particles", n_particles, 1) / rho_lat)))
         cfg = sample_ring_configuration(
             rho, p, v=v, r=r, n_sites=n_sites,
             seed=np.random.default_rng(np.random.SeedSequence((seed, index))),
