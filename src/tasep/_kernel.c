@@ -1,4 +1,5 @@
-/* The fused run kernel of tasep.dynamics: k synchronous steps in one call.
+/* The fused run kernel of tasep.dynamics: k synchronous steps in one call, of
+   one run or of two runs coupled on one coin stream.
 
    Each step repeats _Stepper.advance bit for bit: numpy's Philox4x64-10 coins,
    the successor bound, the obstacle stop, the never-left clamp, the 53-bit coin
@@ -17,19 +18,27 @@
    and moved positions stay in L1 cache, in the run function's own stack
    buffers of BLOCK entries.
 
-   A call given threads > 1 that records no rows runs each step on two
-   threads: the caller moves particles [0, c) and a helper thread, started for
-   the call and joined at its end, moves [c, n).  The split c is always a
-   point where pairwise's recursion over n splits a node of more than 128
-   elements, so a multiple of 8.  It starts at the top split, n/2 rounded down
-   to a multiple of 8, and every ROUND steps moves toward the point where both
-   threads take equally long, as the two CPUs need not run equally fast.  Each
-   thread sums the children on the path from the root to c's node that lie in
-   its range (tree_part), and the caller adds them up in pairwise's order
-   (tree_sum), so the step's total has the bits of pairwise over all n.  A
-   multiple of 8 particles is whole Philox blocks and, as _Stepper aligns x,
-   disp and wind to 64 bytes, whole cache lines, so the threads never write
-   one line.
+   A coupled call (tasep_coupled) steps two runs of n particles under one key
+   block by block: it draws each block's words once and hands them to both
+   runs' block step, the one a run call takes.  After each block it takes the
+   maxima of |disp_b - scale disp_a| and of |gap_b - scale gap_a| over what
+   the block settled, gap_i = (succ_i - rr_i) - x_i as numpy's _bounds takes
+   it, so the two runs are compared while their block is still in L1 cache.
+   A maximum does not depend on the order it is taken in, so it has numpy's
+   bits; with a NaN term it is the quiet NaN numpy's max returns.
+
+   A run call given threads > 1 runs each step on two threads: the caller
+   moves particles [0, c) and a helper thread, started for the call and joined
+   at its end, moves [c, n).  The split c is always a point where pairwise's
+   recursion over n splits a node of more than 128 elements, so a multiple of
+   8.  It starts at the top split, n/2 rounded down to a multiple of 8, and
+   every ROUND steps moves toward the point where both threads take equally
+   long, as the two CPUs need not run equally fast.  Each thread sums the
+   children on the path from the root to c's node that lie in its range
+   (tree_part), and the caller adds them up in pairwise's order (tree_sum), so
+   the step's total has the bits of pairwise over all n.  A multiple of 8
+   particles is whole Philox blocks and, as _Stepper aligns x, disp and wind
+   to 64 bytes, whole cache lines, so the threads never write one line.
 
    Step s of a thread needs positions that the other thread moved, as they
    stood when the step began: the caller needs x[c] for its last particle's
@@ -193,22 +202,30 @@ static double tree_sum(int64_t n, int64_t c, const double *part0,
     return sum;
 }
 
-/* The arguments fixed for a run, one struct per position type T (tasep_args_i64,
-   tasep_args_f64); _native.py mirrors them as ctypes structures.  A line
-   (ring == 0) bounds its last particle by CAP, a ring by x_0 + seam.  disp
-   receives the n displacements of the last step.  obs holds the m sorted
-   obstacles; only the obstacle run reads obs and m. */
+/* The arguments of a run call, one struct per position type T (tasep_args_i64,
+   tasep_args_f64), which _native.py packs into a bytes object: the run's own,
+   then the call's steps t, t + 1, ..., t + k - 1, where their totals go and
+   the threads the call may split across.  A line (ring == 0) bounds its last
+   particle by CAP, a ring by x_0 + seam.  disp receives the n displacements of
+   the last step.  obs holds the m sorted obstacles; only the obstacle run
+   reads obs and m.  totals may be NULL when k is 1: the step's total is then
+   not kept.  One pointer is the whole call, as each further argument costs a
+   ctypes call about a fifth of a microsecond. */
 #define ARGS(T, SUFFIX)                                                            \
     struct tasep_args_##SUFFIX {                                                   \
         int64_t n;                                                                 \
         uint64_t k0, k1, cut;                                                      \
         T *x;                                                                      \
         const T *rr;                                                               \
+        double *wind, *disp;                                                       \
         int64_t ring;                                                              \
         T seam, v;                                                                 \
-        double *wind, *disp;                                                       \
         const double *obs;                                                         \
         int64_t m;                                                                 \
+        uint64_t t;                                                                \
+        int64_t k;                                                                 \
+        double *totals;                                                            \
+        int64_t threads;                                                           \
     };
 
 ARGS(int64_t, i64)
@@ -217,6 +234,20 @@ ARGS(double, f64)
 /* particles per block: 4 KB each of moved positions and words on the stack */
 #define BLOCK 512
 _Static_assert(BLOCK % 4 == 0, "a block's words must be whole 4-word Philox blocks");
+
+/* Whether a run's coins need their words: a cut of 0 or 2**53 decides every
+   coin without one. */
+static int draws(uint64_t cut) {
+    return cut && cut < (1ULL << 53);
+}
+
+/* The words of particles [b, e) of step t, b a multiple of 4, into w[0 .. e - b). */
+static inline __attribute__((always_inline)) void words(uint64_t *restrict w, int64_t b,
+                                                        int64_t e, uint64_t t, uint64_t k0,
+                                                        uint64_t k1) {
+    for (int64_t i = b; i < e; i += 4)
+        philox(w + (i - b), i / 4, t, k0, k1);
+}
 
 /* Pass 1 over the len particles of one block: next is the position after the
    block's last, *jp the merge walk's obstacle index.  It is always inlined, so
@@ -255,6 +286,27 @@ _Static_assert(BLOCK % 4 == 0, "a block's words must be whole 4-word Philox bloc
             wind[i] += (double)d;                                                  \
         }                                                                          \
         *jp = j;                                                                   \
+    }
+
+/* The block [b, e) of a step of the run a on its words w: pass 1 into moved,
+   then pass 2 back into x.  next is the position after particle e - 1 as the
+   step began and wrap whether the step wraps at the seam, which block 0
+   decides; *jp is the obstacle merge walk's index.  Returns wrap. */
+#define BLOCK_STEP(NAME, T, SUFFIX)                                                \
+    static inline __attribute__((always_inline)) int NAME##_block(                 \
+        const struct tasep_args_##SUFFIX *a, int64_t b, int64_t e, T next,         \
+        int wrap, const uint64_t *restrict w, T *restrict moved, int64_t *jp) {    \
+        T *x = a->x;                                                               \
+        const T seam = a->seam;                                                    \
+        NAME##_pass1(e - b, x + b, next, a->rr + b, w, (int64_t)a->cut, a->v,      \
+                     a->obs, a->m, jp, moved, a->disp + b, a->wind + b);           \
+        if (b == 0)                                                                \
+            wrap = a->ring && moved[0] >= seam;                                    \
+        if (wrap)                                                                  \
+            for (int64_t i = b; i < e; i++) x[i] = moved[i - b] - seam;            \
+        else                                                                       \
+            memcpy(x + b, moved, (e - b) * sizeof(T));                             \
+        return wrap;                                                               \
     }
 
 /* The number of the m sorted obstacles at or below x: where the merge walk of
@@ -357,42 +409,31 @@ static int64_t await(const struct count *theirs, int64_t s) {
    are updated in place and totals[s] receives step t + s's total displacement.
    When cut is 0 or 2**53 every coin is decided without its word, so the step
    draws none.  The obstacle instantiation (OBS) also stops each particle at the
-   first obstacle strictly beyond it.  When xs and ds are given, row s of each
-   receives the positions and the displacements after step t + s.  Otherwise,
-   when threads > 1 and n > 128, the steps are split between two threads; a
-   helper that cannot be started leaves the call to one. */
+   first obstacle strictly beyond it.  When threads > 1 and n > 128, the steps
+   are split between two threads; a helper that cannot be started leaves the
+   call to one. */
 #define RUN(NAME, T, SUFFIX, CAP, OBS)                                             \
     PASS1(NAME##_pass1, T, OBS)                                                    \
+    BLOCK_STEP(NAME, T, SUFFIX)                                                    \
                                                                                    \
     /* Particles [lo, hi) of step t, lo a multiple of 4: next is the position      \
        after particle hi - 1 as the step began, and wrap says whether the step     \
        wraps at the seam; a part that holds particle 0 decides that itself.        \
-       Returns wrap.  The displacements go to disp, the winding to a->wind. */     \
+       Returns wrap. */                                                            \
     CLONES __attribute__((noinline)) static int NAME##_part(                       \
         const struct tasep_args_##SUFFIX *a, uint64_t t, int64_t lo, int64_t hi,   \
-        T next, int wrap, double *restrict disp, T *restrict moved,                \
-        uint64_t *restrict w) {                                                    \
-        const int64_t m = a->m, cut = (int64_t)a->cut;                             \
-        const uint64_t k0 = a->k0, k1 = a->k1;                                     \
-        const T seam = a->seam, v = a->v, *rr = a->rr;                             \
-        const double *obs = a->obs;                                                \
-        const int ring = a->ring != 0, draw = cut && cut < (1LL << 53);            \
-        T *x = a->x;                                                               \
-        double *wind = a->wind;                                                    \
-        int64_t j = OBS && lo ? at_or_below(obs, m, x[lo]) : 0;                    \
+        T next, int wrap, T *restrict moved, uint64_t *restrict w) {               \
+        /* a local copy, which no store through x can change */                    \
+        const struct tasep_args_##SUFFIX run = *a;                                 \
+        const T *x = run.x;                                                        \
+        const int draw = draws(run.cut);                                           \
+        int64_t j = OBS && lo ? at_or_below(run.obs, run.m, x[lo]) : 0;            \
         for (int64_t b = lo; b < hi; b += BLOCK) {                                 \
             const int64_t e = hi - b < BLOCK ? hi : b + BLOCK;                     \
             if (draw)                                                              \
-                for (int64_t i = b; i < e; i += 4)                                 \
-                    philox(w + (i - b), i / 4, t, k0, k1);                         \
-            NAME##_pass1(e - b, x + b, e < hi ? x[e] : next, rr + b, w, cut, v,    \
-                         obs, m, &j, moved, disp + b, wind + b);                   \
-            if (b == 0)                                                            \
-                wrap = ring && moved[0] >= seam;                                   \
-            if (wrap)                                                              \
-                for (int64_t i = b; i < e; i++) x[i] = moved[i - b] - seam;        \
-            else                                                                   \
-                memcpy(x + b, moved, (e - b) * sizeof(T));                         \
+                words(w, b, e, t, run.k0, run.k1);                                 \
+            wrap = NAME##_block(&run, b, e, e < hi ? x[e] : next, wrap, w, moved,  \
+                                &j);                                               \
         }                                                                          \
         return wrap;                                                               \
     }                                                                              \
@@ -444,18 +485,17 @@ static int64_t await(const struct count *theirs, int64_t s) {
             if (me == 0) {                                                         \
                 /* block 0 first, so that x[0] and x[1] go out early */            \
                 const int64_t h = c - 8 < BLOCK ? c - 8 : BLOCK;                   \
-                int wrap = NAME##_part(a, t, 0, h, x[h], 0, a->disp, moved, w);    \
+                int wrap = NAME##_part(a, t, 0, h, x[h], 0, moved, w);             \
                 mine->pos[(s + 1) % RING][0] = x[0];                               \
                 mine->pos[(s + 1) % RING][1] = x[1];                               \
                 say(&mine->head, s + 1);                                           \
-                wrap = NAME##_part(a, t, h, c - 8, x[c - 8], wrap, a->disp, moved, \
-                                   w);                                             \
+                wrap = NAME##_part(a, t, h, c - 8, x[c - 8], wrap, moved, w);      \
                 /* x[c] comes from the thread that moved particle c last step */   \
                 const struct NAME##_post *from = c < c_last ? mine : theirs;       \
                 if (c == c_last)                                                   \
                     waited += await(&theirs->head, s);                             \
                 const T xc = from->at[s % RING];                                   \
-                NAME##_part(a, t, c - 8, c, xc, wrap, a->disp, moved, w);          \
+                NAME##_part(a, t, c - 8, c, xc, wrap, moved, w);                   \
                 tree_part(a->disp, n, c, 0, part[s % RING]);                       \
             } else {                                                               \
                 const T *in = theirs->pos[s % RING], x0 = in[0];                   \
@@ -467,7 +507,7 @@ static int64_t await(const struct count *theirs, int64_t s) {
                     int64_t j = OBS ? at_or_below(a->obs, a->m, x0) : 0;           \
                     T to;                                                          \
                     double d, wd = 0.;                                             \
-                    if (cut && cut < (1LL << 53))                                  \
+                    if (draws(a->cut))                                             \
                         philox(w0, 0, t, a->k0, a->k1);                            \
                     NAME##_pass1(1, &x0, in[1], a->rr, w0, cut, a->v, a->obs, a->m,\
                                  &j, &to, &d, &wd);                                \
@@ -475,13 +515,12 @@ static int64_t await(const struct count *theirs, int64_t s) {
                 }                                                                  \
                 /* the first block first, so that x[c] goes out early */           \
                 const int64_t h = n - c < BLOCK ? n : c + BLOCK;                   \
-                NAME##_part(a, t, c, h, h < n ? x[h] : last, wrap, a->disp, moved, \
-                            w);                                                    \
+                NAME##_part(a, t, c, h, h < n ? x[h] : last, wrap, moved, w);      \
                 if (c_next == c) {                                                 \
                     mine->at[(s + 1) % RING] = x[c];                               \
                     say(&mine->head, s + 1);                                       \
                 }                                                                  \
-                NAME##_part(a, t, h, n, last, wrap, a->disp, moved, w);            \
+                NAME##_part(a, t, h, n, last, wrap, moved, w);                     \
                 tree_part(a->disp, n, c, 1, mine->part[s % RING]);                 \
             }                                                                      \
             if (c_next != c) {                                                     \
@@ -563,24 +602,136 @@ static int64_t await(const struct count *theirs, int64_t s) {
         return 1;                                                                  \
     }                                                                              \
                                                                                    \
-    CLONES void NAME(const struct tasep_args_##SUFFIX *a, uint64_t t, int64_t k,   \
-                     double *totals, T *xs, double *ds, int64_t threads) {         \
-        const int64_t n = a->n;                                                    \
-        if (threads > 1 && !xs && n > 128 && NAME##_split(a, t, k, totals))        \
+    CLONES void NAME(const struct tasep_args_##SUFFIX *a) {                        \
+        const int64_t n = a->n, k = a->k;                                          \
+        double *totals = a->totals;                                                \
+        uint64_t t = a->t;                                                         \
+        if (a->threads > 1 && n > 128 && NAME##_split(a, t, k, totals))            \
             return;                                                                \
         T moved[BLOCK] __attribute__((aligned(64)));                               \
         uint64_t w[BLOCK] __attribute__((aligned(64)));                            \
         for (int64_t s = 0; s < k; s++, t++) {                                     \
             NAME##_part(a, t, 0, n, n && a->ring ? a->x[0] + a->seam : (CAP), 0,   \
-                        a->disp, moved, w);                                        \
-            totals[s] = 0. + pairwise(a->disp, n);                                 \
-            if (xs) {                                                              \
-                memcpy(xs + s * n, a->x, n * sizeof(T));                           \
-                memcpy(ds + s * n, a->disp, n * sizeof(double));                   \
-            }                                                                      \
+                        moved, w);                                                 \
+            if (totals)                                                            \
+                totals[s] = 0. + pairwise(a->disp, n);                             \
         }                                                                          \
     }
 
 RUN(tasep_run_i64, int64_t, i64, INT64_MAX / 4, 0)
 RUN(tasep_run_f64, double, f64, INFINITY, 0)
 RUN(tasep_run_f64_obstacles, double, f64, INFINITY, 1)
+
+/* Fold d = EXPR of each i in [lo, hi) into m, the bits of the largest so far.
+   Every d is a fabs, so never negative, and the bits of doubles that are not
+   negative order as the doubles do, with a NaN above infinity: the loop is an
+   integer max, which the compiler runs in SIMD lanes. */
+#define FOLD(m, lo, hi, EXPR)                                                      \
+    for (int64_t i = (lo); i < (hi); i++) {                                        \
+        const double d_ = (EXPR);                                                  \
+        uint64_t u_;                                                               \
+        memcpy(&u_, &d_, 8);                                                       \
+        m = u_ > m ? u_ : m;                                                       \
+    }
+
+/* The double of a folded maximum's bits, and the quiet NaN numpy's max gives
+   when a term is NaN (its SIMD loops return that one, whatever the terms'
+   payloads) for the bits above +infinity's. */
+static double unfold(uint64_t m) {
+    double d;
+    memcpy(&d, &m, 8);
+    return m > 0x7FF0000000000000ULL ? NAN : d;
+}
+
+/* Steps t, t + 1, ..., t + k - 1 of the runs a and b, whose positions are of
+   types TA and TB, coupled on a's key; see tasep_coupled.  NAME##_gap is
+   |gap_b - scale gap_a| of a particle at xa and xb with successors sa and sb. */
+#define COUPLED(NAME, A, B, TA, TB, CAP_A, CAP_B)                                  \
+    static inline __attribute__((always_inline)) double NAME##_gap(                \
+        TA sa, TA xa, TA rra, TB sb, TB xb, TB rrb, double scale) {                \
+        const TA ga = (sa - rra) - xa;                                             \
+        const TB gb = (sb - rrb) - xb;                                             \
+        return fabs((double)gb - scale * (double)ga);                              \
+    }                                                                              \
+                                                                                   \
+    static inline __attribute__((always_inline)) void NAME(                        \
+        const struct tasep_args_##A *a_args, const struct tasep_args_##B *b_args,  \
+        int64_t gaps, double scale, double *out, TA *restrict moved_a,             \
+        TB *restrict moved_b, uint64_t *restrict w) {                              \
+        /* local copies, which no store through x can change */                    \
+        const struct tasep_args_##A ra = *a_args;                                  \
+        const struct tasep_args_##B rb = *b_args;                                  \
+        const struct tasep_args_##A *a = &ra;                                      \
+        const struct tasep_args_##B *b = &rb;                                      \
+        const int64_t n = a->n, k = a->k;                                          \
+        uint64_t t = a->t;                                                         \
+        const int draw = draws(a->cut) || draws(b->cut);                           \
+        const TA *xa = a->x, *rra = a->rr;                                         \
+        const TB *xb = b->x, *rrb = b->rr;                                         \
+        const double *da = a->disp, *db = b->disp;                                 \
+        for (int64_t s = 0; s < k; s++, t++) {                                     \
+            const TA next_a = n && a->ring ? xa[0] + a->seam : (CAP_A);            \
+            const TB next_b = n && b->ring ? xb[0] + b->seam : (CAP_B);            \
+            int wrap_a = 0, wrap_b = 0;                                            \
+            int64_t ja = 0, jb = 0;                                                \
+            uint64_t gm = 0, dm = 0;                                               \
+            for (int64_t lo = 0; lo < n; lo += BLOCK) {                            \
+                const int64_t e = n - lo < BLOCK ? n : lo + BLOCK;                 \
+                if (draw)                                                          \
+                    words(w, lo, e, t, a->k0, a->k1);                              \
+                wrap_a = tasep_run_##A##_block(a, lo, e, e < n ? xa[e] : next_a,   \
+                                               wrap_a, w, moved_a, &ja);           \
+                wrap_b = tasep_run_##B##_block(b, lo, e, e < n ? xb[e] : next_b,   \
+                                               wrap_b, w, moved_b, &jb);           \
+                FOLD(dm, lo, e, fabs(db[i] - scale * da[i]));                      \
+                /* the gaps the block settled: gap i needs x[i + 1] */             \
+                FOLD(gm, lo ? lo - 1 : 0, e - 1,                                   \
+                     NAME##_gap(xa[i + 1], xa[i], rra[i], xb[i + 1], xb[i],        \
+                                rrb[i], scale));                                   \
+            }                                                                      \
+            /* the last particle's successor: x[0] + seam on a ring */             \
+            const TA sa = n && a->ring ? xa[0] + a->seam : (CAP_A);                \
+            const TB sb = n && b->ring ? xb[0] + b->seam : (CAP_B);                \
+            if (n && gaps == n)                                                    \
+                FOLD(gm, n - 1, n,                                                 \
+                     NAME##_gap(sa, xa[i], rra[i], sb, xb[i], rrb[i], scale));     \
+            out[s] = 0. + pairwise(da, n);                                         \
+            out[k + s] = 0. + pairwise(db, n);                                     \
+            out[2 * k + s] = unfold(gm);                                           \
+            out[3 * k + s] = unfold(dm);                                           \
+        }                                                                          \
+    }
+
+COUPLED(coupled_i64_i64, i64, i64, int64_t, int64_t, INT64_MAX / 4, INT64_MAX / 4)
+COUPLED(coupled_i64_f64, i64, f64, int64_t, double, INT64_MAX / 4, INFINITY)
+COUPLED(coupled_f64_i64, f64, i64, double, int64_t, INFINITY, INT64_MAX / 4)
+COUPLED(coupled_f64_f64, f64, f64, double, double, INFINITY, INFINITY)
+
+/* Steps t, t + 1, ..., t + k - 1 (a's t and k) of the runs a and b of n
+   particles each, both on a's key: each block's words are drawn once, for
+   both.  kinds is 2 when a's positions are float64 (its arguments a
+   tasep_args_f64), else 0, plus 1 when b's are.  out is 4 rows of k: a's and
+   b's step totals, then the per-step maxima over i < gaps of
+   |gap_b - scale gap_a| and over all i of |disp_b - scale disp_a|; gaps is n on
+   a ring and n - 1 on a line. */
+CLONES void tasep_coupled(const void *a, const void *b, int64_t kinds, int64_t gaps,
+                          double scale, double *out) {
+    uint64_t w[BLOCK] __attribute__((aligned(64)));
+    union moved {
+        int64_t i[BLOCK];
+        double f[BLOCK];
+    } ma __attribute__((aligned(64))), mb __attribute__((aligned(64)));
+    switch (kinds) {
+    case 0:
+        coupled_i64_i64(a, b, gaps, scale, out, ma.i, mb.i, w);
+        break;
+    case 1:
+        coupled_i64_f64(a, b, gaps, scale, out, ma.i, mb.f, w);
+        break;
+    case 2:
+        coupled_f64_i64(a, b, gaps, scale, out, ma.f, mb.i, w);
+        break;
+    default:
+        coupled_f64_f64(a, b, gaps, scale, out, ma.f, mb.f, w);
+    }
+}

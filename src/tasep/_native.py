@@ -19,6 +19,7 @@ import ctypes
 import functools
 import hashlib
 import os
+import struct
 import subprocess
 import tempfile
 from pathlib import Path
@@ -63,33 +64,32 @@ def threads(n: int, k: int) -> int:
     return min(max_threads, _cpus())
 
 
-def _args(T):
-    """The ctypes mirror of the kernel's struct of run arguments, for positions of type T:
-    the run's own arrays, as the kernel keeps its block buffers on its stack."""
-    P = ctypes.c_void_p
-    U = ctypes.c_uint64
-    I = ctypes.c_int64
-    fields = [("n", I), ("k0", U), ("k1", U), ("cut", U), ("x", P), ("rr", P), ("ring", I),
-              ("seam", T), ("v", T), ("wind", P), ("disp", P), ("obs", P), ("m", I)]
-    return type(f"RunArgs_{T.__name__}", (ctypes.Structure,), {"_fields_": fields})
+# The kernel's struct of run-call arguments (ARGS in _kernel.c) for positions of int64
+# ("i") and float64 ("f"): n, the key words k0 and k1, cut, the addresses of x, rr,
+# wind and disp, ring, seam, v, the address of obs and m, which are the run's own, then
+# the call's first step t, its step count k, the address of the totals (0 to keep none
+# of a one-step call's) and the threads it may split across.  Native layout ("@", "P" for
+# a pointer) lays the fields out as the C compiler does.  A call passes the packed bytes,
+# whose data CPython keeps 8-byte aligned, as its one c_char_p argument.
+ARGS = {"i": struct.Struct("@qQQQPPPPqqqPqQqPq"), "f": struct.Struct("@qQQQPPPPqddPqQqPq")}
 
 
 def bind(dll) -> dict:
-    """{"i", "f", "obstacles": (run function, its argument structure)} of a loaded library.
+    """{"i", "f", "obstacles", "coupled": function} of a loaded library.
 
     "i" and "f" are the int64 and float64 runs, "obstacles" the float64 run among
-    obstacles.  A run fills its structure once with its fixed arguments; each call
-    takes a pointer to it, then the first step t, the step count k, totals, xs, ds and
-    the threads it may split across.
+    obstacles; each takes one call's packed ARGS.  "coupled" takes two runs' packed
+    ARGS, the steps and step count being the first's, their kinds (2 when the first is
+    float64, plus 1 when the second is), the gaps to compare, the displacement scale
+    and the address of a 4 x k float64 output.
     """
-    P = ctypes.c_void_p
-    i64, f64 = _args(ctypes.c_int64), _args(ctypes.c_double)
-    fns = {"i": (dll.tasep_run_i64, i64), "f": (dll.tasep_run_f64, f64),
-           "obstacles": (dll.tasep_run_f64_obstacles, f64)}
-    for fn, args in fns.values():
-        fn.argtypes = [ctypes.POINTER(args), ctypes.c_uint64, ctypes.c_int64, P, P, P,
-                      ctypes.c_int64]
+    fns = {"i": dll.tasep_run_i64, "f": dll.tasep_run_f64,
+           "obstacles": dll.tasep_run_f64_obstacles, "coupled": dll.tasep_coupled}
+    for fn in fns.values():
         fn.restype = None
+        fn.argtypes = [ctypes.c_char_p]
+    fns["coupled"].argtypes = [ctypes.c_char_p, ctypes.c_char_p, ctypes.c_int64,
+                               ctypes.c_int64, ctypes.c_double, ctypes.c_void_p]
     return fns
 
 

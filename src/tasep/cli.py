@@ -124,10 +124,11 @@ def _evenly_spaced(ring: float, count: int) -> np.ndarray:
 
 
 def _cmd_simulate(args) -> int:
-    rho = args.particles / args.ring
+    ring = Ring(args.ring)  # checked before its circumference divides the count
+    rho = args.particles / ring.circumference
     cfg, space = initial_ring(rho, args.v, args.r, args.particles)
     if space == "continuum":
-        cfg = Configuration(Ring(args.ring), _evenly_spaced(args.ring, args.particles), args.r)
+        cfg = Configuration(ring, _evenly_spaced(args.ring, args.particles), args.r)
     elif cfg.circumference != args.ring or cfg.n != args.particles:
         raise ValueError(
             "the lattice process needs an integer ring holding exactly the particles: "

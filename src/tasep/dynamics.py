@@ -42,8 +42,6 @@ __all__ = [
     "step",
 ]
 
-# positions per side that coupled_run steps before it compares the sides
-_CHUNK_ELEMENTS = 4096
 # a zero-length ctypes type: its from_buffer takes any writable buffer, empty ones too
 _NO_BYTES = ctypes.c_char * 0
 # particles from which _Stepper places its arrays on cache lines (4 KB of positions)
@@ -143,30 +141,35 @@ def _address(arr: np.ndarray) -> int:
     return ctypes.addressof(_NO_BYTES.from_buffer(arr))
 
 
-def _kernel_arrays(positions: np.ndarray, winding: np.ndarray, dtype):
-    """A copy of the positions in dtype (8 bytes a value), and a 2 x n float64 buffer
-    holding a copy of the winding and a row of zeros.
+def _kernel_rows(positions: np.ndarray, winding: np.ndarray, rr: np.ndarray):
+    """A stepper's four rows of n slots in rr's dtype, cut from one allocation: copies of
+    the positions, of the bound terms rr and of the winding's bits, and a row for the
+    displacements, which a step writes before anything reads it.  Returns the rows and
+    the addresses of all four, in the order of the kernel's arguments.
 
-    From _ALIGNED_FROM particles on the two are cut from one allocation so that each
-    starts a 64-byte cache line: the positions at 0 and the buffer at 2048 bytes mod
-    4096, so the streams the kernel reads and writes together do not collide in 4 KB
-    steps, and a split call, which divides the particles between its threads at a
-    multiple of 8, gives each thread whole cache lines.  Smaller arrays lie within a
-    page or two, where their placement did not show in timings and the cut would add
-    a twentieth to a step() call at 100 particles.
+    From _ALIGNED_FROM particles on each row starts a 64-byte cache line, the rows at
+    0, 1024, 2048 and 3072 bytes mod 4096, so the streams the kernel reads and writes
+    together do not collide in 4 KB steps, and a split call, which divides the
+    particles between its threads at a multiple of 8, gives each thread whole cache
+    lines.  Smaller rows lie within a page or two, where their placement did not show
+    in timings; there one np.array call builds them, as each array operation costs
+    about a tenth of the few microseconds a step() call takes at 100 particles.
     """
     n = len(positions)
+    wind = winding if rr.dtype.kind == "f" else winding.view(rr.dtype)
     if n < _ALIGNED_FROM:
-        x, buf = positions.astype(dtype), np.zeros((2, n))
+        rows = np.array((positions, rr, wind, wind), rr.dtype)
+        stride, base = n, _address(rows)
     else:
-        raw = np.empty(3 * n + 1024, np.float64)
-        i = -_address(raw) % 4096 // 8
-        j = i + n + (256 - n) % 512
-        x, buf = raw[i:i + n].view(dtype), raw[j:j + 2 * n].reshape(2, n)
-        x[...] = positions
-        buf[1] = 0.0
-    buf[0] = winding
-    return x, buf
+        # rows of stride = 128 (mod 512) slots from a 4096-byte boundary
+        stride = n + (128 - n) % 512
+        raw = np.empty(4 * stride + 511, rr.dtype)
+        start = _address(raw)
+        i = -start % 4096 // 8
+        rows, base = raw[i:i + 4 * stride].reshape(4, stride)[:, :n], start + 8 * i
+        rows[0], rows[1], rows[2] = positions, rr, wind
+    step = 8 * stride
+    return rows, (base, base + step, base + 2 * step, base + 3 * step)
 
 
 def _tiled_obstacles(field: ObstacleField) -> np.ndarray:
@@ -205,36 +208,44 @@ class _Stepper:
             if field.geometry != cfg.geometry:
                 raise ValueError("obstacle field geometry must match the configuration")
         rr, seam = cfg._terms
-        if params.space == "lattice" and (rr.dtype.kind != "i" or field is not None):
+        kind = rr.dtype.kind
+        if params.space == "lattice" and (kind != "i" or field is not None):
             raise ValueError("lattice process needs integral positions, ring length and "
                              "r_i + r_{i+1}, and no obstacle field")
         cfg._admissible  # rejects inadmissible input, once per configuration
-        if rr.dtype.kind == "i" and (field is not None or not float(params.v).is_integer()):
-            rr, seam = rr.astype(np.float64), None if seam is None else float(seam)
+        if kind == "i" and (field is not None or not float(params.v).is_integer()):
+            rr, seam, kind = rr.astype(np.float64), None if seam is None else float(seam), "f"
             rr.setflags(write=False)
         self.rr, self.seam = rr, seam
         self.cfg = cfg
         self.coins = coins
-        n = cfg.n
-        # the winding and the last step's displacements are rows of one buffer
-        self.x, buf = _kernel_arrays(cfg.positions, cfg.winding, rr.dtype)
-        self.wind, self.disp = buf[0], buf[1]
-        self.v = int(params.v) if rr.dtype.kind == "i" else float(params.v)
+        self._rows, addresses = _kernel_rows(cfg.positions, cfg.winding, rr)
+        self.x, self.wind = self._rows[0], self._float_row(2)
+        self.v = int(params.v) if kind == "i" else float(params.v)
         # k * 2**-53 < p exactly when k < ceil(p * 2**53); the product is exact
         self.cut = math.ceil(params.p * 2**53)
         self.tiled = None if field is None else _tiled_obstacles(field)
-        # the run's fixed kernel arguments, converted once; the addresses stay valid, as
-        # these arrays live with the stepper and are never rebound
+        # the run's own kernel arguments; the addresses stay valid, as the arrays live
+        # with the stepper and are never rebound
         fused = _native.kernel()
-        self._fused = None
+        self._run = None
         if fused is not None:
-            fn, args = fused[rr.dtype.kind if field is None else "obstacles"]
-            obs = (None, 0) if field is None else (self.tiled.ctypes.data, len(self.tiled))
-            wind = _address(buf)
-            self._fused = functools.partial(fn, ctypes.byref(args(
-                n, *coins._key, self.cut, _address(self.x), rr.ctypes.data,
-                seam is not None, seam or 0, self.v, wind, wind + 8 * n, *obs)))
+            self._run = fused[kind if field is None else "obstacles"]
+            obs = (0, 0) if field is None else (self.tiled.ctypes.data, len(self.tiled))
+            self._pack = _native.ARGS[kind].pack
+            self._fixed = (len(self.x), *coins._key, self.cut, *addresses, seam is not None,
+                           seam or 0, self.v, *obs)
         self._t = None  # the step the numpy word stream stands at
+
+    def _float_row(self, i: int) -> np.ndarray:
+        """Row i of the stepper's rows as float64: the winding (2) or the displacements (3)."""
+        row = self._rows[i]
+        return row if row.dtype.kind == "f" else row.view(np.float64)
+
+    @functools.cached_property
+    def disp(self) -> np.ndarray:
+        """The last step's displacements, in place in the stepper's rows."""
+        return self._float_row(3)
 
     def bounds(self) -> np.ndarray:
         return _bounds(self.x, self.rr, self.seam)
@@ -256,31 +267,28 @@ class _Stepper:
         x[...] = moved
         return self.disp
 
-    def steps(self, t: int, totals: np.ndarray, xs: np.ndarray | None = None,
-              ds: np.ndarray | None = None, threads: int = 1) -> None:
-        """Steps t, t + 1, ..., one per entry of totals, each set to its step's total displacement.
+    def steps(self, t: int, totals: np.ndarray | None = None, threads: int = 1) -> None:
+        """Steps t, t + 1, ..., one per entry of totals, each set to its step's total
+        displacement; step t alone, its total not kept, when totals is None.
 
-        totals is a contiguous float64 array.  When xs and ds are given (C-contiguous,
-        n columns, at least len(totals) rows, xs of the run's dtype and ds float64),
-        row i of each receives the positions and the displacements after step t + i.
-        The fused kernel runs the steps in one call when it is loaded, split across
-        ``threads`` threads when they are more than one and no rows are recorded; the
-        bits are the same on any number.  Otherwise ``advance`` runs them on the
+        totals is a contiguous float64 array.  The fused kernel runs the steps in one
+        call when it is loaded, split across ``threads`` threads when they are more than
+        one; the bits are the same on any number.  Otherwise ``advance`` runs them on the
         stepper's one word stream, which is rebuilt only when a call does not start
         where the last one stopped.
         """
-        if self._fused is not None:
-            rows = (None, None) if xs is None else (_address(xs), _address(ds))
-            self._fused(t, len(totals), _address(totals), *rows, threads)
+        k = 1 if totals is None else len(totals)
+        if self._run is not None:
+            self._run(self._pack(*self._fixed, t, k, 0 if totals is None else _address(totals),
+                                 threads))
             return
         if t != self._t:
             self._words = self.coins._words(len(self.x), t)
-        for i, w in zip(range(len(totals)), self._words):
-            totals[i] = self.advance(w).sum()
-            if xs is not None:
-                xs[i] = self.x
-                ds[i] = self.disp
-        self._t = t + len(totals)
+        for i, w in zip(range(k), self._words):
+            disp = self.advance(w)
+            if totals is not None:
+                totals[i] = disp.sum()
+        self._t = t + k
 
     def configuration(self) -> Configuration:
         """The current state, on copies of the stepper's arrays."""
@@ -303,7 +311,7 @@ def step(
     """
     t = _uint64("time index", t)
     stepper = _Stepper(cfg, params, coins, field)
-    stepper.steps(t, np.zeros(1))
+    stepper.steps(t)
     # the stepper ends here, so the state takes its arrays rather than copies
     return Configuration._of_state(cfg, stepper.x, stepper.wind, (stepper.rr, stepper.seam))
 
@@ -386,12 +394,6 @@ class CoupledRun(_Value):
                                                          dtype=np.float64))
 
 
-def _max_abs_difference(b: np.ndarray, sa: np.ndarray) -> np.ndarray:
-    """max_i |b_i - sa_i| of each row, computed in place in the fresh array sa."""
-    np.subtract(b, sa, out=sa)
-    return np.abs(sa, out=sa).max(axis=1)
-
-
 def coupled_run(
     cfg_a: Configuration,
     cfg_b: Configuration,
@@ -405,7 +407,11 @@ def coupled_run(
 
     Divergences track max_i |gap_b - scale*gap_a| and
     max_i |disp_b - scale*disp_a| per step (scale 1 for conjugate couplings,
-    scale u for spatial similarity checks).
+    scale u for spatial similarity checks), with gap_i = bound_i - x_i over a's
+    gaps: n on a ring, n - 1 on a line.  The sides may differ in dtype, p and v.
+    The fused kernel runs all the steps in one call and draws each coin word
+    once for both sides; otherwise the sides advance step by step on one word
+    stream.  Each side has the bits of its own ``run``.
     """
     if cfg_a.n != cfg_b.n:
         raise ValueError("statically coupled runs need equal particle counts")
@@ -415,31 +421,22 @@ def coupled_run(
     n = cfg_a.n
     # a line has no gap ahead of its last particle
     n_gaps = n if cfg_a.is_ring else max(n - 1, 0)
-    gap_div = np.zeros(steps)
-    disp_div = np.zeros(steps)
-    totals = np.zeros((2, steps))
     scale = float(displacement_scale)
-    # each side records a chunk of steps (about 4096 positions), then the chunk is
-    # compared at once; a one-step chunk is the sides' own state, so it copies nothing
-    chunk = max(1, min(steps, _CHUNK_ELEMENTS // max(n, 1)))
-    if chunk > 1:
-        xs = [np.empty((chunk, n), side.x.dtype) for side in (a, b)]
-        ds = [np.empty((chunk, n)) for _ in (a, b)]
-        rows = list(zip(xs, ds))
+    # rows: each side's step totals, then the gap and the displacement divergences
+    out = np.zeros((4, steps))
+    if a._run is not None:
+        kinds = 2 * (a.rr.dtype.kind == "f") + (b.rr.dtype.kind == "f")
+        # both sides' call arguments: steps 0 .. steps - 1, which the kernel reads from a's
+        a_args, b_args = (side._pack(*side._fixed, 0, steps, 0, 1) for side in (a, b))
+        _native.kernel()["coupled"](a_args, b_args, kinds, n_gaps, scale, _address(out))
     else:
-        xs, ds = [side.x[None] for side in (a, b)], [side.disp[None] for side in (a, b)]
-        rows = [(), ()]
-    for t in range(0, steps, chunk):
-        k = min(chunk, steps - t)
-        for i, side in enumerate((a, b)):
-            side.steps(t, totals[i, t:t + k], *rows[i])
-        if n_gaps:
-            ga, gb = (_bounds(x[:k], side.rr, side.seam) for x, side in zip(xs, (a, b)))
-            ga -= xs[0][:k]
-            gb -= xs[1][:k]
-            gap_div[t:t + k] = _max_abs_difference(gb[:, :n_gaps], scale * ga[:, :n_gaps])
-        if n:
-            disp_div[t:t + k] = _max_abs_difference(ds[1][:k], scale * ds[0][:k])
-    return CoupledRun(_summary(cfg_a, a, totals[0], [(steps, a.configuration())]),
-                      _summary(cfg_b, b, totals[1], [(steps, b.configuration())]),
-                      gap_div, disp_div)
+        for t, w in zip(range(steps), coins._words(n)):
+            out[0, t], out[1, t] = a.advance(w).sum(), b.advance(w).sum()
+            if n_gaps:
+                ga, gb = ((side.bounds() - side.x)[:n_gaps] for side in (a, b))
+                out[2, t] = np.abs(gb - scale * ga).max()
+            if n:
+                out[3, t] = np.abs(b.disp - scale * a.disp).max()
+    return CoupledRun(_summary(cfg_a, a, out[0], [(steps, a.configuration())]),
+                      _summary(cfg_b, b, out[1], [(steps, b.configuration())]),
+                      out[2], out[3])

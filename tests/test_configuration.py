@@ -347,6 +347,18 @@ class TestCsv:
         assert back.positions.dtype.kind == "i"
         assert np.array_equal(back.positions, cfg.positions)
 
+    def test_roundtrip_of_a_numpy_float_circumference(self):
+        # the circumference 3 / 0.7 comes out as a numpy float, not a Python one
+        cfg = evenly_spaced_ring(3, np.float64(0.7))
+        assert type(cfg.circumference) is np.float64
+        buf = io.StringIO()
+        write_configuration_csv(cfg, buf)
+        assert buf.getvalue().splitlines()[0] == "# geometry=ring circumference=4.285714285714286"
+        buf.seek(0)
+        back = read_configuration_csv(buf)
+        assert back == cfg
+        assert back.circumference == cfg.circumference
+
     @pytest.mark.parametrize("cfg", [
         Configuration(Ring(3.0), [0.1, 1 / 3, 2.9], [0.05, 0.1, 0.0]),
         Configuration(Ring(12), np.array([0, 5, 11]), 0.5),

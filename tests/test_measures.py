@@ -157,28 +157,79 @@ class TestCylinderMeasure:
             cylinder_measure(m, "102")
 
 
+def _loop_law(m: MarkovMatrix, n_sites: int):
+    """The per-site sampler's law on a ring of n_sites: the probability that the first
+    letter is 0, and zero_after(first, cur, k), the probability that letter k is 0
+    given the first letter and letter k - 1 = cur, from the held letter's closure
+    weight."""
+    p = ((m.p00, m.p01), (m.p10, m.p11))
+    lam = 1.0 - m.p01 - m.p10
+    g = np.concatenate(([0.0], np.cumsum(lam ** np.arange(n_sites)))).tolist()
+    tr = 1.0 + lam**n_sites
+    d = [[p[a][first] - (a == first) for a in (0, 1)] for first in (0, 1)]
+
+    def zero_after(first: int, cur: int, k: int) -> float:
+        j = n_sites - k + 1
+        return (p[cur][0] * ((first == 0) + g[j - 1] * d[first][0])
+                / ((cur == first) + g[j] * d[first][cur]))
+
+    return (1.0 + g[n_sites] * (m.p00 - 1.0)) / tr, zero_after
+
+
+def _reference_ring_word(m: MarkovMatrix, n_sites: int, rng: np.random.Generator) -> str:
+    """The per-site sampler: one conditional draw per letter, from _loop_law.
+    ``sample_ring_word`` must give its words bit for bit."""
+    first_zero, zero_after = _loop_law(m, n_sites)
+    u = rng.random(n_sites).tolist()
+    first = int(u[0] >= first_zero)
+    letters = [first]
+    cur = first
+    for k in range(1, n_sites):
+        cur = int(u[k] >= zero_after(first, cur, k))
+        letters.append(cur)
+    return "".join("01"[b] for b in letters)
+
+
+ORACLE_MATRICES = {
+    "p < 1": build_invariant_matrix(0.3, 0.6),
+    "p = 1 sparse": build_invariant_matrix(0.25, 1.0),
+    "p = 1 dense": build_invariant_matrix(0.75, 1.0),
+    "bernoulli(0)": MarkovMatrix.bernoulli(0.0),
+    "bernoulli(0.4)": MarkovMatrix.bernoulli(0.4),
+    "bernoulli(1)": MarkovMatrix.bernoulli(1.0),
+    "identity": MarkovMatrix(1.0, 0.0, 0.0, 1.0),
+    "swap": MarkovMatrix(0.0, 1.0, 1.0, 0.0),
+    "near identity": MarkovMatrix(1 - 1e-12, 1e-12, 1e-12, 1 - 1e-12),
+}
+
+
 class TestSampleRingWord:
-    def test_exhaustive_cyclic_weights_match_frequencies(self):
-        m = build_invariant_matrix(0.5, 0.5)
+    @pytest.mark.parametrize("m", [build_invariant_matrix(0.5, 0.5), *ORACLE_MATRICES.values()],
+                             ids=["p = 1/2", *ORACLE_MATRICES.keys()])
+    def test_exhaustive_cyclic_weights_match_the_per_site_law(self, m):
+        """Every 4-site word: the per-site loop's law, the product of its conditional
+        probabilities, is the cyclic weight prod_i P[w_i, w_{i+1 mod 4}] normalized.
+        TestSampleRingWordOracle pins the sampler to that loop bit for bit."""
         p = m.matrix()
         weights = {}
         for bits in itertools.product((0, 1), repeat=4):
             w = 1.0
             for i in range(4):
                 w *= p[bits[i], bits[(i + 1) % 4]]
-            weights["".join(map(str, bits))] = w
+            weights[bits] = w
         total = sum(weights.values())
-        draws = 100_000
-        rng = np.random.default_rng(2024)
-        counts: dict[str, int] = {}
-        for _ in range(draws):
-            word = sample_ring_word(m, 4, rng)
-            counts[word] = counts.get(word, 0) + 1
-        for word, w in weights.items():
-            expect = w / total
-            got = counts.get(word, 0) / draws
-            se = math.sqrt(max(expect * (1 - expect), 1e-12) / draws)
-            assert abs(got - expect) <= 4 * se + 1e-12, word
+        first_zero, zero_after = _loop_law(m, 4)
+        laws = {}
+        for bits, w in weights.items():
+            law = first_zero if bits[0] == 0 else 1.0 - first_zero
+            for k in range(1, 4):
+                if law == 0.0:
+                    break  # an impossible prefix; its conditionals may divide by zero
+                zero = zero_after(bits[0], bits[k - 1], k)
+                law *= zero if bits[k] == 0 else 1.0 - zero
+            laws[bits] = law
+            assert abs(law - w / total) <= 1e-12, bits
+        assert abs(sum(laws.values()) - 1.0) <= 1e-12
 
     def test_deterministic_family_never_emits_a_blocked_pair(self):
         m = MarkovMatrix.from_rows([[2 / 3, 1 / 3], [1.0, 0.0]])
@@ -199,39 +250,6 @@ class TestSampleRingWord:
         checker = MarkovMatrix.from_rows([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             sample_ring_word(checker, 5, 0)  # odd ring has no admissible word
-
-
-def _reference_ring_word(m: MarkovMatrix, n_sites: int, rng: np.random.Generator) -> str:
-    """The per-site sampler: one conditional draw per letter, from the held letter's
-    closure weight.  ``sample_ring_word`` must give its words bit for bit."""
-    p = ((m.p00, m.p01), (m.p10, m.p11))
-    lam = 1.0 - m.p01 - m.p10
-    g = np.concatenate(([0.0], np.cumsum(lam ** np.arange(n_sites)))).tolist()
-    tr = 1.0 + lam**n_sites
-    u = rng.random(n_sites).tolist()
-    first = int(u[0] >= (1.0 + g[n_sites] * (m.p00 - 1.0)) / tr)
-    d = [p[a][first] - (a == first) for a in (0, 1)]
-    letters = [first]
-    cur = first
-    for k in range(1, n_sites):
-        j = n_sites - k + 1
-        prob0 = p[cur][0] * ((first == 0) + g[j - 1] * d[0]) / ((cur == first) + g[j] * d[cur])
-        cur = int(u[k] >= prob0)
-        letters.append(cur)
-    return "".join("01"[b] for b in letters)
-
-
-ORACLE_MATRICES = {
-    "p < 1": build_invariant_matrix(0.3, 0.6),
-    "p = 1 sparse": build_invariant_matrix(0.25, 1.0),
-    "p = 1 dense": build_invariant_matrix(0.75, 1.0),
-    "bernoulli(0)": MarkovMatrix.bernoulli(0.0),
-    "bernoulli(0.4)": MarkovMatrix.bernoulli(0.4),
-    "bernoulli(1)": MarkovMatrix.bernoulli(1.0),
-    "identity": MarkovMatrix(1.0, 0.0, 0.0, 1.0),
-    "swap": MarkovMatrix(0.0, 1.0, 1.0, 0.0),
-    "near identity": MarkovMatrix(1 - 1e-12, 1e-12, 1e-12, 1 - 1e-12),
-}
 
 
 class TestSampleRingWordOracle:

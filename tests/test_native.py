@@ -6,6 +6,7 @@ SIMD clone and in its portable default clone, on one thread and split across two
 from __future__ import annotations
 
 import ctypes
+import math
 import multiprocessing
 import os
 import platform
@@ -29,7 +30,7 @@ from tasep import (
     step,
 )
 from tasep import _native
-from tasep.dynamics import _CHUNK_ELEMENTS, _Stepper
+from tasep.dynamics import _Stepper
 
 
 def _summary_bytes(s) -> tuple[bytes, ...]:
@@ -87,7 +88,7 @@ def test_default_clone_compiles_under_strict_warnings(default_clone_build):
     assert proc.returncode == 0, proc.stderr
 
 
-RUN_FUNCTIONS = ("tasep_run_i64", "tasep_run_f64", "tasep_run_f64_obstacles")
+RUN_FUNCTIONS = ("tasep_run_i64", "tasep_run_f64", "tasep_run_f64_obstacles", "tasep_coupled")
 
 
 def _exported(lib: Path) -> dict[str, str]:
@@ -100,8 +101,8 @@ def _exported(lib: Path) -> dict[str, str]:
 
 
 def test_library_exports_every_run_function(default_clone_build):
-    # each run function is an indirect function (its clones behind one resolver) on
-    # x86-64 and a plain one elsewhere; without clones it is plain everywhere
+    # each run function, the coupled one too, is an indirect function (its clones behind
+    # one resolver) on x86-64 and a plain one elsewhere; without clones it is plain everywhere
     if _native.kernel() is None:
         pytest.skip("the fused kernel cannot be built here")
     kinds = _exported(_native._library(_native._CACHE))
@@ -389,14 +390,13 @@ def _het_pair(n, rng):
     return cfg, radius_conjugate(cfg, float(radii.mean()))
 
 
-@pytest.mark.parametrize("n, steps", [(100, 41 * 3 + 7), (1000, 25), (_CHUNK_ELEMENTS + 3, 3)],
-                         ids=["n100_partial_chunk", "n1000_partial_chunk", "chunk_of_one"])
-def test_coupled_chunks_equal_single_steps(n, steps, monkeypatch):
-    """Chunked coupled runs on both paths equal a run compared after every single step."""
+# one block of the kernel's, two, and nine with a partial last one
+@pytest.mark.parametrize("n, steps", [(100, 41 * 3 + 7), (1000, 25), (4099, 3)],
+                         ids=["n100_one_block", "n1000_two_blocks", "n4099_nine_blocks"])
+def test_coupled_run_equals_single_steps(n, steps, monkeypatch):
+    """Coupled runs on both paths equal a run compared after every single step."""
     cfg_a, cfg_b = _het_pair(n, np.random.default_rng(n))
     params = ProcessParams(0.6, 1.5)
-    chunk = max(1, min(steps, _CHUNK_ELEMENTS // n))
-    assert steps % chunk or chunk == 1
     fused, ref = _both_paths(monkeypatch, lambda: _coupled_bytes(
         coupled_run(cfg_a, cfg_b, params, params, steps, CoinStream(n))))
     assert fused == ref
@@ -410,6 +410,128 @@ def test_coupled_chunks_equal_single_steps(n, steps, monkeypatch):
         gap_div[t] = np.abs(gb - ga).max()
         disp_div[t] = np.abs(b.disp - a.disp).max()
     assert fused[-2:] == (gap_div.tobytes(), disp_div.tobytes())
+
+
+def _lattice_ring(n, L, seed):
+    """n particles on a random int64 ring of L sites."""
+    pos = np.sort(np.random.default_rng(seed).choice(L, n, replace=False))
+    return Configuration(Ring(L), pos.astype(np.int64), 0.0)
+
+
+def _line(n, seed):
+    """n particles of random radii on a line, 1.5 to 3 apart."""
+    rng = np.random.default_rng(seed)
+    radii = rng.uniform(0.0, 0.3, n)
+    return Configuration(LINE, np.cumsum(rng.uniform(1.5, 3.0, n)), radii)
+
+
+def _as_float(cfg, scale=1.0):
+    """cfg with float64 positions, scaled by scale about 0."""
+    geometry = Ring(cfg.circumference * scale) if cfg.is_ring else LINE
+    return Configuration(geometry, cfg.positions * scale, cfg.radii * scale)
+
+
+LATTICE = _lattice_ring(60, 150, 1)
+SEAM = _het_pair(50, np.random.default_rng(50))
+
+# name -> (configuration a, configuration b, params a, params b, displacement scale):
+# the positions' dtypes of a and b, their p and v, the geometry and the size
+COUPLED_PAIRS = {
+    "lattice_lattice": (LATTICE, radius_conjugate(LATTICE, 0.0), ProcessParams(0.6, 2),
+                        ProcessParams(0.6, 2), 1.0),
+    "continuum_continuum": (*SEAM, ProcessParams(0.6, 1.5), ProcessParams(0.6, 1.5), 1.0),
+    "int64_float64": (LATTICE, _as_float(LATTICE), ProcessParams(0.5, 1),
+                      ProcessParams(0.5, 1), 1.0),
+    "float64_int64": (_as_float(LATTICE), LATTICE, ProcessParams(0.5, 1),
+                      ProcessParams(0.5, 1), 1.0),
+    # an integral ring run at a fractional jump is float64
+    "int64_fractional_jump": (LATTICE, LATTICE, ProcessParams(0.5, 2),
+                              ProcessParams(0.5, 1.5), 1.0),
+    "different_p_and_v": (LATTICE, LATTICE, ProcessParams(0.3, 1), ProcessParams(0.8, 3), 1.0),
+    # one side draws words, the other decides every coin without them
+    "p_half_and_one": (*SEAM, ProcessParams(0.5, 1.5), ProcessParams(1.0, 1.5), 1.0),
+    "p_one_and_half": (*SEAM, ProcessParams(1.0, 1.5), ProcessParams(0.5, 1.5), 1.0),
+    # the sides differ first in the one gap that spans the kernel's first two blocks of
+    # 512 particles, which the kernel compares once both blocks have moved
+    "block_edge_gap": (Configuration(LINE, np.arange(0, 3000, 3), 0.0),
+                       Configuration(LINE, np.arange(0, 3000, 3) + (np.arange(1000) >= 512), 0.0),
+                       ProcessParams(0.5, 1), ProcessParams(0.5, 1), 1.0),
+    "similarity_scale_2": (LATTICE, _as_float(LATTICE, 2.0), ProcessParams(0.5, 1),
+                           ProcessParams(0.5, 2.0), 2.0),
+    "line": (_line(40, 2), radius_conjugate(_line(40, 2), 0.0), ProcessParams(0.7, 2.0),
+             ProcessParams(0.7, 2.0), 1.0),
+    "line_int64": (Configuration(LINE, np.arange(0, 90, 3), 0.0),
+                   Configuration(LINE, np.arange(0, 90, 3), 0.0), ProcessParams(0.5, 2),
+                   ProcessParams(0.9, 1), 1.0),
+    # a ring against a line: b's last gap runs to the line's sentinel
+    "ring_and_line": (LATTICE, Configuration(LINE, LATTICE.positions, 0.0),
+                      ProcessParams(0.5, 1), ProcessParams(0.5, 1), 1.0),
+    "ring_and_float_line": (LATTICE, Configuration(LINE, LATTICE.positions * 1.0, 0.0),
+                            ProcessParams(0.5, 1), ProcessParams(0.5, 1), 1.0),
+    "ring_n0": (Configuration(Ring(9), np.zeros(0, np.int64), 0.0),
+                Configuration(Ring(9.0), np.zeros(0), 0.0), ProcessParams(0.5, 1),
+                ProcessParams(0.5, 1.5), 1.0),
+    "line_n0": (Configuration(LINE, np.zeros(0), 0.0), Configuration(LINE, np.zeros(0), 0.0),
+                ProcessParams(0.5, 1.5), ProcessParams(0.5, 1.5), 1.0),
+    "ring_n1": (Configuration(Ring(7), [3], 0.0), Configuration(Ring(7.0), [3.5], 0.25),
+                ProcessParams(0.5, 2), ProcessParams(0.5, 2.5), 1.0),
+    "line_n1": (Configuration(LINE, [3], 0.0), Configuration(LINE, [3.5], 0.25),
+                ProcessParams(0.5, 2), ProcessParams(0.5, 2.5), 1.0),
+    "ring_n2": (Configuration(Ring(8), [0, 5], 0.0), Configuration(Ring(8.0), [1.0, 6.5], 0.2),
+                ProcessParams(0.5, 2), ProcessParams(0.5, 2.5), 1.0),
+    "line_n2": (Configuration(LINE, [0, 5], 0.0), Configuration(LINE, [1.0, 6.5], 0.2),
+                ProcessParams(0.5, 2), ProcessParams(0.5, 2.5), 1.0),
+    # NaN terms: every divergence is NaN, or NaN where a gap or a displacement is 0
+    "scale_nan": (LATTICE, LATTICE, ProcessParams(0.5, 1), ProcessParams(0.5, 1), math.nan),
+    "scale_inf": (LATTICE, LATTICE, ProcessParams(0.5, 1), ProcessParams(0.5, 1), math.inf),
+    "p0": (*SEAM, ProcessParams(0.0, 1.5), ProcessParams(0.0, 1.5), 1.0),
+    "p1": (*SEAM, ProcessParams(1.0, 1.5), ProcessParams(1.0, 1.5), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUPLED_PAIRS))
+def test_coupled_kernel_equals_numpy(name, monkeypatch):
+    """Every pair coupled_run accepts: the fused entry point repeats the numpy
+    comparison bit for bit, and each side has the bits of its own run."""
+    cfg_a, cfg_b, params_a, params_b, scale = COUPLED_PAIRS[name]
+
+    def both():
+        # numpy warns of the NaN terms of an infinite scale; the kernel makes them silently
+        with np.errstate(invalid="ignore"):
+            res = coupled_run(cfg_a, cfg_b, params_a, params_b, 60, CoinStream(11), scale)
+        return (_coupled_bytes(res), _summary_bytes(res.a), _summary_bytes(res.b),
+                _summary_bytes(run(cfg_a, params_a, 60, CoinStream(11))),
+                _summary_bytes(run(cfg_b, params_b, 60, CoinStream(11))))
+
+    fused, ref = _both_paths(monkeypatch, both)
+    assert fused == ref
+    assert fused[1:3] == fused[3:]
+
+
+def test_coupled_pairs_reach_what_they_name():
+    def dtypes(name):
+        cfg_a, cfg_b, params_a, params_b, _ = COUPLED_PAIRS[name]
+        return tuple(run(c, p, 1, 0).final.positions.dtype.kind
+                     for c, p in ((cfg_a, params_a), (cfg_b, params_b)))
+
+    assert dtypes("lattice_lattice") == ("i", "i")
+    assert dtypes("continuum_continuum") == ("f", "f")
+    assert dtypes("int64_float64") == ("i", "f")
+    assert dtypes("float64_int64") == ("f", "i")
+    assert dtypes("int64_fractional_jump") == ("i", "f")
+    assert dtypes("line_int64") == ("i", "i")
+    # the scale-2 image never diverges, the sides of different p and v do, and the
+    # continuum pair wraps at the seam within the run
+    res = coupled_run(*COUPLED_PAIRS["similarity_scale_2"][:4], 60, CoinStream(11), 2.0)
+    assert res.max_gap_divergence.max() == 0 and res.max_displacement_divergence.max() == 0
+    res = coupled_run(*COUPLED_PAIRS["different_p_and_v"][:4], 60, CoinStream(11))
+    assert res.max_gap_divergence.max() > 0 and res.max_displacement_divergence.max() > 0
+    res = coupled_run(*COUPLED_PAIRS["block_edge_gap"][:4], 1, CoinStream(11))
+    assert res.max_gap_divergence.tolist() == [1.0]
+    cfg_a, _, params_a, _, _ = COUPLED_PAIRS["continuum_continuum"]
+    firsts = [float(c.positions[0]) for _, c in
+              run(cfg_a, params_a, 60, CoinStream(11), snapshot_stride=1).snapshots]
+    assert any(b < a for a, b in zip(firsts, firsts[1:]))
 
 
 def test_kernel_equals_numpy_on_a_stream_above_2_63(monkeypatch):
@@ -516,6 +638,16 @@ def test_default_clone_equals_numpy_with_deterministic_coins(p, default_clone, m
 def test_default_clone_equals_numpy_on_coupled_runs(default_clone, monkeypatch):
     cfg_a, cfg_b = _het_pair(100, np.random.default_rng(100))
     params = ProcessParams(0.6, 1.5)
-    fused, ref = _both_paths(monkeypatch, lambda: _coupled_bytes(
-        coupled_run(cfg_a, cfg_b, params, params, 41 * 3 + 7, CoinStream(100))))
+
+    def runs():
+        out = [_coupled_bytes(coupled_run(cfg_a, cfg_b, params, params, 41 * 3 + 7,
+                                          CoinStream(100)))]
+        with np.errstate(invalid="ignore"):
+            for name in sorted(COUPLED_PAIRS):
+                a, b, params_a, params_b, scale = COUPLED_PAIRS[name]
+                out.append(_coupled_bytes(coupled_run(a, b, params_a, params_b, 60,
+                                                      CoinStream(11), scale)))
+        return out
+
+    fused, ref = _both_paths(monkeypatch, runs)
     assert fused == ref

@@ -39,7 +39,7 @@ from tasep import (
     theoretical_velocity,
     theoretical_velocity_obstacles,
 )
-from tasep.cli import parse_grid
+from tasep.cli import main, parse_grid
 from tasep.measures import lattice_density
 from tasep.velocity import diagram_point, initial_ring
 
@@ -117,6 +117,25 @@ REJECTIONS = {
 def test_rejected(call, args, fragment):
     with pytest.raises(ValueError, match=fragment):
         call(*args)
+
+
+# the CLI's domain error: exit status 2 and one line on stderr, never a traceback
+CLI_REJECTIONS = {
+    "simulate on a ring of length 0": (["simulate", "--ring", "0", "--particles", "10"],
+                                       "ring circumference=0.0 must be positive"),
+    "simulate on a negative ring": (["simulate", "--ring", "-5", "--particles", "10"],
+                                    "ring circumference=-5.0 must be positive"),
+    "simulate on a nan ring": (["simulate", "--ring", "nan", "--particles", "10"],
+                               "ring circumference=nan must be positive"),
+}
+
+
+@pytest.mark.parametrize("argv, fragment", CLI_REJECTIONS.values(), ids=CLI_REJECTIONS.keys())
+def test_cli_rejected(argv, fragment, tmp_path, capsys):
+    assert main(["--outdir", str(tmp_path), *argv, "--steps", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and fragment in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 NAN, INF = math.nan, math.inf
