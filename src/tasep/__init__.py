@@ -63,6 +63,7 @@ from .velocity import (
     VelocityEstimate,
     estimate_velocity,
     extend_obstacles,
+    finite_ring_velocity,
     fundamental_diagram,
     similarity_check,
     stability_sweep,

@@ -203,29 +203,36 @@ static double tree_sum(int64_t n, int64_t c, const double *part0,
 }
 
 /* The arguments of a run call, one struct per position type T (tasep_args_i64,
-   tasep_args_f64), which _native.py packs into a bytes object: the run's own,
-   then the call's steps t, t + 1, ..., t + k - 1, where their totals go and
-   the threads the call may split across.  A line (ring == 0) bounds its last
-   particle by CAP, a ring by x_0 + seam.  disp receives the n displacements of
-   the last step.  obs holds the m sorted obstacles; only the obstacle run
-   reads obs and m.  totals may be NULL when k is 1: the step's total is then
-   not kept.  One pointer is the whole call, as each further argument costs a
-   ctypes call about a fifth of a microsecond. */
+   tasep_args_f64), which _native.py packs into a bytes object.  The run's own
+   fields come first and the call's after them, so a run packs its own once:
+   the rows x, wind and disp the call steps in place, its steps t, t + 1, ...,
+   t + k - 1, where their totals go, the threads it may split across and the
+   rows it starts from.  A line (ring == 0) bounds its last particle by CAP, a
+   ring by x_0 + seam.  disp receives the n displacements of the last step.
+   obs holds the m sorted obstacles; only the obstacle run reads obs and m.
+   totals may be NULL when k is 1: the step's total is then not kept.  When
+   x_src is not NULL, a run call first copies the n positions at x_src and the
+   n windings at wind_src into x and wind, so one call takes a step out of
+   place from rows it never writes; a coupled call takes NULL there.  One
+   pointer is the whole call, as each further argument costs a ctypes call
+   about a fifth of a microsecond. */
 #define ARGS(T, SUFFIX)                                                            \
     struct tasep_args_##SUFFIX {                                                   \
         int64_t n;                                                                 \
         uint64_t k0, k1, cut;                                                      \
-        T *x;                                                                      \
         const T *rr;                                                               \
-        double *wind, *disp;                                                       \
         int64_t ring;                                                              \
         T seam, v;                                                                 \
         const double *obs;                                                         \
         int64_t m;                                                                 \
+        T *x;                                                                      \
+        double *wind, *disp;                                                       \
         uint64_t t;                                                                \
         int64_t k;                                                                 \
         double *totals;                                                            \
         int64_t threads;                                                           \
+        const T *x_src;                                                            \
+        const double *wind_src;                                                    \
     };
 
 ARGS(int64_t, i64)
@@ -606,6 +613,10 @@ static int64_t await(const struct count *theirs, int64_t s) {
         const int64_t n = a->n, k = a->k;                                          \
         double *totals = a->totals;                                                \
         uint64_t t = a->t;                                                         \
+        if (a->x_src) {                                                            \
+            memcpy(a->x, a->x_src, n * sizeof(T));                                 \
+            memcpy(a->wind, a->wind_src, n * sizeof(double));                      \
+        }                                                                          \
         if (a->threads > 1 && n > 128 && NAME##_split(a, t, k, totals))            \
             return;                                                                \
         T moved[BLOCK] __attribute__((aligned(64)));                               \

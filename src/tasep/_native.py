@@ -64,14 +64,19 @@ def threads(n: int, k: int) -> int:
     return min(max_threads, _cpus())
 
 
-# The kernel's struct of run-call arguments (ARGS in _kernel.c) for positions of int64
-# ("i") and float64 ("f"): n, the key words k0 and k1, cut, the addresses of x, rr,
-# wind and disp, ring, seam, v, the address of obs and m, which are the run's own, then
-# the call's first step t, its step count k, the address of the totals (0 to keep none
-# of a one-step call's) and the threads it may split across.  Native layout ("@", "P" for
-# a pointer) lays the fields out as the C compiler does.  A call passes the packed bytes,
-# whose data CPython keeps 8-byte aligned, as its one c_char_p argument.
-ARGS = {"i": struct.Struct("@qQQQPPPPqqqPqQqPq"), "f": struct.Struct("@qQQQPPPPqddPqQqPq")}
+# The kernel's struct of run-call arguments (ARGS in _kernel.c), packed in two parts
+# whose bytes join into it.  OWN_ARGS, for positions of int64 ("i") and float64 ("f"),
+# holds a run's own fields, which it packs once: n, the key words k0 and k1, cut, the
+# address of rr, ring, seam, v, the address of obs and m.  CALL_ARGS holds a call's:
+# the addresses of x, wind and disp, its first step t, its step count k, the address of
+# the totals (0 to keep none of a one-step call's), the threads it may split across and
+# the addresses of the positions and windings it copies into x and wind before its
+# first step (0 and 0 to start from x and wind as they are).  Native layout ("@", "P"
+# for a pointer) lays the fields out as the C compiler does; every field is 8 bytes, so
+# the joined parts have no padding to miss.  A call passes the bytes, whose data CPython
+# keeps 8-byte aligned, as its one c_char_p argument.
+OWN_ARGS = {"i": struct.Struct("@qQQQPqqqPq"), "f": struct.Struct("@qQQQPqddPq")}
+CALL_ARGS = struct.Struct("@PPPQqPqPP")
 
 
 def bind(dll) -> dict:

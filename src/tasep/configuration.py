@@ -68,6 +68,9 @@ def _integer(name: str, v, lo: int, hi: float = math.inf) -> int:
 
 def _uint64(name: str, v) -> int:
     """v as an int when it is an integer in [0, 2**64) and not a bool; ValueError otherwise."""
+    # a plain int in range passes at once, as step() checks its time index on every call
+    if v.__class__ is int and 0 <= v < _UINT64:
+        return v
     return _integer(name, v, 0, _UINT64)
 
 
@@ -232,20 +235,24 @@ class Configuration(_Value):
         self._freeze(positions=pos, radii=rad, winding=wind)
 
     @classmethod
-    def _of_state(cls, source: "Configuration", positions, winding, terms) -> "Configuration":
+    def _of_state(cls, source: "Configuration", positions, winding, terms,
+                  step_chain=None) -> "Configuration":
         """A state the one-step map produced from the checked ``source``; it takes the
-        arrays ``positions`` and ``winding`` and makes them read-only in place.
+        read-only arrays ``positions`` and ``winding``.
 
         The map keeps every invariant ``__post_init__`` checks and admissibility (see
         ``_bounds``), and changes neither the geometry nor the radii, so the state shares
-        them, takes the run's bound terms and carries the admissible verdict.
+        them, takes the run's bound terms and carries the admissible verdict.  A state
+        that ``dynamics.step`` returns also keeps ``step_chain``, what the next step
+        from it may reuse; no other code reads it.
         """
         cfg = object.__new__(cls)
-        # _own's work written out: calling it made a loop of step() at 100 particles 9 % slower
-        positions.setflags(write=False)
-        winding.setflags(write=False)
+        # _own's work written out, the flags left to the caller: step() sets one flag on
+        # its rows for both arrays, where a setflags call per array cost a loop of step()
+        # at 100 particles several percent
         vars(cfg).update(geometry=source.geometry, radii=source.radii, _terms=terms,
-                         _admissible=True, positions=positions, winding=winding)
+                         _admissible=True, positions=positions, winding=winding,
+                         _step_chain=step_chain)
         return cfg
 
     @property

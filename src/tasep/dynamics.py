@@ -26,6 +26,7 @@ from .configuration import (
     Ring,
     _bounds,
     _integer,
+    _positive,
     _uint64,
     _UINT64,
     _Value,
@@ -46,6 +47,9 @@ __all__ = [
 _NO_BYTES = ctypes.c_char * 0
 # particles from which _Stepper places its arrays on cache lines (4 KB of positions)
 _ALIGNED_FROM = 512
+# what step() finds on a state no step() returned: no plan and no rows
+_NO_CHAIN = (None, None, 0, 0)
+_FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -172,6 +176,13 @@ def _kernel_rows(positions: np.ndarray, winding: np.ndarray, rr: np.ndarray):
     return rows, (base, base + step, base + 2 * step, base + 3 * step)
 
 
+def _float_view(row: np.ndarray) -> np.ndarray:
+    """A float64 row of _kernel_rows (the winding or the displacements) as float64: itself,
+    or its bits when the rows are int64."""
+    # a dtype instance spares view() a conversion that costs a step() call 2 %
+    return row if row.dtype.kind == "f" else row.view(_FLOAT64)
+
+
 def _tiled_obstacles(field: ObstacleField) -> np.ndarray:
     """Obstacles extended over the ring window [0, 2L) particles can occupy."""
     z = field.positions
@@ -190,82 +201,109 @@ def _next_obstacle(x: np.ndarray, tiled: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Stepper:
-    """The one-step map of one run, its input checked and invariants fixed once.
+class _Plan:
+    """What every step of one run repeats, checked and fixed once: the bound terms, the
+    jump and the coin cut in the run's dtype, the tiled obstacles and, when the fused
+    kernel is loaded, its function.
 
-    Owns the run's coins and its own copies of the positions ``x`` and the
-    winding ``wind``, which every step updates in place; ``disp`` holds the last
-    step's displacements.  Arithmetic is exact int64 when the configuration
-    is_lattice, the jump is integral and no obstacles are present, float64
-    otherwise.
+    Arithmetic is exact int64 when the configuration is_lattice, the jump is integral
+    and no obstacles are present, float64 otherwise.  Building a plan rejects a
+    mismatched field, a space="lattice" that rule does not allow and an inadmissible
+    configuration; the last check runs once per configuration.  A ``_Stepper`` holds
+    the plan of its run, and ``step`` keeps its plan on each state it returns.
     """
 
     def __init__(self, cfg: Configuration, params: ProcessParams, coins: CoinStream,
-                 field: ObstacleField | None = None) -> None:
+                 field: ObstacleField | None) -> None:
         if field is not None:
             if cfg.n and np.any(cfg.radii != 0):
                 raise ValueError("obstacle dynamics is defined for radius-0 particles")
             if field.geometry != cfg.geometry:
                 raise ValueError("obstacle field geometry must match the configuration")
-        rr, seam = cfg._terms
-        kind = rr.dtype.kind
+        terms = cfg._terms
+        kind = terms[0].dtype.kind
         if params.space == "lattice" and (kind != "i" or field is not None):
             raise ValueError("lattice process needs integral positions, ring length and "
                              "r_i + r_{i+1}, and no obstacle field")
         cfg._admissible  # rejects inadmissible input, once per configuration
         if kind == "i" and (field is not None or not float(params.v).is_integer()):
-            rr, seam, kind = rr.astype(np.float64), None if seam is None else float(seam), "f"
-            rr.setflags(write=False)
-        self.rr, self.seam = rr, seam
-        self.cfg = cfg
-        self.coins = coins
-        self._rows, addresses = _kernel_rows(cfg.positions, cfg.winding, rr)
-        self.x, self.wind = self._rows[0], self._float_row(2)
+            rr, seam = terms
+            terms, kind = (rr.astype(np.float64), None if seam is None else float(seam)), "f"
+            terms[0].setflags(write=False)
+        self.params, self.coins, self.field = params, coins, field
+        # the configuration's own terms unless the run converts them
+        self.terms = terms
+        self.rr, self.seam = terms
         self.v = int(params.v) if kind == "i" else float(params.v)
         # k * 2**-53 < p exactly when k < ceil(p * 2**53); the product is exact
         self.cut = math.ceil(params.p * 2**53)
         self.tiled = None if field is None else _tiled_obstacles(field)
-        # the run's own kernel arguments; the addresses stay valid, as the arrays live
-        # with the stepper and are never rebound
+        self.n = cfg.n
         fused = _native.kernel()
-        self._run = None
-        if fused is not None:
-            self._run = fused[kind if field is None else "obstacles"]
-            obs = (0, 0) if field is None else (self.tiled.ctypes.data, len(self.tiled))
-            self._pack = _native.ARGS[kind].pack
-            self._fixed = (len(self.x), *coins._key, self.cut, *addresses, seam is not None,
-                           seam or 0, self.v, *obs)
-        self._t = None  # the step the numpy word stream stands at
+        self.run = None if fused is None else fused[kind if field is None else "obstacles"]
 
-    def _float_row(self, i: int) -> np.ndarray:
-        """Row i of the stepper's rows as float64: the winding (2) or the displacements (3)."""
-        row = self._rows[i]
-        return row if row.dtype.kind == "f" else row.view(np.float64)
+    def own_args(self, rr_address: int) -> bytes:
+        """The run's own fields of the kernel's ARGS (_native.OWN_ARGS), its terms rr read
+        at rr_address; a call's fields follow them."""
+        obs = (0, 0) if self.tiled is None else (self.tiled.ctypes.data, len(self.tiled))
+        return _native.OWN_ARGS[self.rr.dtype.kind].pack(
+            self.n, *self.coins._key, self.cut, rr_address, self.seam is not None,
+            self.seam or 0, self.v, *obs)
+
+    @functools.cached_property
+    def step_args(self) -> bytes:
+        """The run's own fields of ARGS for step(), which reads rr where it lies."""
+        return self.own_args(self.rr.ctypes.data)
+
+
+class _Stepper:
+    """The one-step map of one run: its ``_Plan`` and its own rows.
+
+    Owns copies of the positions ``x`` and the winding ``wind``, which every step
+    updates in place; ``disp`` holds the last step's displacements.
+    """
+
+    def __init__(self, cfg: Configuration, params: ProcessParams, coins: CoinStream,
+                 field: ObstacleField | None = None) -> None:
+        self.plan = _Plan(cfg, params, coins, field)
+        self.cfg = cfg
+        # the addresses stay valid, as the rows live with the stepper and are never rebound
+        self._rows, (x, rr, wind, disp) = _kernel_rows(cfg.positions, cfg.winding,
+                                                       self.plan.rr)
+        self._own = None if self.plan.run is None else self.plan.own_args(rr)
+        self._addresses = x, wind, disp
+        self.x, self.wind = self._rows[0], _float_view(self._rows[2])
+        self._t = None  # the step the numpy word stream stands at
 
     @functools.cached_property
     def disp(self) -> np.ndarray:
         """The last step's displacements, in place in the stepper's rows."""
-        return self._float_row(3)
+        return _float_view(self._rows[3])
 
     def bounds(self) -> np.ndarray:
-        return _bounds(self.x, self.rr, self.seam)
+        return _bounds(self.x, self.plan.rr, self.plan.seam)
 
     def advance(self, words: np.ndarray) -> np.ndarray:
         """One synchronous update under 53-bit coin words; returns the displacements."""
-        x = self.x
-        target = np.minimum(x + self.v, self.bounds())
-        if self.tiled is not None:
-            target = np.minimum(target, _next_obstacle(x, self.tiled))
+        x, plan = self.x, self.plan
+        target = np.minimum(x + plan.v, self.bounds())
+        if plan.tiled is not None:
+            target = np.minimum(target, _next_obstacle(x, plan.tiled))
         # never move left: an ulp-scale overlap exposed by a window shift must not
         # turn into backward motion
         target = np.maximum(target, x)
-        moved = np.where(words < self.cut, target, x)
+        moved = np.where(words < plan.cut, target, x)
         np.subtract(moved, x, out=self.disp)
         self.wind += self.disp
-        if self.seam is not None and len(moved) and moved[0] >= self.seam:
-            moved -= self.seam
+        if plan.seam is not None and len(moved) and moved[0] >= plan.seam:
+            moved -= plan.seam
         x[...] = moved
         return self.disp
+
+    def args(self, t: int, k: int, totals: int, threads: int) -> bytes:
+        """The kernel's packed ARGS of a call of steps t .. t + k - 1 on the stepper's rows,
+        with the address of the totals (0 for none)."""
+        return self._own + _native.CALL_ARGS.pack(*self._addresses, t, k, totals, threads, 0, 0)
 
     def steps(self, t: int, totals: np.ndarray | None = None, threads: int = 1) -> None:
         """Steps t, t + 1, ..., one per entry of totals, each set to its step's total
@@ -278,12 +316,11 @@ class _Stepper:
         where the last one stopped.
         """
         k = 1 if totals is None else len(totals)
-        if self._run is not None:
-            self._run(self._pack(*self._fixed, t, k, 0 if totals is None else _address(totals),
-                                 threads))
+        if self.plan.run is not None:
+            self.plan.run(self.args(t, k, 0 if totals is None else _address(totals), threads))
             return
         if t != self._t:
-            self._words = self.coins._words(len(self.x), t)
+            self._words = self.plan.coins._words(len(self.x), t)
         for i, w in zip(range(k), self._words):
             disp = self.advance(w)
             if totals is not None:
@@ -291,9 +328,11 @@ class _Stepper:
         self._t = t + k
 
     def configuration(self) -> Configuration:
-        """The current state, on copies of the stepper's arrays."""
-        return Configuration._of_state(self.cfg, self.x.copy(), self.wind.copy(),
-                                       (self.rr, self.seam))
+        """The current state, on read-only copies of the stepper's arrays."""
+        x, wind = self.x.copy(), self.wind.copy()
+        x.setflags(write=False)
+        wind.setflags(write=False)
+        return Configuration._of_state(self.cfg, x, wind, self.plan.terms)
 
 
 def step(
@@ -308,12 +347,39 @@ def step(
     With static obstacles (``field``, point particles only) each particle also
     stops at the first obstacle strictly beyond it, so an obstacle costs
     exactly one step to pass.
+
+    The state comes back on fresh arrays, and ``cfg`` is only read: a loop of
+    ``step`` calls never writes into a state it returned before.  With the fused
+    kernel one call copies the input's rows into a fresh buffer and steps them
+    there.  A returned state keeps the step's ``_Plan`` and the addresses of its
+    own rows, so the next ``step`` under the same params, coins and field checks
+    nothing again and passes those rows to the kernel as they are.
     """
     t = _uint64("time index", t)
-    stepper = _Stepper(cfg, params, coins, field)
-    stepper.steps(t)
-    # the stepper ends here, so the state takes its arrays rather than copies
-    return Configuration._of_state(cfg, stepper.x, stepper.wind, (stepper.rr, stepper.seam))
+    if _native.kernel() is None:
+        stepper = _Stepper(cfg, params, coins, field)
+        stepper.steps(t)
+        return stepper.configuration()
+    plan, _, x_src, wind_src = vars(cfg).get("_step_chain") or _NO_CHAIN
+    # a plan serves the very params, coins and field it was built for, immutable values
+    if plan is None or not (params is plan.params and coins is plan.coins
+                            and field is plan.field):
+        plan = _Plan(cfg, params, coins, field)
+        # integral positions a float64 run takes are converted; the local keeps the copy
+        # alive through the kernel call
+        source = cfg.positions.astype(plan.rr.dtype, copy=False), cfg.winding
+        x_src, wind_src = source[0].ctypes.data, source[1].ctypes.data
+    n = plan.n
+    rows = np.empty((3, n), plan.rr.dtype)  # x, wind and disp, which nothing reads
+    x = _address(rows)
+    wind = x + 8 * n
+    plan.run(plan.step_args + _native.CALL_ARGS.pack(x, wind, wind + 8 * n, t, 1, 0, 1,
+                                                      x_src, wind_src))
+    # one flag makes both of the state's arrays read-only
+    rows.setflags(write=False)
+    # the chain holds the rows, so their addresses stay valid while it lives
+    return Configuration._of_state(cfg, rows[0], _float_view(rows[1]), plan.terms,
+                                   (plan, rows, x, wind))
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,14 +404,14 @@ class TrajectorySummary(_Value):
 
 
 def _summary(cfg: Configuration, stepper: _Stepper, totals, snaps) -> TrajectorySummary:
-    return TrajectorySummary(
-        steps=len(totals),
-        n_particles=cfg.n,
-        displacement=stepper.wind - cfg.winding,
-        step_total_displacement=totals,
-        snapshots=tuple(snaps),
-        final=snaps[-1][1],
-    )
+    """The run's summary as the constructor leaves it, built without it: the run's arrays
+    are float64 already, and the constructor's frozen field stores cost a 100-particle
+    run of 300 steps about 1 %."""
+    summary = object.__new__(TrajectorySummary)
+    summary._own(displacement=stepper.wind - cfg.winding, step_total_displacement=totals)
+    vars(summary).update(steps=len(totals), n_particles=cfg.n, snapshots=tuple(snaps),
+                         final=snaps[-1][1])
+    return summary
 
 
 def run(
@@ -360,14 +426,17 @@ def run(
 
     Snapshots are taken at t = 0, stride, 2*stride, ... and after the final
     step; ``snapshot_stride=None`` keeps only the initial and final states.
-    Every snapshot, the one at t = 0 included, has the run's dtype.
+    Every snapshot, the one at t = 0 included, has the run's dtype; the one at
+    t = 0 is ``cfg`` itself when ``cfg`` has that dtype and the run its terms.
     """
     steps = _integer("steps", steps, 1)
     if snapshot_stride is not None:
         snapshot_stride = _integer("snapshot stride", snapshot_stride, 1)
     stepper = _Stepper(cfg, params, _as_coins(coins_or_seed), field)
-    totals = np.zeros(steps)
-    snaps = [(0, stepper.configuration())]
+    totals = np.empty(steps)  # the kernel or the numpy stepper writes every entry
+    # a start in the run's dtype under its own terms is its own snapshot, as it is immutable
+    as_is = cfg.positions.dtype is stepper.x.dtype and stepper.plan.terms is cfg._terms
+    snaps = [(0, cfg if as_is else stepper.configuration())]
     stride = snapshot_stride or steps
     for t in range(0, steps, stride):
         chunk = totals[t:t + stride]
@@ -411,23 +480,24 @@ def coupled_run(
     gaps: n on a ring, n - 1 on a line.  The sides may differ in dtype, p and v.
     The fused kernel runs all the steps in one call and draws each coin word
     once for both sides; otherwise the sides advance step by step on one word
-    stream.  Each side has the bits of its own ``run``.
+    stream.  Each side has the bits of its own ``run``.  A displacement scale that
+    is not positive and finite raises ValueError before any step.
     """
     if cfg_a.n != cfg_b.n:
         raise ValueError("statically coupled runs need equal particle counts")
     steps = _integer("steps", steps, 1)
+    scale = float(_positive("displacement_scale", displacement_scale))
     coins = _as_coins(coins_or_seed)
     a, b = _Stepper(cfg_a, params_a, coins), _Stepper(cfg_b, params_b, coins)
     n = cfg_a.n
     # a line has no gap ahead of its last particle
     n_gaps = n if cfg_a.is_ring else max(n - 1, 0)
-    scale = float(displacement_scale)
     # rows: each side's step totals, then the gap and the displacement divergences
     out = np.zeros((4, steps))
-    if a._run is not None:
-        kinds = 2 * (a.rr.dtype.kind == "f") + (b.rr.dtype.kind == "f")
+    if a.plan.run is not None:
+        kinds = 2 * (a.plan.rr.dtype.kind == "f") + (b.plan.rr.dtype.kind == "f")
         # both sides' call arguments: steps 0 .. steps - 1, which the kernel reads from a's
-        a_args, b_args = (side._pack(*side._fixed, 0, steps, 0, 1) for side in (a, b))
+        a_args, b_args = (side.args(0, steps, 0, 1) for side in (a, b))
         _native.kernel()["coupled"](a_args, b_args, kinds, n_gaps, scale, _address(out))
     else:
         for t, w in zip(range(steps), coins._words(n)):

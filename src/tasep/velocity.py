@@ -38,6 +38,7 @@ __all__ = [
     "diagram_point",
     "estimate_velocity",
     "extend_obstacles",
+    "finite_ring_velocity",
     "fundamental_diagram",
     "initial_ring",
     "measure_distance",
@@ -46,6 +47,9 @@ __all__ = [
     "theoretical_velocity",
     "theoretical_velocity_obstacles",
 ]
+
+
+_sum = np.add.reduce  # numpy's pairwise sum, without ndarray.sum's method layer
 
 
 def _free_velocity(rho: float, p: float, v: float) -> float:
@@ -65,6 +69,39 @@ def theoretical_velocity(rho: float, p: float, v: float = 1.0, r: float = 0.0) -
     p, v = _probability("p", p), _positive("maximal jump v", v)
     rho_free = _free_density(rho, r)
     return 0.0 if rho_free == math.inf else _free_velocity(rho_free, p, v)
+
+
+def _log_binomial(n: int, k: int) -> float:
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def finite_ring_velocity(n_sites: int, n_particles: int, p: float) -> float:
+    """Exact stationary velocity V_L = p E[k] / N of N hard-core particles with jump 1 on
+    a lattice ring of L sites.
+
+    The stationary law of the ring is P(C) proportional to (1 - p)^(#11 in C), the
+    number of occupied neighbour pairs.  A ring with k clusters has N - k such pairs,
+    and (L/k) C(N-1, k-1) C(L-N-1, k-1) of its cyclic words have k clusters.  Only the
+    front particle of a cluster has an empty site ahead, so a step moves p E[k]
+    particles on average.  The sum runs in log space (math.lgamma and a shifted
+    exponential sum), so it is finite for rings of any size.  At p = 1 the law is the
+    limit p -> 1, all weight on the most clusters, min(N, L - N); a full ring (N = L)
+    does not move.  A jump v >= 2 ring is not covered.
+    """
+    L = _integer("n_sites", n_sites, 1)
+    N = _integer("n_particles", n_particles, 1, L + 1)
+    p = _probability("p", p)
+    k_max = min(N, L - N)
+    if k_max == 0:
+        return 0.0
+    if p == 1:
+        return k_max / N
+    log_q = math.log1p(-p)
+    log_w = [math.log(L / k) + _log_binomial(N - 1, k - 1) + _log_binomial(L - N - 1, k - 1)
+             + (N - k) * log_q for k in range(1, k_max + 1)]
+    top = max(log_w)
+    w = [math.exp(x - top) for x in log_w]
+    return p * math.fsum(k * x for k, x in enumerate(w, 1)) / math.fsum(w) / N
 
 
 def theoretical_velocity_obstacles(rho_particles: float, rho_extended: float, p: float) -> float:
@@ -134,14 +171,22 @@ def estimate_velocity(
     n = max(summary.n_particles, 1)
     if len(post) < batches:
         raise ValueError(f"{len(post)} post-burn-in steps cannot fill {batches} batches")
-    value = float(post.mean() / n)
-    # np.array_split's batches: the first r hold q + 1 steps, the rest q.  A row mean
-    # sums its contiguous row pairwise, as the mean of a 1-d chunk does, so the bits agree.
+    # Reductions and divides written out: ndarray.mean(x) is np.add.reduce(x) / len(x) and
+    # std(x, ddof=1) the root of np.add.reduce((x - mean) ** 2) / (len(x) - 1), with the
+    # same bits, but numpy's method layer costs more than the arithmetic at these sizes.
+    value = float(_sum(post) / len(post) / n)
+    # np.array_split's batches: the first r hold q + 1 steps, the rest q.  A row sum adds
+    # its contiguous row pairwise, as the sum of a 1-d chunk does, so the bits agree.
     q, r = divmod(len(post), batches)
     cut = r * (q + 1)
-    batch_means = np.concatenate((post[:cut].reshape(r, q + 1).mean(axis=1),
-                                  post[cut:].reshape(batches - r, q).mean(axis=1))) / n
-    stderr = float(batch_means.std(ddof=1) / math.sqrt(batches))
+    batch_means = _sum(post[cut:].reshape(batches - r, q), axis=1) / q
+    if r:
+        batch_means = np.concatenate((_sum(post[:cut].reshape(r, q + 1), axis=1) / (q + 1),
+                                      batch_means))
+    batch_means /= n
+    dev = batch_means - _sum(batch_means) / batches
+    dev *= dev
+    stderr = math.sqrt(_sum(dev) / (batches - 1)) / math.sqrt(batches)
     return VelocityEstimate(value, stderr, summary.n_particles, steps, burn_in)
 
 

@@ -472,6 +472,26 @@ class TestAdmissibleVerdict:
                     assert a is b or not np.shares_memory(a, b)
 
 
+def _state_bytes(cfg: Configuration) -> tuple[bytes, ...]:
+    return (cfg.positions.tobytes(), cfg.winding.tobytes(), cfg.radii.tobytes(),
+            cfg._terms[0].tobytes())
+
+
+class TestStepChain:
+    @pytest.mark.parametrize("name, backend", BACKEND_CASES, indirect=["backend"])
+    def test_a_step_chain_never_writes_into_an_earlier_state(self, name, backend):
+        """Every state of a 50-step loop, its start included, still has the bytes it had
+        when step returned it; the loop moves, so the check is not vacuous."""
+        cfg, params, field, _, seed = CASES[name]
+        coins = CoinStream(seed)
+        states, recorded = [cfg], [_state_bytes(cfg)]
+        for t in range(50):
+            states.append(step(states[-1], params, coins, t, field=field))
+            recorded.append(_state_bytes(states[-1]))
+        assert [_state_bytes(c) for c in states] == recorded
+        assert len({b[0] for b in recorded[1:]}) > 1
+
+
 class TestCoupledRun:
     def test_identical_configurations_identical_trajectories(self):
         cfg = ring(24.0, np.arange(8) * 3.0, 0.5)

@@ -29,7 +29,7 @@ from tasep import (
     run,
     step,
 )
-from tasep import _native
+from tasep import _native, dynamics
 from tasep.dynamics import _Stepper
 
 
@@ -481,9 +481,6 @@ COUPLED_PAIRS = {
                 ProcessParams(0.5, 2), ProcessParams(0.5, 2.5), 1.0),
     "line_n2": (Configuration(LINE, [0, 5], 0.0), Configuration(LINE, [1.0, 6.5], 0.2),
                 ProcessParams(0.5, 2), ProcessParams(0.5, 2.5), 1.0),
-    # NaN terms: every divergence is NaN, or NaN where a gap or a displacement is 0
-    "scale_nan": (LATTICE, LATTICE, ProcessParams(0.5, 1), ProcessParams(0.5, 1), math.nan),
-    "scale_inf": (LATTICE, LATTICE, ProcessParams(0.5, 1), ProcessParams(0.5, 1), math.inf),
     "p0": (*SEAM, ProcessParams(0.0, 1.5), ProcessParams(0.0, 1.5), 1.0),
     "p1": (*SEAM, ProcessParams(1.0, 1.5), ProcessParams(1.0, 1.5), 1.0),
 }
@@ -506,6 +503,31 @@ def test_coupled_kernel_equals_numpy(name, monkeypatch):
     fused, ref = _both_paths(monkeypatch, both)
     assert fused == ref
     assert fused[1:3] == fused[3:]
+
+
+# displacement scales coupled_run rejects: once comparison cases, whose NaN terms made
+# every divergence NaN
+BAD_SCALES = {"scale_nan": math.nan, "scale_inf": math.inf, "scale_-inf": -math.inf,
+              "scale_0": 0.0, "scale_negative": -2.0}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SCALES))
+def test_coupled_run_rejects_a_bad_scale_before_any_step(name, monkeypatch):
+    """On both paths a scale that is not positive and finite raises ValueError before a
+    stepper is built, so no step runs."""
+
+    def no_stepper(*args):
+        raise AssertionError("a stepper was built")
+
+    def rejected():
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_Stepper", no_stepper)
+            with pytest.raises(ValueError, match="displacement_scale"):
+                coupled_run(LATTICE, LATTICE, ProcessParams(0.5, 1), ProcessParams(0.5, 1), 60,
+                            CoinStream(11), BAD_SCALES[name])
+        return name
+
+    assert _both_paths(monkeypatch, rejected) == (name, name)
 
 
 def test_coupled_pairs_reach_what_they_name():
@@ -532,6 +554,30 @@ def test_coupled_pairs_reach_what_they_name():
     firsts = [float(c.positions[0]) for _, c in
               run(cfg_a, params_a, 60, CoinStream(11), snapshot_stride=1).snapshots]
     assert any(b < a for a, b in zip(firsts, firsts[1:]))
+
+
+def test_a_step_chain_that_changes_its_arguments_equals_numpy(monkeypatch):
+    """A step() chain reuses its plan only for the very params, coins and field it was
+    built for: equal but new objects, other values and other dtypes each take their own."""
+    cfg = Configuration(Ring(120), np.arange(0, 120, 3), 0.0)
+    field = ObstacleField(Ring(120), np.arange(1.0, 120.0, 7.0))
+    coins, other = CoinStream(5), CoinStream(6)
+    calls = [(ProcessParams(0.5, 1), coins, None), (ProcessParams(0.5, 1), coins, None),
+             (ProcessParams(0.5, 1), other, None), (ProcessParams(0.8, 2), other, None),
+             (ProcessParams(0.5, 1.5), coins, None), (ProcessParams(0.5, 1), coins, field),
+             (ProcessParams(0.5, 1), CoinStream(5), field)]
+
+    def walk():
+        state, out = cfg, []
+        for t in range(40):
+            params, stream, f = calls[t // 2 % len(calls)]
+            state = step(state, params, stream, t, field=f)
+            out.append((state.positions.dtype.str, state.positions.tobytes(),
+                        state.winding.tobytes()))
+        return out
+
+    fused, ref = _both_paths(monkeypatch, walk)
+    assert fused == ref
 
 
 def test_kernel_equals_numpy_on_a_stream_above_2_63(monkeypatch):
@@ -632,6 +678,24 @@ def test_default_clone_equals_numpy_with_deterministic_coins(p, default_clone, m
         return out + [_obstacle_bytes(cfg, ProcessParams(p, 2.5), field)]
 
     fused, ref = _both_paths(monkeypatch, runs)
+    assert fused == ref
+
+
+def test_default_clone_equals_numpy_on_step_chains(default_clone, monkeypatch):
+    # a step copies its input's rows into fresh ones inside the run function
+    def walk():
+        rng, out = np.random.default_rng(7), []
+        cases = [(*_ring(101, lattice, rng), None) for lattice in (True, False)]
+        cfg, field = _obstacle_ring(64, rng)
+        cases.append((cfg, ProcessParams(0.6, 1.5), field))
+        for cfg, params, field in cases:
+            state, coins = cfg, CoinStream(3)
+            for t in range(20):
+                state = step(state, params, coins, t, field=field)
+            out.append((state.positions.tobytes(), state.winding.tobytes()))
+        return out
+
+    fused, ref = _both_paths(monkeypatch, walk)
     assert fused == ref
 
 

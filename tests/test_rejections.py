@@ -21,6 +21,7 @@ from tasep import (
     ProcessParams,
     Ring,
     build_invariant_matrix,
+    coupled_run,
     decode_word,
     density,
     empirical_cylinder_frequency,
@@ -106,6 +107,12 @@ REJECTIONS = {
                                                  "sampled"), "n_particles"),
     "similarity at u = 0": (similarity_check, (RING, ProcessParams(0.5, 1.0), 0.0, 10, 0),
                             "scale factor u"),
+    "coupled run at scale 0": (coupled_run, (LATTICE, LATTICE, ProcessParams(0.5, 1),
+                                             ProcessParams(0.5, 1), 5, 0, 0.0),
+                               "displacement_scale=0.0 must be positive"),
+    "coupled run at a negative scale": (coupled_run, (LATTICE, LATTICE, ProcessParams(0.5, 1),
+                                                      ProcessParams(0.5, 1), 5, 0, -1.0),
+                                        "displacement_scale=-1.0 must be positive"),
     "two-part grid": (parse_grid, ("0.1:0.2",), "start:stop:step"),
     "grid with a nan step": (parse_grid, ("0.1:0.2:nan",), "bad grid"),
     "grid to infinity": (parse_grid, ("0.1:inf:0.1",), "bad grid"),
@@ -162,6 +169,9 @@ NON_FINITE = {
     "initial_ring.rho": (initial_ring, (X, 1.0, 0.0, 10), "density rho"),
     "scale_shift.u": (scale_shift, (RING, X, 0.0), "scale factor u"),
     "scale_shift.w": (scale_shift, (RING, 1.0, X), "must be finite"),
+    "coupled_run.displacement_scale": (coupled_run, (LATTICE, LATTICE, ProcessParams(0.5, 1),
+                                                     ProcessParams(0.5, 1), 5, 0, X),
+                                       "displacement_scale"),
 }
 
 

@@ -17,6 +17,7 @@ from tasep import (
     estimate_velocity,
     evenly_spaced_ring,
     extend_obstacles,
+    finite_ring_velocity,
     fundamental_diagram,
     run,
     similarity_check,
@@ -26,6 +27,58 @@ from tasep import (
 )
 from tasep.dynamics import TrajectorySummary
 from tasep.velocity import initial_ring, lattice_density, measure_distance
+
+
+class TestFiniteRingVelocity:
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
+    def test_equals_an_exhaustive_sum_over_cyclic_words(self, p):
+        """p E[clusters] / N with every cyclic word of L <= 12 sites weighted (1-p)^#11;
+        a cluster's front particle is an occupied site followed by an empty one."""
+        for L in range(1, 13):
+            bits = np.arange(2**L)[:, None] >> np.arange(L) & 1
+            ahead = np.roll(bits, -1, axis=1)
+            weight = (1 - p) ** (bits & ahead).sum(axis=1)
+            fronts = (bits & (1 - ahead)).sum(axis=1)
+            count = bits.sum(axis=1)
+            for N in range(1, L + 1):
+                w, k = weight[count == N], fronts[count == N]
+                exact = p * math.fsum(w * k) / math.fsum(w) / N
+                assert math.isclose(finite_ring_velocity(L, N, p), exact, rel_tol=1e-12), (L, N)
+
+    def test_is_finite_on_criterion_size_rings(self):
+        # a direct sum of weights overflows here: C(999, k-1)^2 passes 1e308 at k = 117
+        v = finite_ring_velocity(2000, 1000, 0.5)
+        assert math.isfinite(v) and 0 < v < 1
+        assert math.isfinite(finite_ring_velocity(10**4, 3000, 0.8))
+
+    def test_approaches_the_infinite_ring_as_one_over_n(self):
+        """0 < (V_L - V) N <= 0.3 with V the closed form at the realized density N/L.
+        Measured before the bound was set: (V_L - V) N rises to its limit from below
+        or falls to it from above, largest 0.2642 at L = 50, rho = 1/2, p = 0.99, and
+        0.3003 at L = 20 there; its limits lie between 0.0123 and 0.2476."""
+        for rho in (0.3, 0.5, 0.7):
+            for p in (0.3, 0.5, 0.8, 0.99):
+                for L in (50, 200, 1000, 5000):
+                    N = round(rho * L)
+                    scaled = (finite_ring_velocity(L, N, p)
+                              - theoretical_velocity(N / L, p, 1.0, 0.5)) * N
+                    assert 0 < scaled <= 0.3, (rho, p, L, scaled)
+
+    def test_p_one_is_the_limit_of_its_law(self):
+        for L, N in ((10, 3), (10, 5), (10, 7), (9, 9)):
+            assert finite_ring_velocity(L, N, 1.0) == min(N, L - N) / N
+            assert finite_ring_velocity(L, N, 1 - 1e-9) == pytest.approx(min(N, L - N) / N,
+                                                                         abs=1e-7)
+
+    @pytest.mark.parametrize("args, fragment", [((0, 1, 0.5), "n_sites"),
+                                                ((10, 0, 0.5), "n_particles"),
+                                                ((10, 11, 0.5), "n_particles"),
+                                                ((10.0, 3, 0.5), "n_sites"),
+                                                ((10, 3, 0.0), "movement probability"),
+                                                ((10, 3, math.nan), "movement probability")])
+    def test_bad_arguments_rejected(self, args, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            finite_ring_velocity(*args)
 
 
 class TestTheoreticalVelocity:
