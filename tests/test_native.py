@@ -153,7 +153,7 @@ def _ring(n, lattice, rng):
     return Configuration(Ring(L * 1.7), pos * 1.7, 0.3), ProcessParams(0.5, 1.25)
 
 
-# sizes around the 4-word coin blocks and the 8-lane and 128-element blocks of
+# sizes around the 8-coin Philox blocks and the 8-lane and 128-element blocks of
 # numpy's pairwise sum, which the reproducibility cases (n <= 120) do not reach, then
 # sizes around the split rule: just below, at and just above its particle count, one
 # that is not a multiple of 8, and 10^4
@@ -196,7 +196,9 @@ def test_split_rule(monkeypatch):
     assert _native.threads(10_000, 10_000) == 1
 
 
-@pytest.mark.parametrize("p", [0.0, 1.0, 1 - 2.0**-53])
+# p = 0, 1 and 1 - 2**-53 (cut 2**32) draw no words; 1 - 2**-32 has the largest cut
+# that draws, 2**-32 the cut 1 and 5e-324 the cut 1 too, moving only a coin of 0
+@pytest.mark.parametrize("p", [0.0, 1.0, 1 - 2.0**-53, 1 - 2.0**-32, 2.0**-32, 5e-324])
 def test_kernel_equals_numpy_on_a_line_at_edge_probabilities(p, monkeypatch):
     cfg = Configuration(LINE, np.cumsum(np.random.default_rng(3).uniform(0.5, 2.0, 50)),
                         np.random.default_rng(4).uniform(0.0, 0.25, 50))
@@ -493,9 +495,7 @@ def test_coupled_kernel_equals_numpy(name, monkeypatch):
     cfg_a, cfg_b, params_a, params_b, scale = COUPLED_PAIRS[name]
 
     def both():
-        # numpy warns of the NaN terms of an infinite scale; the kernel makes them silently
-        with np.errstate(invalid="ignore"):
-            res = coupled_run(cfg_a, cfg_b, params_a, params_b, 60, CoinStream(11), scale)
+        res = coupled_run(cfg_a, cfg_b, params_a, params_b, 60, CoinStream(11), scale)
         return (_coupled_bytes(res), _summary_bytes(res.a), _summary_bytes(res.b),
                 _summary_bytes(run(cfg_a, params_a, 60, CoinStream(11))),
                 _summary_bytes(run(cfg_b, params_b, 60, CoinStream(11))))
@@ -581,7 +581,7 @@ def test_a_step_chain_that_changes_its_arguments_equals_numpy(monkeypatch):
 
 
 def test_kernel_equals_numpy_on_a_stream_above_2_63(monkeypatch):
-    # numpy rounds such a key word through float64; the kernel uses the key numpy stores
+    # the kernel uses the key numpy stores, whose words are exact above 2**63 too
     coins = CoinStream(1, 2**63 + 5)
     cfg, params = _ring(100, True, np.random.default_rng(0))
     fused, ref = _both_paths(monkeypatch, lambda: (
@@ -706,11 +706,10 @@ def test_default_clone_equals_numpy_on_coupled_runs(default_clone, monkeypatch):
     def runs():
         out = [_coupled_bytes(coupled_run(cfg_a, cfg_b, params, params, 41 * 3 + 7,
                                           CoinStream(100)))]
-        with np.errstate(invalid="ignore"):
-            for name in sorted(COUPLED_PAIRS):
-                a, b, params_a, params_b, scale = COUPLED_PAIRS[name]
-                out.append(_coupled_bytes(coupled_run(a, b, params_a, params_b, 60,
-                                                      CoinStream(11), scale)))
+        for name in sorted(COUPLED_PAIRS):
+            a, b, params_a, params_b, scale = COUPLED_PAIRS[name]
+            out.append(_coupled_bytes(coupled_run(a, b, params_a, params_b, 60,
+                                                  CoinStream(11), scale)))
         return out
 
     fused, ref = _both_paths(monkeypatch, runs)

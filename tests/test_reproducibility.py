@@ -85,20 +85,20 @@ CASES = {
 
 # name -> digests of (final.positions, final.winding, step_total_displacement)
 RUN_DIGESTS = {
-    "lattice_ring": ("b5c67cfcdf47524d", "b3635aadbe79e4a8", "2ee6e040776ce1ff"),
-    "continuum_ring": ("9d79c5a1e178e282", "ada71768c740aa33", "0f65ab64571dcab9"),
-    "line_window": ("6a0a59f0b82d13f1", "9f35f72e47798128", "8eae3d06624e07c3"),
-    "integer_radius_0.3": ("f27f2ac8f2437cc6", "b029352310d0cfcb", "dbc26a6b43fa578d"),
-    "obstacles_continuum": ("564d27cec964c0e6", "fe4ca460c6c88b82", "ca760824692f289e"),
-    "obstacles_integer_ring": ("75b00e36bd701353", "c359369d40135075", "4be094fb0fd82fb8"),
+    "lattice_ring": ("ce1ea6055c5d2c2e", "bb4cb971d976c3dc", "3785a57e6148a732"),
+    "continuum_ring": ("a38283b8802251f7", "f8d882a3b3bc9147", "575bfce3176f6d56"),
+    "line_window": ("31df41584b7f4785", "eb4cfa6de9427ead", "a7e5b466b0486fed"),
+    "integer_radius_0.3": ("9f9a0dbda59c3c14", "9b7f3b0e01913abc", "6accd084421a0013"),
+    "obstacles_continuum": ("3135d303c5e2a281", "01e7a5df2614ba0e", "2944fc2cbae8fb10"),
+    "obstacles_integer_ring": ("90838460e0a88e8d", "60631eba7a1db745", "de781277d7ac1b95"),
 }
 
 # heterogeneous-radius ring coupled to its mean-radius conjugate: positions and
 # winding of both finals, both step-total series, then gap and displacement
 # divergences (rounding-level, so they pin the float arithmetic too)
 COUPLED_DIGESTS = (
-    "04663356b6d84f07", "f534a540a140cf83", "29f7871e7dff6739", "a55ca89c77dcbcff",
-    "b425059a04c1ce03", "50297106661b3181", "54aa354427e12cae", "5a7640c568f72dd9",
+    "42f7d4523c4a0194", "0b3654c8ebda98f3", "8d60e63ab186e428", "ee719039237b6b2d",
+    "7baa908b26d85940", "71639022dfea9163", "427f7a0662f9ea77", "ed7941fad2e5bb76",
 )
 
 
@@ -278,7 +278,7 @@ def test_measure_cylinder_csv_digest(tmp_path):
             "--max-len", "8"]
     assert main(argv) == 0
     data = (tmp_path / "cylinders.csv").read_bytes()
-    assert hashlib.sha256(data).hexdigest()[:16] == "9d7177bf10f62087"
+    assert hashlib.sha256(data).hexdigest()[:16] == "c8312002ce210086"
 
 
 def _sha(data: bytes) -> str:
@@ -319,39 +319,39 @@ def test_sample_ring_word_digests(name):
 def test_sample_ring_configuration_digest():
     cfg = sample_ring_configuration(0.3, 0.7, v=2.0, r=0.25, n_sites=500, seed=23,
                                     randomize_offset=True)
-    assert digest(cfg.positions) == "a4b8f7c537fb5237"
+    assert digest(cfg.positions) == "75894ca54dddd2a9"
 
 
 # argv -> {artifact: digest}
 CLI_DIGESTS = {
-    ("periodic-points", "--n", "12"): {"periodic_points.csv": "17134cecf2ec0765"},
-    ("periodic-points", "--n", "24"): {"periodic_points.csv": "2fd7eacc2831851f"},
+    ("periodic-points", "--n", "12"): {"periodic_points.csv": "a9021ce30d426633"},
+    ("periodic-points", "--n", "24"): {"periodic_points.csv": "8e840cadd37a063e"},
     ("measure", "sample", "--rho", "0.35", "--p", "0.6", "--sites", "1000", "--seed", "7"):
-        {"sample.csv": "d6fcbc483f61a3f7"},
+        {"sample.csv": "e7f7523ae03bb81b"},
     ("measure", "sample", "--rho", "0.3", "--p", "0.7", "--v", "2", "--r", "0.25",
      "--sites", "500", "--seed", "8", "--configuration", "--randomize-offset"):
-        {"sample.csv": "59834c4559221c7f"},
+        {"sample.csv": "5c550e9f39f2c326"},
     ("simulate", "--ring", "100", "--particles", "50", "--p", "0.5", "--v", "1", "--r", "0.5",
      "--steps", "60", "--seed", "7", "--snapshot-stride", "20"):
-        {"trajectory.csv": "7e01a19056d5456d", "velocity.csv": "bf96d7becfdfdc37"},
+        {"trajectory.csv": "6e491b5a912fb043", "velocity.csv": "694c87a50280c3d8"},
     ("simulate", "--ring", "150", "--particles", "60", "--p", "0.6", "--v", "1.5",
      "--r", "0.25", "--steps", "60", "--seed", "8", "--snapshot-stride", "20"):
-        {"trajectory.csv": "6c2d8d6495df2f5d", "velocity.csv": "06f01069ad151819"},
+        {"trajectory.csv": "ef46960707ba5e0b", "velocity.csv": "5501ce06e8342d86"},
     ("verify-invariance", "--rho", "0.35", "--p", "0.6", "--max-len", "6"):
-        {"invariance.csv": "a631ba5286cfb765"},
+        {"invariance.csv": "e3e0531c63a8aa30"},
     ("verify-invariance", "--rho", "0.3", "--p", "1", "--max-len", "6"):
-        {"invariance.csv": "9679f8b580c7ff82"},
+        {"invariance.csv": "13851871c1291a89"},
     ("fundamental-diagram", "--rho", "0.2:0.4:0.1", "--p", "0.8", "--v", "1", "--r", "0.5",
-     "--particles", "200", "--steps", "300", "--seed", "11"): {"fd.csv": "963c8c443f6fcad6"},
+     "--particles", "200", "--steps", "300", "--seed", "11"): {"fd.csv": "2a531e19433c4830"},
     ("couple-check", "--mode", "heterogeneous", "--rho", "0.3", "--p", "0.7",
-     "--particles", "60", "--steps", "50", "--seed", "4"): {"couple.csv": "aba30f92f14b2262"},
+     "--particles", "60", "--steps", "50", "--seed", "4"): {"couple.csv": "d668756ea3287c58"},
     ("obstacles", "--ring", "100", "--rho-x", "0.25", "--count", "40", "--p", "0.5",
-     "--v", "1", "--steps", "400", "--seed", "1"): {"obstacles.csv": "611505d94880a86e"},
+     "--v", "1", "--steps", "400", "--seed", "1"): {"obstacles.csv": "164987915544a02f"},
     ("stability-sweep", "--rho", "0.5", "--v", "1", "--r", "0", "--p-list", "0.9,1.0",
-     "--particles", "100", "--steps", "100", "--seed", "2"): {"sweep.csv": "1ca0d306388faf7e"},
-    ("measure", "matrix", "--rho", "0.35", "--p", "0.6"): {"matrix.csv": "350a664af2c01835"},
+     "--particles", "100", "--steps", "100", "--seed", "2"): {"sweep.csv": "9a5db741308e2928"},
+    ("measure", "matrix", "--rho", "0.35", "--p", "0.6"): {"matrix.csv": "53a5708194c20d6d"},
     ("periodic-points", "--count-only", "--n", "100"):
-        {"periodic_counts.csv": "c3d819cca39b616b"},
+        {"periodic_counts.csv": "a3f51a6d8a520f61"},
 }
 
 
