@@ -26,6 +26,7 @@ from .configuration import (
     ProcessParams,
     Ring,
     _integer,
+    _nonnegative,
     radius_conjugate,
     write_configuration_csv,
 )
@@ -267,7 +268,7 @@ def _cmd_obstacles(args) -> int:
 
 
 def _cmd_couple_check(args) -> int:
-    tol = args.tol
+    tol = _nonnegative("tolerance tol", args.tol)
     coins = CoinStream(args.seed)
     rng = np.random.default_rng(args.seed)
     if args.mode == "radius":

@@ -526,9 +526,8 @@ def even_lattice_ring(n_sites: int, n_particles: int, radius: float = 0.5) -> Co
     """Lattice ring with n particles spread as evenly as integer sites allow."""
     n_sites = _integer("n_sites", n_sites, 1)
     n_particles = _integer("n_particles", n_particles, 0, n_sites + 1)
-    j = np.arange(n_sites, dtype=np.int64)
-    occupied = (j + 1) * n_particles // n_sites > j * n_particles // n_sites
-    pos = j[occupied]
+    # particle m takes the first site j with (j + 1) * n // n_sites > m
+    pos = (np.arange(1, n_particles + 1, dtype=np.int64) * n_sites - 1) // n_particles
     return Configuration(Ring(n_sites), pos, np.full(len(pos), float(radius)))
 
 

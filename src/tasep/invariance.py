@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice, product
 from operator import attrgetter
-from typing import IO, Callable
+from typing import IO, Callable, NamedTuple
 
 import numpy as np
 
 from ._rows import write_rows
-from .configuration import _integer, _probability
+from .configuration import _integer, _nonnegative, _probability
 from .measures import MarkovMatrix, WeightedAutomaton, all_words, markov_automaton
 
 __all__ = [
@@ -71,8 +71,11 @@ def one_step_cylinder_pushforward(m: MarkovMatrix, word: str, p: float) -> float
     return _image_automaton(m, p).weight(word)
 
 
-@dataclass(frozen=True)
-class CylinderComparison:
+class CylinderComparison(NamedTuple):
+    """One cylinder's measure and its one-step image measure.  A report holds
+    up to 8190 rows, and a named tuple builds in under half the time of a
+    frozen dataclass."""
+
     word: str
     mu: float
     mu_pushed: float
@@ -98,10 +101,14 @@ class PushforwardReport:
 def verify_invariance(
     m: MarkovMatrix, p: float, max_length: int, tol: float = 1e-10
 ) -> PushforwardReport:
-    """Compare mu and its one-step image on every cylinder up to max_length."""
+    """Compare mu and its one-step image on every cylinder up to max_length;
+    the measure is stationary when no cylinder differs by more than ``tol``,
+    a finite tolerance of at least 0."""
+    _nonnegative("tolerance tol", tol)
     mu = markov_automaton(m).table(max_length)
     pushed = _image_automaton(m, p).table(max_length)
-    rows = tuple(map(CylinderComparison, all_words(max_length), mu.tolist(), pushed.tolist()))
+    rows = tuple(map(CylinderComparison._make,
+                     zip(all_words(max_length), mu.tolist(), pushed.tolist())))
     err = np.abs(pushed - mu)
     k = int(err.argmax())  # the first largest
     worst = float(err[k])

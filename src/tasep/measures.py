@@ -51,13 +51,18 @@ _SITE_CHUNK = 4096  # sites per whole-array pass of sample_ring_word
 
 
 def _extended(n: int, pairs):
-    """The words of length n whose adjacent pairs all lie in ``pairs``, in
-    lexicographic order: each length extends the previous one by 0, then 1,
-    through chained generators that never hold a whole length in memory."""
-    words = iter(("0", "1"))
+    """The lists of words of lengths 1..n whose adjacent pairs all lie in
+    ``pairs``, each in lexicographic order.  Each length extends the words of the
+    one before by the letters its follow table allows after their last letter,
+    0 before 1, so one pass lists every length on the way to n."""
+    if n < 1:
+        return
+    follow = {a: [b for b in "01" if a + b in pairs] for a in "01"}
+    words = ["0", "1"]
+    yield words
     for _ in range(n - 1):
-        words = (w + a for w in words for a in "01" if w[-1] + a in pairs)
-    return words
+        words = [w + b for w in words for b in follow[w[-1]]]
+        yield words
 
 
 def _words(n: int, pairs, closing):
@@ -65,24 +70,24 @@ def _words(n: int, pairs, closing):
     closing pair w[-1] + w[0] lies in ``closing``, in lexicographic order.
 
     From 6 letters on, where it is the faster, a word is a head of n - n//2
-    letters and a tail of n//2: the tails are listed once, by the head letter
-    they may follow and the letter they close to, and each head is extended by
-    its list.  The stream holds one tail table, never a whole length."""
+    letters and a tail of n//2, both lengths of one pass of ``_extended``: the
+    tails are sorted once by the head letter they may follow and the letter they
+    close to, and each head is extended by its list.  The stream holds the
+    lengths up to n - n//2, never a whole length n."""
     if n < 6:
-        return (w for w in _extended(n, pairs) if w[-1] + w[0] in closing)
-    tails = list(_extended(n // 2, pairs))
+        *_, words = _extended(n, pairs)
+        return (w for w in words if w[-1] + w[0] in closing)
+    lengths = list(_extended(n - n // 2, pairs))
+    tails = lengths[n // 2 - 1]
     table = {(a, b): [t for t in tails if a + t[0] in pairs and t[-1] + b in closing]
              for a in "01" for b in "01"}
-    return chain.from_iterable(map(h.__add__, table[h[-1], h[0]])
-                               for h in _extended(n - n // 2, pairs))
+    return chain.from_iterable(map(h.__add__, table[h[-1], h[0]]) for h in lengths[-1])
 
 
 def all_words(max_length: int):
     """Every 0/1 word of length 1..max_length, shortest first, each length in
-    lexicographic order; ``_words`` with all four pairs."""
-    pairs = {"00", "01", "10", "11"}
-    for n in range(1, max_length + 1):
-        yield from _words(n, pairs, pairs)
+    lexicographic order: the lengths of one ``_extended`` pass with all four pairs."""
+    return chain.from_iterable(_extended(max_length, {"00", "01", "10", "11"}))
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,26 +105,28 @@ class WeightedAutomaton(_Value):
                   transfer=np.asarray(self.transfer, dtype=np.float64))
 
     def _levels(self, blocks):
-        """State weights after each block of letters; [T[0] | T[1]] extends every
-        word by 0, then by 1.  Elementwise products and sums in state order give
-        a word the same bits alone and in a table, which matmul need not."""
-        rows = self.initial[None]
+        """State weights after each block of letters, one row per state and one
+        column per word.  A block t[i, j, a] extends every word by each of its
+        letters a, in order: one product over (from, to, letter, word) and one
+        sum over the from-states.  numpy adds along an axis that is not the
+        innermost term by term, in index order, so a word gets the same bits
+        alone and in a table, which matmul need not."""
+        cols = self.initial[:, None]
         for t in blocks:
-            out = rows[:, :1] * t[0]
-            for j in range(1, len(t)):
-                out += rows[:, j : j + 1] * t[j]
-            rows = out.reshape(-1, len(self.initial))
-            yield rows
+            out = np.add.reduce(t[..., None] * cols[:, None, None], axis=0)  # (to, letter, word)
+            # word w extended by letter a becomes column k * w + a: lexicographic order
+            cols = out.transpose(0, 2, 1).reshape(len(cols), -1)
+            yield cols
 
     def weight(self, word: str) -> float:
-        *_, rows = self._levels(self.transfer[:, int(ch)] for ch in validate_word(word))
-        return float(sum(rows[0]))
+        *_, cols = self._levels(self.transfer[:, int(ch), :, None] for ch in validate_word(word))
+        return float(sum(cols[:, 0]))
 
     def table(self, max_length: int) -> np.ndarray:
         """Weights of every word of length 1..max_length, in ``all_words`` order."""
         max_length = _integer("max_length", max_length, 1, 13)  # the table holds every word
-        both = self.transfer.reshape(len(self.initial), -1)
-        return np.concatenate([sum(rows.T) for rows in self._levels([both] * max_length)])
+        both = self.transfer.transpose(0, 2, 1)
+        return np.concatenate([sum(cols) for cols in self._levels([both] * max_length)])
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("rho, p, tol, verdict", [
         ("0.35", "0.6", "1e-10", "stationary:"),
         ("0.7", "1", "1e-10", "stationary:"),
-        ("0.35", "0.6", "-1", "NON-STATIONARY:"),
+        # a tolerance of 0 fails on the last bits of rounding
+        ("0.35", "0.6", "0", "NON-STATIONARY:"),
     ])
     def test_verify_invariance_prints_the_worst_cylinder(self, tmp_path, capsys,
                                                           rho, p, tol, verdict):
@@ -98,9 +99,10 @@ class TestExitCodes:
         assert not (tmp_path / "obstacles.csv").exists()
 
     def test_couple_check_failure_is_three(self, tmp_path):
-        code = main(["--outdir", str(tmp_path), "couple-check", "--mode", "radius",
+        # heterogeneous radii diverge by rounding only (2.8e-14 here), which tol = 0 fails
+        code = main(["--outdir", str(tmp_path), "couple-check", "--mode", "heterogeneous",
                      "--rho", "0.3", "--p", "0.6", "--particles", "50",
-                     "--steps", "20", "--tol", "-1"])
+                     "--steps", "20", "--tol", "0"])
         assert code == 3
 
 

@@ -20,6 +20,7 @@ from tasep import (
     decode_word,
     density,
     encode_word,
+    even_lattice_ring,
     evenly_spaced_ring,
     gaps,
     radius_conjugate,
@@ -336,6 +337,16 @@ class TestConfigurationInvariants:
         cfg = evenly_spaced_ring(100, 0.4, radius=0.5)
         assert density(cfg) == pytest.approx(0.4, abs=1e-15)
         assert check_admissible(cfg).ok
+
+    def test_even_lattice_ring_equals_the_per_site_rule(self):
+        # the reference: site j holds a particle when (j + 1) n // L steps past j n // L
+        for n_sites in range(1, 201):
+            j = np.arange(n_sites, dtype=np.int64)
+            for n in range(n_sites + 1):
+                cfg = even_lattice_ring(n_sites, n)
+                want = j[(j + 1) * n // n_sites > j * n // n_sites]
+                assert cfg.positions.dtype == np.int64
+                assert np.array_equal(cfg.positions, want), (n_sites, n)
 
 
 class TestCsv:

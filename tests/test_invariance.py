@@ -22,7 +22,7 @@ from tasep import (
     parry_matrix,
     verify_invariance,
 )
-from tasep.invariance import write_pushforward_csv
+from tasep.invariance import CylinderComparison, _image_automaton, write_pushforward_csv
 from tasep.measures import TransitionStructure, markov_automaton
 
 
@@ -136,6 +136,50 @@ class TestCylinderTable:
         for row in verify_invariance(m, p, 8).rows:
             assert cylinder_measure(m, row.word) == row.mu
             assert one_step_cylinder_pushforward(m, row.word, p) == row.mu_pushed
+
+    def test_tables_equal_the_state_order_loop(self):
+        # the reference adds each state's term in turn, in state order, with elementwise
+        # products and sums only; a numpy change to its reduction order fails here
+        def loop_table(a, n):
+            both = a.transfer.reshape(len(a.initial), -1)
+            rows, out = a.initial[None], []
+            for _ in range(n):
+                level = rows[:, :1] * both[0]
+                for j in range(1, len(both)):
+                    level += rows[:, j : j + 1] * both[j]
+                rows = level.reshape(-1, len(a.initial))
+                out.append(sum(rows.T))
+            return np.concatenate(out)
+
+        rng = np.random.default_rng(25)
+        for k in range(100):
+            rho, p = rng.uniform(0.02, 0.98), 1.0 if k % 10 == 0 else rng.uniform(0.02, 1)
+            m = build_invariant_matrix(rho, p)
+            for a in (markov_automaton(m), _image_automaton(m, p)):
+                want = loop_table(a, 10)
+                for n in range(1, 11):
+                    assert a.table(n).tobytes() == want[: 2 ** (n + 1) - 2].tobytes(), (rho, p, n)
+
+
+class TestReportValues:
+    def test_cylinder_comparison_surface(self):
+        row = CylinderComparison("011", 0.25, 0.75)
+        assert CylinderComparison._fields == ("word", "mu", "mu_pushed")
+        assert (row.word, row.mu, row.mu_pushed) == tuple(row) == ("011", 0.25, 0.75)
+        assert row.abs_err == 0.5
+        with pytest.raises(AttributeError):
+            row.mu = 0.5
+        assert row == CylinderComparison("011", 0.25, 0.75)
+        assert hash(row) == hash(CylinderComparison("011", 0.25, 0.75))
+
+    def test_reports_compare_by_value(self):
+        m = build_invariant_matrix(0.4, 0.6)
+        report = verify_invariance(m, 0.6, 5)
+        assert type(report.rows) is tuple
+        assert all(type(row) is CylinderComparison for row in report.rows)
+        assert report == verify_invariance(m, 0.6, 5)
+        assert report != verify_invariance(m, 0.6, 4)
+        assert report != verify_invariance(m, 0.6, 5, tol=1e-3)
 
 
 class TestVerifyInvariance:

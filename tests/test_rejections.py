@@ -39,6 +39,7 @@ from tasep import (
     similarity_check,
     theoretical_velocity,
     theoretical_velocity_obstacles,
+    verify_invariance,
 )
 from tasep.cli import main, parse_grid
 from tasep.measures import lattice_density
@@ -48,6 +49,7 @@ RING = Configuration(Ring(10.0), [0.0, 2.5, 5.0], 0.0)
 LATTICE = Configuration(Ring(10), np.array([0, 3, 6]), 0.5)
 FIELD = ObstacleField(Ring(10.0), [1.0, 6.0])
 HALF = MarkovMatrix.bernoulli(0.5)
+STATIONARY = build_invariant_matrix(0.3, 0.5)
 
 REJECTIONS = {
     "unknown space tag": (ProcessParams, (0.5, 1.0, "grid"), "unknown space tag"),
@@ -84,6 +86,8 @@ REJECTIONS = {
                                 ObstacleField(LINE, [1.0])), "geometry must match"),
     "pushforward at p = 0": (one_step_cylinder_pushforward, (HALF, "1", 0.0),
                              "movement probability"),
+    "negative verification tolerance": (verify_invariance, (STATIONARY, 0.5, 4, -1.0),
+                                        "tolerance tol=-1.0 must be nonnegative"),
     "matrix entry": (MarkovMatrix, (1.5, -0.5, 0.5, 0.5), "entry p00=1.5 outside"),
     "matrix row sum": (MarkovMatrix, (0.5, 0.4, 0.5, 0.5), "rows must sum to 1"),
     "matrix movement_p": (MarkovMatrix, (0.5, 0.5, 0.5, 0.5, 0.0), "movement_p"),
@@ -127,19 +131,28 @@ def test_rejected(call, args, fragment):
 
 
 # the CLI's domain error: exit status 2 and one line on stderr, never a traceback
+SIMULATE = ["simulate", "--steps", "5", "--particles", "10"]
+VERIFY = ["verify-invariance", "--rho", "0.3", "--p", "0.5", "--max-len", "4"]
+COUPLE = ["couple-check", "--mode", "radius", "--particles", "20", "--steps", "5"]
 CLI_REJECTIONS = {
-    "simulate on a ring of length 0": (["simulate", "--ring", "0", "--particles", "10"],
+    "simulate on a ring of length 0": ([*SIMULATE, "--ring", "0"],
                                        "ring circumference=0.0 must be positive"),
-    "simulate on a negative ring": (["simulate", "--ring", "-5", "--particles", "10"],
+    "simulate on a negative ring": ([*SIMULATE, "--ring", "-5"],
                                     "ring circumference=-5.0 must be positive"),
-    "simulate on a nan ring": (["simulate", "--ring", "nan", "--particles", "10"],
+    "simulate on a nan ring": ([*SIMULATE, "--ring", "nan"],
                                "ring circumference=nan must be positive"),
+    "verify-invariance at a nan tolerance": ([*VERIFY, "--tol", "nan"], "tolerance tol=nan"),
+    "verify-invariance at a negative tolerance": ([*VERIFY, "--tol", "-1"],
+                                                  "tolerance tol=-1.0"),
+    "couple-check at a nan tolerance": ([*COUPLE, "--tol", "nan"], "tolerance tol=nan"),
+    "couple-check at a negative tolerance": ([*COUPLE, "--tol", "-1"], "tolerance tol=-1.0"),
+    "couple-check at an infinite tolerance": ([*COUPLE, "--tol", "inf"], "tolerance tol=inf"),
 }
 
 
 @pytest.mark.parametrize("argv, fragment", CLI_REJECTIONS.values(), ids=CLI_REJECTIONS.keys())
 def test_cli_rejected(argv, fragment, tmp_path, capsys):
-    assert main(["--outdir", str(tmp_path), *argv, "--steps", "5"]) == 2
+    assert main(["--outdir", str(tmp_path), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("domain error: ") and fragment in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
@@ -172,6 +185,7 @@ NON_FINITE = {
     "coupled_run.displacement_scale": (coupled_run, (LATTICE, LATTICE, ProcessParams(0.5, 1),
                                                      ProcessParams(0.5, 1), 5, 0, X),
                                        "displacement_scale"),
+    "verify_invariance.tol": (verify_invariance, (STATIONARY, 0.5, 4, X), "tolerance tol"),
 }
 
 
@@ -196,3 +210,5 @@ def test_finite_arguments_still_accepted():
     assert even_lattice_ring(np.int64(10), np.int32(3)).n == 3
     assert evenly_spaced_ring(np.int64(4), 0.5).n == 4
     assert initial_ring(0.5, 1, 0.5, np.int64(10))[0].n == 10
+    # a tolerance of 0 asks for exact agreement
+    assert verify_invariance(STATIONARY, 0.5, 4, 0.0).tolerance == 0.0
