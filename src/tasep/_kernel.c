@@ -26,6 +26,18 @@
    and moved positions stay in L1 cache, in the run function's own stack
    buffers of BLOCK entries.
 
+   An int64 run adds each step's displacements up as integers in pass 1 and
+   takes that sum, as a double, for the step's total.  Every displacement is
+   an integer in [0, v], so when n v <= 2**53 every partial sum that pairwise
+   forms is an integer of at most 2**53, which a double holds exactly, and
+   pairwise's total is the integer sum bit for bit.  Each call checks
+   n v <= 2**53 once (integer_totals) and sums pairwise past it, so the bits
+   hold for any v.  With integer totals nothing reads a step's disp row but
+   _Stepper.disp and step(), which read the last one, so the call writes the
+   row on its last step only; earlier steps put each block's displacements in
+   a stack buffer of BLOCK entries, which stays in L1 cache.  The float64 runs
+   need the displacements' values for pairwise, and always write the row.
+
    A coupled call (tasep_coupled) steps two runs of n particles under one key
    block by block: it draws each block's words once and hands them to both
    runs' block step, the one a run call takes.  After each block it takes the
@@ -41,31 +53,33 @@
    recursion over n splits a node of more than 128 elements, so a multiple of
    8.  It starts at the top split, n/2 rounded down to a multiple of 8, and
    every ROUND steps moves toward the point where both threads take equally
-   long, as the two CPUs need not run equally fast.  Each thread sums the
-   children on the path from the root to c's node that lie in its range
-   (tree_part), and the caller adds them up in pairwise's order (tree_sum), so
-   the step's total has the bits of pairwise over all n.  A multiple of 8
-   particles is whole Philox blocks and, as _Stepper aligns x, disp and wind
-   to 64 bytes, whole cache lines, so the threads never write one line.
+   long, as the two CPUs need not run equally fast.  In a float64 run each
+   thread sums the children on the path from the root to c's node that lie in
+   its range (tree_part), and the caller adds them up in pairwise's order
+   (tree_sum), so the step's total has the bits of pairwise over all n; with
+   integer totals each thread puts out its integer sum and the caller adds
+   the two.  A multiple of 8 particles is whole Philox blocks and, as _Stepper
+   aligns x, disp and wind to 64 bytes, whole cache lines, so the threads never
+   write one line.
 
    Step s of a thread needs positions that the other thread moved, as they
    stood when the step began: the caller needs x[c] for its last particle's
    bound, and the helper x[0] and x[1], for its last particle's bound and for
    particle 0's move, which decides the seam wrap (the helper repeats pass 1
-   on particle 0 alone, with half 0 of Philox block 0).  Each thread moves the
-   block holding its boundary first and then puts those positions out, raising a
-   count (say); the other waits on that count (await) only when it needs
-   them, the helper at the start of its step and the caller at its last 8
-   particles.  So neither thread waits on the other at every step, and
-   either may run up to a step ahead: the caller adds up step s - 1's total
-   after its step s, once the helper's count of finished steps shows its
-   sums.  Positions, sums and splits go out in slots by step modulo RING,
-   more slots than steps the threads can be apart, so a slot is not written
-   again before it has been read.  A new split moves particles between the
-   threads, so both finish the step before it first; the caller sets each
-   split three steps ahead, so that the thread moving particle c the step
-   before knows to put x[c] out.  A waiting thread spins while the other runs
-   on another CPU and yields when the two share one; the helper starts on
+   on particle 0 alone, with half 0 of Philox block 0, into none of its rows
+   or sums).  Each thread moves the block holding its boundary first and then
+   puts those positions out, raising a count (say); the other waits on that
+   count (await) only when it needs them, the helper at the start of its step
+   and the caller at its last 8 particles.  So neither thread waits on the
+   other at every step, and either may run up to a step ahead: the caller adds
+   up step s - 1's total after its step s, once the helper's count of finished
+   steps shows its sums.  Positions, sums and splits go out in slots by step
+   modulo RING, more slots than steps the threads can be apart, so a slot is
+   not written again before it has been read.  A new split moves particles
+   between the threads, so both finish the step before it first; the caller
+   sets each split three steps ahead, so that the thread moving particle c the
+   step before knows to put x[c] out.  A waiting thread spins while the other
+   runs on another CPU and yields when the two share one; the helper starts on
    another CPU than the caller's, as a new thread is often placed beside the
    thread that made it.
 
@@ -284,14 +298,17 @@ static inline __attribute__((always_inline)) void words(uint32_t *restrict w, in
    coins, or is NULL when the cut decides every coin (see draws), so a step
    that draws no coins reads none.  It is always inlined, so it compiles for
    each clone's target, and its restrict parameters tell the compiler that the
-   arrays do not overlap. */
-#define PASS1(NAME, T, OBS)                                                        \
+   arrays do not overlap.  The int64 instantiation (EXACT) also adds the
+   block's displacements into *sump, as integers; it wraps modulo 2**64 where
+   the sum is not used (see integer_totals). */
+#define PASS1(NAME, T, OBS, EXACT)                                                 \
     static inline __attribute__((always_inline)) void NAME(                        \
         int64_t len, const T *restrict x, T next, const T *restrict rr,            \
         const uint32_t *restrict w, int64_t cut, T v, const double *restrict obs,  \
         int64_t m, int64_t *jp, T *restrict moved, double *restrict disp,          \
-        double *restrict wind) {                                                   \
+        double *restrict wind, uint64_t *restrict sump) {                          \
         int64_t j = *jp;                                                           \
+        uint64_t sum = 0;                                                          \
         for (int64_t i = 0; i < len; i++) {                                        \
             T bound = (i + 1 < len ? x[i + 1] : next) - rr[i];                     \
             T target = x[i] + v;                                                   \
@@ -316,23 +333,30 @@ static inline __attribute__((always_inline)) void words(uint32_t *restrict w, in
             moved[i] = to;                                                         \
             disp[i] = (double)d;                                                   \
             wind[i] += (double)d;                                                  \
+            if (EXACT)                                                             \
+                sum += (uint64_t)d;                                                \
         }                                                                          \
         *jp = j;                                                                   \
+        if (EXACT)                                                                 \
+            *sump += sum;                                                          \
     }
 
 /* The block [b, e) of a step of the run a on its coins w (NULL when it draws
    none): pass 1 into moved, then pass 2 back into x.  next is the position
    after particle e - 1 as the step began and wrap whether the step wraps at
    the seam, which block 0 decides; *jp is the obstacle merge walk's index.
-   Returns wrap. */
+   The displacements go to the disp row, or to scratch when it is not NULL,
+   and the int64 run adds them into *sump.  Returns wrap. */
 #define BLOCK_STEP(NAME, T, SUFFIX)                                                \
     static inline __attribute__((always_inline)) int NAME##_block(                 \
         const struct tasep_args_##SUFFIX *a, int64_t b, int64_t e, T next,         \
-        int wrap, const uint32_t *restrict w, T *restrict moved, int64_t *jp) {    \
+        int wrap, const uint32_t *restrict w, T *restrict moved, int64_t *jp,      \
+        double *scratch, uint64_t *sump) {                                         \
         T *x = a->x;                                                               \
         const T seam = a->seam;                                                    \
         NAME##_pass1(e - b, x + b, next, a->rr + b, w, (int64_t)a->cut, a->v,      \
-                     a->obs, a->m, jp, moved, a->disp + b, a->wind + b);           \
+                     a->obs, a->m, jp, moved, scratch ? scratch : a->disp + b,     \
+                     a->wind + b, sump);                                           \
         if (b == 0)                                                                \
             wrap = a->ring && moved[0] >= seam;                                    \
         if (wrap)                                                                  \
@@ -437,6 +461,20 @@ static int64_t await(const struct count *theirs, int64_t s) {
    at most */
 #define RING 4
 
+/* Whether an int64 run of n particles and jump v takes its step totals as
+   integers: each displacement lies in [0, v], so when n v <= 2**53 every sum of
+   them is an integer that a double holds exactly (see the header). */
+static int integer_totals(int64_t n, int64_t v) {
+    return n == 0 || v <= ((int64_t)1 << 53) / n;
+}
+
+/* A split call's step total from the two threads' parts: the integer parts'
+   sum, or pairwise's by tree_sum. */
+static double split_total(int exact, int64_t n, int64_t c, const double *part0,
+                          const double *part1) {
+    return 0. + (exact ? part0[0] + part1[0] : tree_sum(n, c, part0, part1));
+}
+
 /* Steps t, t + 1, ..., t + k - 1 of the run a under the key (k0, k1); step t's
    coins are the halves of the counter blocks [1 .. ceil(n/8), t, 0, 0].  x and
    wind are updated in place and totals[s] receives step t + s's total
@@ -444,18 +482,22 @@ static int64_t await(const struct count *theirs, int64_t s) {
    word, so the step draws none.  The obstacle instantiation (OBS) also stops
    each particle at the first obstacle strictly beyond it.  When threads > 1
    and n > 128, the steps are split between two threads; a helper that cannot
-   be started leaves the call to one. */
-#define RUN(NAME, T, SUFFIX, CAP, OBS)                                             \
-    PASS1(NAME##_pass1, T, OBS)                                                    \
+   be started leaves the call to one.  The int64 run (EXACT) takes the totals
+   as integers when integer_totals allows; it then writes the disp row on the
+   call's last step only. */
+#define RUN(NAME, T, SUFFIX, CAP, OBS, EXACT)                                      \
+    PASS1(NAME##_pass1, T, OBS, EXACT)                                             \
     BLOCK_STEP(NAME, T, SUFFIX)                                                    \
                                                                                    \
     /* Particles [lo, hi) of step t, lo a multiple of 8: next is the position      \
        after particle hi - 1 as the step began, and wrap says whether the step     \
        wraps at the seam; a part that holds particle 0 decides that itself.        \
-       Returns wrap. */                                                            \
+       The displacements go to the disp row, or block by block to scratch when     \
+       it is not NULL; the int64 run adds them into *sump.  Returns wrap. */       \
     CLONES __attribute__((noinline)) static int NAME##_part(                       \
         const struct tasep_args_##SUFFIX *a, uint64_t t, int64_t lo, int64_t hi,   \
-        T next, int wrap, T *restrict moved, uint32_t *restrict w) {               \
+        T next, int wrap, T *restrict moved, uint32_t *restrict w,                 \
+        double *restrict scratch, uint64_t *sump) {                                \
         /* a local copy, which no store through x can change */                    \
         const struct tasep_args_##SUFFIX run = *a;                                 \
         const T *x = run.x;                                                        \
@@ -466,7 +508,7 @@ static int64_t await(const struct count *theirs, int64_t s) {
             if (draw)                                                              \
                 words(w, b, e, t, run.k0, run.k1);                                 \
             wrap = NAME##_block(&run, b, e, e < hi ? x[e] : next, wrap,            \
-                                draw ? w : NULL, moved, &j);                       \
+                                draw ? w : NULL, moved, &j, scratch, sump);        \
         }                                                                          \
         return wrap;                                                               \
     }                                                                              \
@@ -480,7 +522,7 @@ static int64_t await(const struct count *theirs, int64_t s) {
         T at[RING];                /* x[c] as step s begins, c its split */        \
         int64_t split[RING];       /* thread 0: the split of step s */             \
         int64_t busy[RING];        /* thread 1: ns it worked on step s */          \
-        double part[RING][DEPTH];  /* thread 1: its tree_part of step s */         \
+        double part[RING][DEPTH];  /* thread 1: its tree_part or integer sum */    \
     } __attribute__((aligned(64)));                                                \
                                                                                    \
     struct NAME##_team {                                                           \
@@ -500,13 +542,17 @@ static int64_t await(const struct count *theirs, int64_t s) {
         const T seam = a->seam, *x = a->x;                                         \
         struct NAME##_post *mine = &tm->post[me], *theirs = &tm->post[!me];        \
         const int64_t *split = tm->post[0].split;                                  \
+        const int exact = EXACT && integer_totals(n, (int64_t)a->v);               \
         T moved[BLOCK] __attribute__((aligned(64)));                               \
         uint32_t w[BLOCK] __attribute__((aligned(64)));                            \
+        double scratch[BLOCK] __attribute__((aligned(64)));                        \
         double part[RING][DEPTH], work[2] = {0., 0.}, spent[2] = {0., 0.};         \
         int64_t busy[RING] = {0}, c_last = split[0];                               \
         for (int64_t s = 0; s < k; s++) {                                          \
             const uint64_t t = tm->t + s;                                          \
             const int64_t start = now_ns();                                        \
+            double *const into = exact && s + 1 < k ? scratch : NULL;              \
+            uint64_t sum = 0;                                                      \
             /* thread 1 needs x[0] and x[1]; once they are out, so are the splits  \
                of steps s and s + 1, which thread 0 set at the end of step s - 2 */\
             int64_t waited = me ? await(&theirs->head, s) : 0;                     \
@@ -518,18 +564,22 @@ static int64_t await(const struct count *theirs, int64_t s) {
             if (me == 0) {                                                         \
                 /* block 0 first, so that x[0] and x[1] go out early */            \
                 const int64_t h = c - 8 < BLOCK ? c - 8 : BLOCK;                   \
-                int wrap = NAME##_part(a, t, 0, h, x[h], 0, moved, w);             \
+                int wrap = NAME##_part(a, t, 0, h, x[h], 0, moved, w, into, &sum); \
                 mine->pos[(s + 1) % RING][0] = x[0];                               \
                 mine->pos[(s + 1) % RING][1] = x[1];                               \
                 say(&mine->head, s + 1);                                           \
-                wrap = NAME##_part(a, t, h, c - 8, x[c - 8], wrap, moved, w);      \
+                wrap = NAME##_part(a, t, h, c - 8, x[c - 8], wrap, moved, w, into, \
+                                   &sum);                                          \
                 /* x[c] comes from the thread that moved particle c last step */   \
                 const struct NAME##_post *from = c < c_last ? mine : theirs;       \
                 if (c == c_last)                                                   \
                     waited += await(&theirs->head, s);                             \
                 const T xc = from->at[s % RING];                                   \
-                NAME##_part(a, t, c - 8, c, xc, wrap, moved, w);                   \
-                tree_part(a->disp, n, c, 0, part[s % RING]);                       \
+                NAME##_part(a, t, c - 8, c, xc, wrap, moved, w, into, &sum);       \
+                if (exact)                                                         \
+                    part[s % RING][0] = (double)(int64_t)sum;                      \
+                else                                                               \
+                    tree_part(a->disp, n, c, 0, part[s % RING]);                   \
             } else {                                                               \
                 const T *in = theirs->pos[s % RING], x0 = in[0];                   \
                 const T last = a->ring ? x0 + seam : (CAP);                        \
@@ -540,22 +590,27 @@ static int64_t await(const struct count *theirs, int64_t s) {
                     int64_t j = OBS ? at_or_below(a->obs, a->m, x0) : 0;           \
                     T to;                                                          \
                     double d, wd = 0.;                                             \
+                    uint64_t sum0 = 0;                                             \
                     const int draw0 = draws(a->cut);                               \
                     if (draw0)                                                     \
                         coins8(w0, 0, t, a->k0, a->k1);                            \
                     NAME##_pass1(1, &x0, in[1], a->rr, draw0 ? w0 : NULL, cut,     \
-                                 a->v, a->obs, a->m, &j, &to, &d, &wd);            \
+                                 a->v, a->obs, a->m, &j, &to, &d, &wd, &sum0);     \
                     wrap = to >= seam;                                             \
                 }                                                                  \
                 /* the first block first, so that x[c] goes out early */           \
                 const int64_t h = n - c < BLOCK ? n : c + BLOCK;                   \
-                NAME##_part(a, t, c, h, h < n ? x[h] : last, wrap, moved, w);      \
+                NAME##_part(a, t, c, h, h < n ? x[h] : last, wrap, moved, w, into, \
+                            &sum);                                                 \
                 if (c_next == c) {                                                 \
                     mine->at[(s + 1) % RING] = x[c];                               \
                     say(&mine->head, s + 1);                                       \
                 }                                                                  \
-                NAME##_part(a, t, h, n, last, wrap, moved, w);                     \
-                tree_part(a->disp, n, c, 1, mine->part[s % RING]);                 \
+                NAME##_part(a, t, h, n, last, wrap, moved, w, into, &sum);         \
+                if (exact)                                                         \
+                    mine->part[s % RING][0] = (double)(int64_t)sum;                \
+                else                                                               \
+                    tree_part(a->disp, n, c, 1, mine->part[s % RING]);             \
             }                                                                      \
             if (c_next != c) {                                                     \
                 /* whoever moved particle c_next puts it out, after the step */    \
@@ -575,8 +630,8 @@ static int64_t await(const struct count *theirs, int64_t s) {
             /* thread 0: step s - 1's total, once thread 1 has finished it */      \
             await(&theirs->done, s);                                               \
             const int64_t c_prev = split[(s - 1) % RING];                          \
-            tm->totals[s - 1] = 0. + tree_sum(n, c_prev, part[(s - 1) % RING],     \
-                                              theirs->part[(s - 1) % RING]);       \
+            tm->totals[s - 1] = split_total(exact, n, c_prev, part[(s - 1) % RING],\
+                                            theirs->part[(s - 1) % RING]);         \
             /* the split of step s + 3: every ROUND steps, toward the one at       \
                which both threads would have worked equally long */                \
             work[0] += c_prev;                                                     \
@@ -599,9 +654,9 @@ static int64_t await(const struct count *theirs, int64_t s) {
         }                                                                          \
         if (me == 0 && k > 0) {                                                    \
             await(&theirs->done, k);                                               \
-            tm->totals[k - 1] = 0. + tree_sum(n, split[(k - 1) % RING],            \
-                                              part[(k - 1) % RING],                \
-                                              theirs->part[(k - 1) % RING]);       \
+            tm->totals[k - 1] = split_total(exact, n, split[(k - 1) % RING],       \
+                                            part[(k - 1) % RING],                  \
+                                            theirs->part[(k - 1) % RING]);         \
         }                                                                          \
     }                                                                              \
                                                                                    \
@@ -646,19 +701,22 @@ static int64_t await(const struct count *theirs, int64_t s) {
         }                                                                          \
         if (a->threads > 1 && n > 128 && NAME##_split(a, t, k, totals))            \
             return;                                                                \
+        const int exact = EXACT && integer_totals(n, (int64_t)a->v);               \
         T moved[BLOCK] __attribute__((aligned(64)));                               \
         uint32_t w[BLOCK] __attribute__((aligned(64)));                            \
+        double scratch[BLOCK] __attribute__((aligned(64)));                        \
         for (int64_t s = 0; s < k; s++, t++) {                                     \
+            uint64_t sum = 0;                                                      \
             NAME##_part(a, t, 0, n, n && a->ring ? a->x[0] + a->seam : (CAP), 0,   \
-                        moved, w);                                                 \
+                        moved, w, exact && s + 1 < k ? scratch : NULL, &sum);      \
             if (totals)                                                            \
-                totals[s] = 0. + pairwise(a->disp, n);                             \
+                totals[s] = 0. + (exact ? (double)(int64_t)sum : pairwise(a->disp, n));\
         }                                                                          \
     }
 
-RUN(tasep_run_i64, int64_t, i64, INT64_MAX / 4, 0)
-RUN(tasep_run_f64, double, f64, INFINITY, 0)
-RUN(tasep_run_f64_obstacles, double, f64, INFINITY, 1)
+RUN(tasep_run_i64, int64_t, i64, INT64_MAX / 4, 0, 1)
+RUN(tasep_run_f64, double, f64, INFINITY, 0, 0)
+RUN(tasep_run_f64_obstacles, double, f64, INFINITY, 1, 0)
 
 /* Fold d = EXPR of each i in [lo, hi) into m, the bits of the largest so far.
    Every d is a fabs, so never negative, and the bits of doubles that are not
@@ -712,17 +770,17 @@ static double unfold(uint64_t m) {
             const TB next_b = n && b->ring ? xb[0] + b->seam : (CAP_B);            \
             int wrap_a = 0, wrap_b = 0;                                            \
             int64_t ja = 0, jb = 0;                                                \
-            uint64_t gm = 0, dm = 0;                                               \
+            uint64_t gm = 0, dm = 0, unused = 0; /* pairwise takes the totals */   \
             for (int64_t lo = 0; lo < n; lo += BLOCK) {                            \
                 const int64_t e = n - lo < BLOCK ? n : lo + BLOCK;                 \
                 if (draw_a || draw_b)                                              \
                     words(w, lo, e, t, a->k0, a->k1);                              \
                 wrap_a = tasep_run_##A##_block(a, lo, e, e < n ? xa[e] : next_a,   \
                                                wrap_a, draw_a ? w : NULL, moved_a, \
-                                               &ja);                               \
+                                               &ja, NULL, &unused);                \
                 wrap_b = tasep_run_##B##_block(b, lo, e, e < n ? xb[e] : next_b,   \
                                                wrap_b, draw_b ? w : NULL, moved_b, \
-                                               &jb);                               \
+                                               &jb, NULL, &unused);                \
                 FOLD(dm, lo, e, fabs(db[i] - scale * da[i]));                      \
                 /* the gaps the block settled: gap i needs x[i + 1] */             \
                 FOLD(gm, lo ? lo - 1 : 0, e - 1,                                   \

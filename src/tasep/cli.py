@@ -27,6 +27,7 @@ from .configuration import (
     Ring,
     _integer,
     _nonnegative,
+    _positive as _positive_value,
     radius_conjugate,
     write_configuration_csv,
 )
@@ -252,7 +253,13 @@ def _cmd_obstacles(args) -> int:
         field = ObstacleField(Ring(args.ring), _evenly_spaced(args.ring, args.count))
     extended = extend_obstacles(field, args.v)
     rho_ext = extended.density()
-    n_particles = int(round(args.rho_x * args.ring))
+    count = args.rho_x * args.ring
+    if not (math.isfinite(count) and abs(count - round(count)) <= 1e-9):
+        raise ValueError(
+            "the particle count rho_x * ring must be a whole number: "
+            f"--rho-x {args.rho_x} --ring {args.ring} give {count:.12g} particles"
+        )
+    n_particles = round(count)
     cfg = Configuration(Ring(args.ring), _evenly_spaced(args.ring, n_particles), 0.0)
     params = ProcessParams(p=args.p, v=args.v, space="continuum")
     summary = run(cfg, params, args.steps, CoinStream(args.seed), field=field)
@@ -281,7 +288,7 @@ def _cmd_couple_check(args) -> int:
     elif args.mode == "heterogeneous":
         n = args.particles
         radii = rng.uniform(0.0, 0.4, n)
-        spacing = 1.0 / args.rho
+        spacing = 1.0 / _positive_value("density rho", args.rho)
         pos = np.arange(n) * spacing
         cfg_a = Configuration(Ring(n * spacing), pos, radii)
         cfg_b = radius_conjugate(cfg_a, float(radii.mean()))
@@ -370,7 +377,7 @@ def build_parser() -> _Parser:
     q = sub.add_parser("obstacles", help="velocity among static obstacles")
     q.add_argument("--ring", type=float, required=True)
     q.add_argument("--rho-x", dest="rho_x", type=float, required=True,
-                   help="particle density; the count is rho_x * ring")
+                   help="particle density; rho_x * ring must be a whole number")
     q.add_argument("--count", type=int, default=100, help="evenly spaced obstacles")
     q.add_argument("--obstacles-csv", default=None)
     q.add_argument("--p", type=float, default=1.0)

@@ -303,6 +303,59 @@ def test_forced_split_equals_numpy(n, kind, monkeypatch):
     assert fused == ref
 
 
+def _long_jump_ring(n, rng):
+    """An int64 ring of 2**59 sites whose step totals pass 2**53: jump v near 2**52,
+    unequal gaps below v between the n particles and the rest of the ring behind the
+    last."""
+    v = 2**52 + 7
+    pos = np.concatenate([[0], np.cumsum(rng.integers(v // 8, v, n - 1))])
+    return Configuration(Ring(2**59), pos.astype(np.int64), 0.0), ProcessParams(0.5, v)
+
+
+def _integer_mismatches(cfg, params, coins, steps) -> int:
+    """Steps of the numpy stepper whose pairwise total is not the integer sum of the
+    step's displacements."""
+    stepper, total, mismatches = _Stepper(cfg, params, coins), np.zeros(1), 0
+    for t in range(steps):
+        stepper.steps(t, total)
+        mismatches += total[0] != float(sum(int(d) for d in stepper.disp))
+    return mismatches
+
+
+# an int64 run sums each step's displacements as integers only while n v <= 2**53,
+# where that sum has pairwise's bits; past it the kernel must sum pairwise
+@pytest.mark.parametrize("n, threads", [(10, 1), (136, 1), (136, 2)])
+def test_kernel_totals_past_2_53_equal_numpy(n, threads, monkeypatch):
+    cfg, params = _long_jump_ring(n, np.random.default_rng(n))
+    assert n * params.v > 2**53
+
+    def walk():
+        stepper, totals = _Stepper(cfg, params, CoinStream(n)), np.zeros(40)
+        stepper.steps(0, totals, threads=threads)
+        return stepper.x.tobytes(), stepper.wind.tobytes(), stepper.disp.tobytes(), totals.tobytes()
+
+    fused, ref = _both_paths(monkeypatch, walk)
+    assert fused == ref
+    # the case tells the two sums apart
+    with monkeypatch.context() as m:
+        m.setattr(_native, "kernel", lambda: None)
+        assert _integer_mismatches(cfg, params, CoinStream(n), 40) > 0
+
+
+def test_a_lattice_call_leaves_its_last_steps_displacements(monkeypatch):
+    # an int64 call writes the disp row on its last step only; the row must then hold
+    # that step's displacements, as after the numpy stepper
+    cfg, params = _ring(1031, True, np.random.default_rng(8))
+
+    def walk():
+        stepper, totals = _Stepper(cfg, params, CoinStream(8)), np.zeros(7)
+        stepper.steps(0, totals, threads=1)
+        return stepper.disp.tobytes(), totals.tobytes()
+
+    fused, ref = _both_paths(monkeypatch, walk)
+    assert fused == ref
+
+
 def _pinned_run(results) -> None:
     """In a process allowed one CPU: the split rule's verdict and the bytes of a run."""
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})

@@ -147,6 +147,16 @@ CLI_REJECTIONS = {
     "couple-check at a nan tolerance": ([*COUPLE, "--tol", "nan"], "tolerance tol=nan"),
     "couple-check at a negative tolerance": ([*COUPLE, "--tol", "-1"], "tolerance tol=-1.0"),
     "couple-check at an infinite tolerance": ([*COUPLE, "--tol", "inf"], "tolerance tol=inf"),
+    "heterogeneous couple-check at density 0": (
+        ["couple-check", "--mode", "heterogeneous", "--rho", "0", "--particles", "20",
+         "--steps", "5"], "density rho=0.0 must be positive"),
+    # rho_x * ring = 3.3 would run 3 particles under a header that says 0.33
+    "obstacles with a fractional particle count": (
+        ["obstacles", "--ring", "10", "--rho-x", "0.33", "--count", "4", "--steps", "5"],
+        "--rho-x 0.33 --ring 10.0 give 3.3 particles"),
+    "obstacles at a nan density": (
+        ["obstacles", "--ring", "10", "--rho-x", "nan", "--count", "4", "--steps", "5"],
+        "--rho-x nan --ring 10.0 give nan particles"),
 }
 
 
