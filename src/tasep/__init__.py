@@ -71,4 +71,4 @@ from .velocity import (
     theoretical_velocity_obstacles,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

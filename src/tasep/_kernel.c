@@ -1,19 +1,29 @@
 /* The fused run kernel of tasep.dynamics: k synchronous steps in one call, of
    one run or of two runs coupled on one coin stream.
 
-   Each step repeats _Stepper.advance bit for bit: numpy's Philox4x64-10 coins,
-   the successor bound, the obstacle stop, the never-left clamp, the 32-bit coin
-   compare, the displacement, the winding, the seam wrap and numpy's sum of the
-   step's displacements.  The float path keeps numpy's operation order, so it must be
-   built with -ffp-contract=off and without -ffast-math.
+   Each step repeats _Stepper.advance bit for bit: CoinStream's Philox4x32-10
+   coins, the successor bound, the obstacle stop, the never-left clamp, the
+   32-bit coin compare, the displacement, the winding, the seam wrap and
+   numpy's sum of the step's displacements.  The float path keeps numpy's
+   operation order, so it must be built with -ffp-contract=off and without
+   -ffast-math.
 
-   The coins are those of coin contract 0.2 (CoinStream): two to a 64-bit Philox
-   word, particle i's being half i mod 2 of word i / 2, the low half first.  The
-   particle moves when that 32-bit k is below cut = ceil(p * 2**32), so p acts as
-   a multiple of 2**-32.  A cut of 0 or 2**32 (p = 0, p = 1 or any p above
-   1 - 2**-32) decides every coin, and such a step draws and reads no word.  The
-   key is the one numpy stores for CoinStream's uint64 key array, every word
-   exact.
+   The coins are those of coin contract 0.3 (CoinStream): Philox4x32-10
+   (Salmon et al., SC'11) under the key (seed low, seed high) of counter block
+   [i / 4, t, stream low, stream high] gives four 32-bit words, and particle
+   i's coin k is word i mod 4 of that block.  The particle moves when k is
+   below cut = ceil(p * 2**32), so p acts as a multiple of 2**-32.  A cut of 0
+   or 2**32 (p = 0, p = 1 or any p above 1 - 2**-32) decides every coin, and
+   such a step draws and reads no word.  dynamics keeps t below 2**32 and n at
+   most 2**34, where the counter holds t and i / 4 exactly.
+
+   A call draws its coins through one of two bodies, chosen once per call
+   (coin_body).  On an x86-64 machine with AVX-512F, as every machine the v4
+   clone runs on has, an AVX-512 body runs eight counter blocks in the 64-bit
+   lanes of each vpmuludq, 32 coins an iteration.  The portable body runs one
+   block at a time; it is the only one a TASEP_NO_CLONES build and other
+   architectures build.  Both take any range that starts at a multiple of 4
+   and write its coins and no others.
 
    A step runs through the particles in blocks of BLOCK.  Each block draws its
    words and takes two passes.  Pass 1 reads only positions no pass 2 has
@@ -38,8 +48,8 @@
    a stack buffer of BLOCK entries, which stays in L1 cache.  The float64 runs
    need the displacements' values for pairwise, and always write the row.
 
-   A coupled call (tasep_coupled) steps two runs of n particles under one key
-   block by block: it draws each block's words once and hands them to both
+   A coupled call (tasep_coupled) steps two runs of n particles on one coin
+   stream block by block: it draws each block's words once and hands them to both
    runs' block step, the one a run call takes.  After each block it takes the
    maxima of |disp_b - scale disp_a| and of |gap_b - scale gap_a| over what
    the block settled, gap_i = (succ_i - rr_i) - x_i as numpy's _bounds takes
@@ -58,7 +68,7 @@
    its range (tree_part), and the caller adds them up in pairwise's order
    (tree_sum), so the step's total has the bits of pairwise over all n; with
    integer totals each thread puts out its integer sum and the caller adds
-   the two.  A multiple of 8 particles is whole Philox blocks and, as _Stepper
+   the two.  A multiple of 8 particles is whole counter blocks and, as _Stepper
    aligns x, disp and wind to 64 bytes, whole cache lines, so the threads never
    write one line.
 
@@ -66,7 +76,7 @@
    stood when the step began: the caller needs x[c] for its last particle's
    bound, and the helper x[0] and x[1], for its last particle's bound and for
    particle 0's move, which decides the seam wrap (the helper repeats pass 1
-   on particle 0 alone, with half 0 of Philox block 0, into none of its rows
+   on particle 0 alone, with word 0 of counter block 0, into none of its rows
    or sums).  Each thread moves the block holding its boundary first and then
    puts those positions out, raising a count (say); the other waits on that
    count (await) only when it needs them, the helper at the start of its step
@@ -101,23 +111,26 @@
 #include <string.h>
 #include <time.h>
 
-typedef unsigned __int128 u128;
+/* Philox4x32-10's round multipliers and the Weyl increments of its key */
+#define PHILOX_M0 0xD2511F53u
+#define PHILOX_M1 0xCD9E8D57u
+#define PHILOX_W0 0x9E3779B9u
+#define PHILOX_W1 0xBB67AE85u
 
-/* Philox4x64-10 (Salmon et al., SC'11) of the counter block [b + 1, t, 0, 0]
+/* Philox4x32-10 of the counter block [c0, c1, c2, c3] under the key (k0, k1)
    into w[0 .. 3]. */
-static void philox(uint64_t *w, uint64_t b, uint64_t t, uint64_t k0, uint64_t k1) {
-    uint64_t c0 = b + 1, c1 = t, c2 = 0, c3 = 0;
+static void philox(uint32_t *w, uint32_t c0, uint32_t c1, uint32_t c2, uint32_t c3,
+                   uint32_t k0, uint32_t k1) {
     for (int r = 0; r < 10; r++) {
         if (r) {
-            k0 += 0x9E3779B97F4A7C15ULL;
-            k1 += 0xBB67AE8584CAA73BULL;
+            k0 += PHILOX_W0;
+            k1 += PHILOX_W1;
         }
-        u128 p0 = (u128)0xD2E7470EE14C6C93ULL * c0;
-        u128 p1 = (u128)0xCA5A826395121157ULL * c2;
-        c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
-        c1 = (uint64_t)p1;
-        c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
-        c3 = (uint64_t)p0;
+        const uint64_t p0 = (uint64_t)PHILOX_M0 * c0, p1 = (uint64_t)PHILOX_M1 * c2;
+        c0 = (uint32_t)(p1 >> 32) ^ c1 ^ k0;
+        c1 = (uint32_t)p1;
+        c2 = (uint32_t)(p0 >> 32) ^ c3 ^ k1;
+        c3 = (uint32_t)p0;
     }
     w[0] = c0;
     w[1] = c1;
@@ -125,10 +138,90 @@ static void philox(uint64_t *w, uint64_t b, uint64_t t, uint64_t k0, uint64_t k1
     w[3] = c3;
 }
 
+/* A coin body: the coins of particles [b, e) of step t under (seed, stream),
+   b a multiple of 4, into w[0 .. e - b); particle i's is word i mod 4 of the
+   counter block [i / 4, t, stream low, stream high] under the key
+   (seed low, seed high).  It writes no other entry of w. */
+typedef void coin_body_fn(uint32_t *restrict w, int64_t b, int64_t e, uint64_t t,
+                          uint64_t seed, uint64_t stream);
+
+/* The portable coin body, one counter block at a time. */
+static void coins_portable(uint32_t *restrict w, int64_t b, int64_t e, uint64_t t,
+                           uint64_t seed, uint64_t stream) {
+    for (int64_t i = b; i < e; i += 4) {
+        uint32_t r[4];
+        philox(r, (uint32_t)(i / 4), (uint32_t)t, (uint32_t)stream, (uint32_t)(stream >> 32),
+               (uint32_t)seed, (uint32_t)(seed >> 32));
+        for (int j = 0; j < 4 && i + j < e; j++)
+            w[i - b + j] = r[j];
+    }
+}
+
 #if defined(__x86_64__) && !defined(TASEP_NO_CLONES)
+#include <immintrin.h>
+
+/* The AVX-512 coin body: eight counter blocks in the 64-bit lanes of each
+   vector, one vpmuludq multiplying the low 32 bits of all eight, so 32 coins
+   an iteration.  A lane's high half is left as it falls, as the multiply and
+   the final merge read only the low half.  It needs AVX-512F alone. */
+__attribute__((target("avx512f"))) static void coins_avx512(uint32_t *restrict w, int64_t b,
+                                                             int64_t e, uint64_t t,
+                                                             uint64_t seed, uint64_t stream) {
+    const __m512i lane = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+    const __m512i m0 = _mm512_set1_epi64(PHILOX_M0), m1 = _mm512_set1_epi64(PHILOX_M1);
+    const __m512i low = _mm512_set1_epi64(0xFFFFFFFF), ct = _mm512_set1_epi64((uint32_t)t);
+    const __m512i cs0 = _mm512_set1_epi64((uint32_t)stream);
+    const __m512i cs1 = _mm512_set1_epi64(stream >> 32);
+    /* lanes 0 .. 3 and 4 .. 7 of two vectors, interleaved */
+    const __m512i first = _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0);
+    const __m512i second = _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4);
+    __m512i k0[10], k1[10];
+    for (int r = 0; r < 10; r++) {
+        k0[r] = _mm512_set1_epi64((uint32_t)((uint32_t)seed + r * PHILOX_W0));
+        k1[r] = _mm512_set1_epi64((uint32_t)((uint32_t)(seed >> 32) + r * PHILOX_W1));
+    }
+    for (int64_t i = b; i < e; i += 32) {
+        __m512i c0 = _mm512_add_epi64(_mm512_set1_epi64(i / 4), lane), c1 = ct, c2 = cs0,
+                c3 = cs1;
+        for (int r = 0; r < 10; r++) {
+            const __m512i p0 = _mm512_mul_epu32(c0, m0), p1 = _mm512_mul_epu32(c2, m1);
+            /* 0x96: the xor of all three */
+            c0 = _mm512_ternarylogic_epi64(_mm512_srli_epi64(p1, 32), c1, k0[r], 0x96);
+            c1 = p1;
+            c2 = _mm512_ternarylogic_epi64(_mm512_srli_epi64(p0, 32), c3, k1[r], 0x96);
+            c3 = p0;
+        }
+        /* words 0 and 1, and 2 and 3, of each block in one 64-bit lane, low word
+           first (0xEA: (a & b) | c), then the blocks in order */
+        const __m512i w01 = _mm512_ternarylogic_epi64(c0, low, _mm512_slli_epi64(c1, 32), 0xEA);
+        const __m512i w23 = _mm512_ternarylogic_epi64(c2, low, _mm512_slli_epi64(c3, 32), 0xEA);
+        const __m512i lo = _mm512_permutex2var_epi64(w01, first, w23);
+        const __m512i hi = _mm512_permutex2var_epi64(w01, second, w23);
+        const int64_t left = e - i;
+        if (left >= 32) {
+            _mm512_storeu_si512(w + (i - b), lo);
+            _mm512_storeu_si512(w + (i - b) + 16, hi);
+        } else {
+            _mm512_mask_storeu_epi32(w + (i - b), left >= 16 ? 0xFFFF : (1u << left) - 1, lo);
+            _mm512_mask_storeu_epi32(w + (i - b) + 16, left > 16 ? (1u << (left - 16)) - 1 : 0,
+                                     hi);
+        }
+    }
+}
+
 #define CLONES __attribute__((target_clones("arch=x86-64-v4", "default")))
+
+/* The coin body of a call: the AVX-512 one on a machine that has AVX-512F,
+   as every machine of the v4 clone does. */
+static coin_body_fn *coin_body(void) {
+    return __builtin_cpu_supports("avx512f") ? coins_avx512 : coins_portable;
+}
 #else
 #define CLONES
+
+static coin_body_fn *coin_body(void) {
+    return coins_portable;
+}
 #endif
 
 /* Where numpy's pairwise sum splits a node of len elements: len/2 rounded
@@ -227,9 +320,10 @@ static double tree_sum(int64_t n, int64_t c, const double *part0,
 /* The arguments of a run call, one struct per position type T (tasep_args_i64,
    tasep_args_f64), which _native.py packs into a bytes object.  The run's own
    fields come first and the call's after them, so a run packs its own once:
-   the rows x, wind and disp the call steps in place, its steps t, t + 1, ...,
-   t + k - 1, where their totals go, the threads it may split across and the
-   rows it starts from.  A line (ring == 0) bounds its last particle by CAP, a
+   n, its coins' seed and stream, and so on.  A call's are the rows x, wind and
+   disp the call steps in place, its steps t, t + 1, ..., t + k - 1, where
+   their totals go, the threads it may split across and the rows it starts
+   from.  A line (ring == 0) bounds its last particle by CAP, a
    ring by x_0 + seam.  disp receives the n displacements of the last step.
    obs holds the m sorted obstacles; only the obstacle run reads obs and m.
    totals may be NULL when k is 1: the step's total is then not kept.  When
@@ -241,7 +335,7 @@ static double tree_sum(int64_t n, int64_t c, const double *part0,
 #define ARGS(T, SUFFIX)                                                            \
     struct tasep_args_##SUFFIX {                                                   \
         int64_t n;                                                                 \
-        uint64_t k0, k1, cut;                                                      \
+        uint64_t seed, stream, cut;                                                \
         const T *rr;                                                               \
         int64_t ring;                                                              \
         T seam, v;                                                                 \
@@ -262,40 +356,17 @@ ARGS(double, f64)
 
 /* particles per block: 4 KB of moved positions and 2 KB of coins on the stack */
 #define BLOCK 512
-_Static_assert(BLOCK % 8 == 0, "a block's coins must be whole 8-coin Philox blocks");
+_Static_assert(BLOCK % 32 == 0, "a block's coins must be whole groups of the AVX-512 body");
 
-/* Whether a run's coins need their words: a cut of 0 or 2**32 decides every
-   coin without one. */
-static int draws(uint64_t cut) {
-    return cut && cut < (1ULL << 32);
-}
-
-/* The eight coins of Philox block b of step t into w[0 .. 7]: word j's low
-   half is coin 2j and its high half coin 2j + 1, each stored as its own
-   uint32, whatever this machine's byte order. */
-static inline __attribute__((always_inline)) void coins8(uint32_t *restrict w, uint64_t b,
-                                                         uint64_t t, uint64_t k0,
-                                                         uint64_t k1) {
-    uint64_t r[4];
-    philox(r, b, t, k0, k1);
-    for (int j = 0; j < 4; j++) {
-        w[2 * j] = (uint32_t)r[j];
-        w[2 * j + 1] = (uint32_t)(r[j] >> 32);
-    }
-}
-
-/* The coins of particles [b, e) of step t, b a multiple of 8, into
-   w[0 .. e - b): particle i's is half i mod 2 of word i / 2. */
-static inline __attribute__((always_inline)) void words(uint32_t *restrict w, int64_t b,
-                                                        int64_t e, uint64_t t, uint64_t k0,
-                                                        uint64_t k1) {
-    for (int64_t i = b; i < e; i += 8)
-        coins8(w + (i - b), i / 8, t, k0, k1);
+/* The coin body of a run: none when its cut of 0 or 2**32 decides every coin
+   without a word, so its steps draw none. */
+static coin_body_fn *drawn_by(uint64_t cut, coin_body_fn *body) {
+    return cut && cut < (1ULL << 32) ? body : NULL;
 }
 
 /* Pass 1 over the len particles of one block: next is the position after the
    block's last, *jp the merge walk's obstacle index.  w holds the block's
-   coins, or is NULL when the cut decides every coin (see draws), so a step
+   coins, or is NULL when the cut decides every coin (see drawn_by), so a step
    that draws no coins reads none.  It is always inlined, so it compiles for
    each clone's target, and its restrict parameters tell the compiler that the
    arrays do not overlap.  The int64 instantiation (EXACT) also adds the
@@ -475,9 +546,10 @@ static double split_total(int exact, int64_t n, int64_t c, const double *part0,
     return 0. + (exact ? part0[0] + part1[0] : tree_sum(n, c, part0, part1));
 }
 
-/* Steps t, t + 1, ..., t + k - 1 of the run a under the key (k0, k1); step t's
-   coins are the halves of the counter blocks [1 .. ceil(n/8), t, 0, 0].  x and
-   wind are updated in place and totals[s] receives step t + s's total
+/* Steps t, t + 1, ..., t + k - 1 of the run a; step t's coins are the words
+   of the counter blocks [0 .. ceil(n/4) - 1, t, stream low, stream high] under
+   the key (seed low, seed high), drawn by the call's coin_body.  x and wind
+   are updated in place and totals[s] receives step t + s's total
    displacement.  When cut is 0 or 2**32 every coin is decided without its
    word, so the step draws none.  The obstacle instantiation (OBS) also stops
    each particle at the first obstacle strictly beyond it.  When threads > 1
@@ -489,24 +561,24 @@ static double split_total(int exact, int64_t n, int64_t c, const double *part0,
     PASS1(NAME##_pass1, T, OBS, EXACT)                                             \
     BLOCK_STEP(NAME, T, SUFFIX)                                                    \
                                                                                    \
-    /* Particles [lo, hi) of step t, lo a multiple of 8: next is the position      \
-       after particle hi - 1 as the step began, and wrap says whether the step     \
-       wraps at the seam; a part that holds particle 0 decides that itself.        \
+    /* Particles [lo, hi) of step t, lo a multiple of 8, on the coins draw gives   \
+       (none when it is NULL): next is the position after particle hi - 1 as       \
+       the step began, and wrap says whether the step wraps at the seam; a part    \
+       that holds particle 0 decides that itself.                                  \
        The displacements go to the disp row, or block by block to scratch when     \
        it is not NULL; the int64 run adds them into *sump.  Returns wrap. */       \
     CLONES __attribute__((noinline)) static int NAME##_part(                       \
         const struct tasep_args_##SUFFIX *a, uint64_t t, int64_t lo, int64_t hi,   \
-        T next, int wrap, T *restrict moved, uint32_t *restrict w,                 \
-        double *restrict scratch, uint64_t *sump) {                                \
+        T next, int wrap, coin_body_fn *draw, T *restrict moved,                   \
+        uint32_t *restrict w, double *restrict scratch, uint64_t *sump) {          \
         /* a local copy, which no store through x can change */                    \
         const struct tasep_args_##SUFFIX run = *a;                                 \
         const T *x = run.x;                                                        \
-        const int draw = draws(run.cut);                                           \
         int64_t j = OBS && lo ? at_or_below(run.obs, run.m, x[lo]) : 0;            \
         for (int64_t b = lo; b < hi; b += BLOCK) {                                 \
             const int64_t e = hi - b < BLOCK ? hi : b + BLOCK;                     \
             if (draw)                                                              \
-                words(w, b, e, t, run.k0, run.k1);                                 \
+                draw(w, b, e, t, run.seed, run.stream);                            \
             wrap = NAME##_block(&run, b, e, e < hi ? x[e] : next, wrap,            \
                                 draw ? w : NULL, moved, &j, scratch, sump);        \
         }                                                                          \
@@ -530,6 +602,7 @@ static double split_total(int exact, int64_t n, int64_t c, const double *part0,
         uint64_t t;                                                                \
         int64_t k;                                                                 \
         double *totals;                                                            \
+        coin_body_fn *draw; /* the call's coin body, NULL when it draws none */    \
         struct NAME##_post post[2];                                                \
     };                                                                             \
                                                                                    \
@@ -542,6 +615,7 @@ static double split_total(int exact, int64_t n, int64_t c, const double *part0,
         const T seam = a->seam, *x = a->x;                                         \
         struct NAME##_post *mine = &tm->post[me], *theirs = &tm->post[!me];        \
         const int64_t *split = tm->post[0].split;                                  \
+        coin_body_fn *const draw = tm->draw;                                       \
         const int exact = EXACT && integer_totals(n, (int64_t)a->v);               \
         T moved[BLOCK] __attribute__((aligned(64)));                               \
         uint32_t w[BLOCK] __attribute__((aligned(64)));                            \
@@ -564,18 +638,19 @@ static double split_total(int exact, int64_t n, int64_t c, const double *part0,
             if (me == 0) {                                                         \
                 /* block 0 first, so that x[0] and x[1] go out early */            \
                 const int64_t h = c - 8 < BLOCK ? c - 8 : BLOCK;                   \
-                int wrap = NAME##_part(a, t, 0, h, x[h], 0, moved, w, into, &sum); \
+                int wrap = NAME##_part(a, t, 0, h, x[h], 0, draw, moved, w, into,  \
+                                       &sum);                                      \
                 mine->pos[(s + 1) % RING][0] = x[0];                               \
                 mine->pos[(s + 1) % RING][1] = x[1];                               \
                 say(&mine->head, s + 1);                                           \
-                wrap = NAME##_part(a, t, h, c - 8, x[c - 8], wrap, moved, w, into, \
-                                   &sum);                                          \
+                wrap = NAME##_part(a, t, h, c - 8, x[c - 8], wrap, draw, moved, w, \
+                                   into, &sum);                                    \
                 /* x[c] comes from the thread that moved particle c last step */   \
                 const struct NAME##_post *from = c < c_last ? mine : theirs;       \
                 if (c == c_last)                                                   \
                     waited += await(&theirs->head, s);                             \
                 const T xc = from->at[s % RING];                                   \
-                NAME##_part(a, t, c - 8, c, xc, wrap, moved, w, into, &sum);       \
+                NAME##_part(a, t, c - 8, c, xc, wrap, draw, moved, w, into, &sum); \
                 if (exact)                                                         \
                     part[s % RING][0] = (double)(int64_t)sum;                      \
                 else                                                               \
@@ -586,27 +661,26 @@ static double split_total(int exact, int64_t n, int64_t c, const double *part0,
                 int wrap = 0;                                                      \
                 if (a->ring) {                                                     \
                     /* particle 0's move, as thread 0 makes it */                  \
-                    uint32_t w0[8] = {0};                                          \
+                    uint32_t w0[1] = {0};                                          \
                     int64_t j = OBS ? at_or_below(a->obs, a->m, x0) : 0;           \
                     T to;                                                          \
                     double d, wd = 0.;                                             \
                     uint64_t sum0 = 0;                                             \
-                    const int draw0 = draws(a->cut);                               \
-                    if (draw0)                                                     \
-                        coins8(w0, 0, t, a->k0, a->k1);                            \
-                    NAME##_pass1(1, &x0, in[1], a->rr, draw0 ? w0 : NULL, cut,     \
+                    if (draw)                                                      \
+                        draw(w0, 0, 1, t, a->seed, a->stream);                     \
+                    NAME##_pass1(1, &x0, in[1], a->rr, draw ? w0 : NULL, cut,      \
                                  a->v, a->obs, a->m, &j, &to, &d, &wd, &sum0);     \
                     wrap = to >= seam;                                             \
                 }                                                                  \
                 /* the first block first, so that x[c] goes out early */           \
                 const int64_t h = n - c < BLOCK ? n : c + BLOCK;                   \
-                NAME##_part(a, t, c, h, h < n ? x[h] : last, wrap, moved, w, into, \
-                            &sum);                                                 \
+                NAME##_part(a, t, c, h, h < n ? x[h] : last, wrap, draw, moved, w, \
+                            into, &sum);                                           \
                 if (c_next == c) {                                                 \
                     mine->at[(s + 1) % RING] = x[c];                               \
                     say(&mine->head, s + 1);                                       \
                 }                                                                  \
-                NAME##_part(a, t, h, n, last, wrap, moved, w, into, &sum);         \
+                NAME##_part(a, t, h, n, last, wrap, draw, moved, w, into, &sum);   \
                 if (exact)                                                         \
                     mine->part[s % RING][0] = (double)(int64_t)sum;                \
                 else                                                               \
@@ -669,9 +743,10 @@ static double split_total(int exact, int64_t n, int64_t c, const double *part0,
        helper cannot be started. */                                                \
     __attribute__((noinline)) static int NAME##_split(                             \
         const struct tasep_args_##SUFFIX *a, uint64_t t, int64_t k,                \
-        double *totals) {                                                          \
+        double *totals, coin_body_fn *draw) {                                      \
         const int64_t n2 = half_of(a->n);                                          \
-        struct NAME##_team tm = {.a = a, .t = t, .k = k, .totals = totals};        \
+        struct NAME##_team tm = {.a = a, .t = t, .k = k, .totals = totals,         \
+                                 .draw = draw};                                    \
         tm.post[0].pos[0][0] = a->x[0];                                            \
         tm.post[0].pos[0][1] = a->x[1];                                            \
         for (int i = 0; i < RING; i++)                                             \
@@ -699,7 +774,8 @@ static double split_total(int exact, int64_t n, int64_t c, const double *part0,
             memcpy(a->x, a->x_src, n * sizeof(T));                                 \
             memcpy(a->wind, a->wind_src, n * sizeof(double));                      \
         }                                                                          \
-        if (a->threads > 1 && n > 128 && NAME##_split(a, t, k, totals))            \
+        coin_body_fn *const draw = drawn_by(a->cut, coin_body());                  \
+        if (a->threads > 1 && n > 128 && NAME##_split(a, t, k, totals, draw))      \
             return;                                                                \
         const int exact = EXACT && integer_totals(n, (int64_t)a->v);               \
         T moved[BLOCK] __attribute__((aligned(64)));                               \
@@ -708,7 +784,7 @@ static double split_total(int exact, int64_t n, int64_t c, const double *part0,
         for (int64_t s = 0; s < k; s++, t++) {                                     \
             uint64_t sum = 0;                                                      \
             NAME##_part(a, t, 0, n, n && a->ring ? a->x[0] + a->seam : (CAP), 0,   \
-                        moved, w, exact && s + 1 < k ? scratch : NULL, &sum);      \
+                        draw, moved, w, exact && s + 1 < k ? scratch : NULL, &sum);\
             if (totals)                                                            \
                 totals[s] = 0. + (exact ? (double)(int64_t)sum : pairwise(a->disp, n));\
         }                                                                          \
@@ -740,7 +816,7 @@ static double unfold(uint64_t m) {
 }
 
 /* Steps t, t + 1, ..., t + k - 1 of the runs a and b, whose positions are of
-   types TA and TB, coupled on a's key; see tasep_coupled.  NAME##_gap is
+   types TA and TB, coupled on a's coins; see tasep_coupled.  NAME##_gap is
    |gap_b - scale gap_a| of a particle at xa and xb with successors sa and sb. */
 #define COUPLED(NAME, A, B, TA, TB, CAP_A, CAP_B)                                  \
     static inline __attribute__((always_inline)) double NAME##_gap(                \
@@ -761,7 +837,9 @@ static double unfold(uint64_t m) {
         const struct tasep_args_##B *b = &rb;                                      \
         const int64_t n = a->n, k = a->k;                                          \
         uint64_t t = a->t;                                                         \
-        const int draw_a = draws(a->cut), draw_b = draws(b->cut);                  \
+        coin_body_fn *const body = coin_body();                                    \
+        coin_body_fn *const draw_a = drawn_by(a->cut, body);                       \
+        coin_body_fn *const draw_b = drawn_by(b->cut, body);                       \
         const TA *xa = a->x, *rra = a->rr;                                         \
         const TB *xb = b->x, *rrb = b->rr;                                         \
         const double *da = a->disp, *db = b->disp;                                 \
@@ -774,7 +852,7 @@ static double unfold(uint64_t m) {
             for (int64_t lo = 0; lo < n; lo += BLOCK) {                            \
                 const int64_t e = n - lo < BLOCK ? n : lo + BLOCK;                 \
                 if (draw_a || draw_b)                                              \
-                    words(w, lo, e, t, a->k0, a->k1);                              \
+                    body(w, lo, e, t, a->seed, a->stream);                         \
                 wrap_a = tasep_run_##A##_block(a, lo, e, e < n ? xa[e] : next_a,   \
                                                wrap_a, draw_a ? w : NULL, moved_a, \
                                                &ja, NULL, &unused);                \
@@ -806,7 +884,7 @@ COUPLED(coupled_f64_i64, f64, i64, double, int64_t, INFINITY, INT64_MAX / 4)
 COUPLED(coupled_f64_f64, f64, f64, double, double, INFINITY, INFINITY)
 
 /* Steps t, t + 1, ..., t + k - 1 (a's t and k) of the runs a and b of n
-   particles each, both on a's key: each block's words are drawn once, for
+   particles each, both on a's coins: each block's words are drawn once, for
    both sides that need them.  kinds is 2 when a's positions are float64 (its
    arguments a tasep_args_f64), else 0, plus 1 when b's are.  out is 4 rows of k: a's and
    b's step totals, then the per-step maxima over i < gaps of

@@ -35,7 +35,10 @@ _BUILD_TIMEOUT_S = 120
 # SPLIT_WORK particle-steps.  On a 2-vCPU Xeon the split costs about 0.5 us a step, and
 # starting and joining the helper 30-50 us a call; at p = 1, where a step draws no
 # coins, a call of 2048 particles and 2**18 particle-steps ran slower on two threads
-# and one of 4096 particles faster (BENCH_18.json).
+# and one of 4096 particles faster (BENCH_18.json).  Re-measured on the cheaper coins
+# of contract 0.3 (BENCH_27.json): at 4096 particles and 2**18 particle-steps two
+# threads ran level with one at p = 1 and level or faster at p = 0.5, and at 2048
+# particles slower at p = 1, so the rule stands.
 SPLIT_PARTICLES = 4096
 SPLIT_WORK = 2**18
 # the most threads a call may split across; a worker of a process pool sets 1
@@ -66,7 +69,7 @@ def threads(n: int, k: int) -> int:
 
 # The kernel's struct of run-call arguments (ARGS in _kernel.c), packed in two parts
 # whose bytes join into it.  OWN_ARGS, for positions of int64 ("i") and float64 ("f"),
-# holds a run's own fields, which it packs once: n, the key words k0 and k1, cut, the
+# holds a run's own fields, which it packs once: n, the coins' seed and stream, cut, the
 # address of rr, ring, seam, v, the address of obs and m.  CALL_ARGS holds a call's:
 # the addresses of x, wind and disp, its first step t, its step count k, the address of
 # the totals (0 to keep none of a one-step call's), the threads it may split across and

@@ -286,7 +286,8 @@ def _cmd_couple_check(args) -> int:
         worst = float(result.max_gap_divergence.max())
         label = "gap divergence"
     elif args.mode == "heterogeneous":
-        n = args.particles
+        # the count sizes the ring, so it is checked before the ring is built
+        n = _integer("n_particles", args.particles, 1)
         radii = rng.uniform(0.0, 0.4, n)
         spacing = 1.0 / _positive_value("density rho", args.rho)
         pos = np.arange(n) * spacing

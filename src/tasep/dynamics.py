@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Philox
 
 from . import _native
 from .configuration import (
@@ -28,7 +27,6 @@ from .configuration import (
     _integer,
     _positive,
     _uint64,
-    _UINT64,
     _Value,
     density,
 )
@@ -52,19 +50,39 @@ _NO_CHAIN = (None, None, 0, 0)
 _FLOAT64 = np.dtype(np.float64)
 
 
+# Philox4x32-10 (Salmon et al., SC'11): the round multipliers and the Weyl increments of
+# the key
+_PHILOX_M = (0xD2511F53, 0xCD9E8D57)
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+_LOW32 = 0xFFFFFFFF
+# the time indices and particle counts the counter block [i // 4, t, ...] holds exactly
+_TIMES = 2**32
+_PARTICLES = 2**34
+# the coins one numpy pass of CoinStream._words computes at most, a chunk of steps at a time
+_PASS_COINS = 2**16
+
+
+def _time_index(t) -> int:
+    """t as an int when it is an integer in [0, 2**32) and not a bool; ValueError otherwise."""
+    # a plain int in range passes at once, as step() checks its time index on every call
+    if t.__class__ is int and 0 <= t < _TIMES:
+        return t
+    return _integer("time index", t, 0, _TIMES)
+
+
 @dataclass(frozen=True)
 class CoinStream:
     """Reproducible Bernoulli coin source: coin(i, t) = uniforms(t, n)[i] < p.
 
-    The generator is numpy's Philox keyed by the two words (seed, stream), passed as
-    a uint64 array so that numpy stores every word exactly.  Step t's coins are the
-    64-bit words from counter [0, t, 0, 0] on, two coins to a word: particle i's coin
-    is half i mod 2 of word i // 2, the low half first, a 32-bit k with
-    ``uniforms(t, n)[i] == k * 2**-32``.  A particle moves when k < ceil(p * 2**32),
-    so p acts as if rounded up to a multiple of 2**-32, a bias below 2.33e-10, and
-    p = 0 or 1 decides every coin without drawing a word.  This is the coin contract
-    of version 0.2; the fused kernel keys its Philox with the key numpy stores and
-    splits the words the same way, so it keeps the contract too.
+    The generator is Philox4x32-10 (Salmon et al., SC'11) under the key (seed low,
+    seed high), the two 32-bit halves of the seed.  Particle i's coin at step t is word
+    i mod 4 of counter block [i // 4, t, stream low, stream high], a 32-bit k with
+    ``uniforms(t, n)[i] == k * 2**-32``.  A particle moves when k < ceil(p * 2**32), so p
+    acts as if rounded up to a multiple of 2**-32, a bias below 2.33e-10, and p = 0 or
+    1 decides every coin without drawing a word.  Key and counter hold (seed, stream, t,
+    i) exactly for time indices t < 2**32 and at most 2**34 particles; a time index or
+    particle count outside them raises ValueError.  This is the coin contract of
+    version 0.3; the fused kernel draws the same words.
     """
 
     seed: int
@@ -74,41 +92,53 @@ class CoinStream:
         for name in ("seed", "stream"):
             object.__setattr__(self, name, _uint64(name, getattr(self, name)))
 
-    def _philox(self, t: int) -> Philox:
-        """The generator of step t: counter [0, t, 0, 0] under the key (seed, stream)."""
-        # numpy splits an int counter into words exactly, and takes a uint64 key as it
-        # stands; a list key or counter would go through float64
-        return Philox(counter=_uint64("time index", t) << 64,
-                      key=np.array([self.seed, self.stream], dtype=np.uint64))
-
     def uniforms(self, t: int, n: int) -> np.ndarray:
         """The n uniform variates of step t, independent across (i, t)."""
-        return next(self._words(n, t)) * 2.0**-32
+        return next(self._words(n, t, 1)) * 2.0**-32
 
-    @functools.cached_property
-    def _key(self) -> tuple[int, int]:
-        """The two key words numpy's Philox stores for (seed, stream)."""
-        return tuple(int(k) for k in self._philox(0).state["state"]["key"])
+    def _blocks(self, t: int, k: int, m: int) -> np.ndarray:
+        """Counter blocks [b, t + s, stream low, stream high] for s < k and b < m under
+        Philox4x32-10, word j in [s, b, j] of a (k, m, 4) uint64 array.  Each product of
+        two 32-bit words is exact in uint64; every round works in place."""
+        c = np.empty((4, k, m), np.uint64)
+        c[0] = np.arange(m, dtype=np.uint64)
+        c[1] = np.arange(t, t + k, dtype=np.uint64)[:, None]
+        c[2], c[3] = self.stream & _LOW32, self.stream >> 32
+        c0, c1, c2, c3 = c
+        p0, p1 = np.empty((2, k, m), np.uint64)
+        key = [self.seed & _LOW32, self.seed >> 32]
+        for _ in range(10):
+            np.multiply(c0, _PHILOX_M[0], out=p0)
+            np.multiply(c2, _PHILOX_M[1], out=p1)
+            np.right_shift(p1, 32, out=c0)
+            c0 ^= c1
+            c0 ^= key[0]
+            np.bitwise_and(p1, _LOW32, out=c1)
+            np.right_shift(p0, 32, out=c2)
+            c2 ^= c3
+            c2 ^= key[1]
+            np.bitwise_and(p0, _LOW32, out=c3)
+            key = [(key[j] + _PHILOX_W[j]) & _LOW32 for j in (0, 1)]
+        return c.transpose(1, 2, 0)
 
-    def _words(self, n: int, start: int = 0):
-        """The 32-bit coins k of steps start, start + 1, ..., as uint64 arrays:
-        uniforms(t, n) == k * 2**-32.
+    def _words(self, n: int, t: int, k: int):
+        """The 32-bit coins of steps t, t + 1, ..., t + k - 1, one uint64 array of n per
+        step, which uniforms scales by 2**-32.
 
-        One generator serves them all.  Step t draws m = ceil(n/2) words and splits
-        each into its low and high half, which leaves its counter at
-        [ceil(m/4), t, 0, 0]; advancing by 2**64 - ceil(m/4) carries it to
-        [0, t + 1, 0, 0] with an empty buffer, where step t + 1 starts.
+        Each numpy pass computes a chunk of steps, as many as _PASS_COINS coins allow:
+        at small n a pass costs about the same for one step as for hundreds.
         """
-        bit_gen = self._philox(start)
-        m = -(-n // 2)
-        skip = _UINT64 - (m + 3) // 4
-        while True:
-            raw = bit_gen.random_raw(m)
-            coins = np.empty(2 * m, np.uint64)
-            np.bitwise_and(raw, 0xFFFFFFFF, out=coins[0::2])
-            np.right_shift(raw, 32, out=coins[1::2])
-            yield coins[:n]
-            bit_gen.advance(skip)
+        n = _integer("particle count", n, 0, _PARTICLES + 1)
+        t = _time_index(t)
+        if k:
+            _time_index(t + k - 1)
+        m = -(-n // 4)
+        chunk = max(1, _PASS_COINS // max(4 * m, 1))
+        for start in range(t, t + k, chunk):
+            size = min(chunk, t + k - start)
+            # word j of block b is coin 4 b + j
+            coins = self._blocks(start, size, m).reshape(size, 4 * m)
+            yield from coins[:, :n]
 
     def derive(self, *ids: int) -> "CoinStream":
         """Independent substream for an (experiment, replica, ...) tuple."""
@@ -250,7 +280,7 @@ class _Plan:
         # k * 2**-32 < p exactly when k < ceil(p * 2**32); the product is exact
         self.cut = math.ceil(params.p * 2**32)
         self.tiled = None if field is None else _tiled_obstacles(field)
-        self.n = cfg.n
+        self.n = _integer("particle count", cfg.n, 0, _PARTICLES + 1)
         fused = _native.kernel()
         self.run = None if fused is None else fused[kind if field is None else "obstacles"]
 
@@ -259,7 +289,8 @@ class _Plan:
         at rr_address; a call's fields follow them."""
         obs = (0, 0) if self.tiled is None else (self.tiled.ctypes.data, len(self.tiled))
         return _native.OWN_ARGS[self.rr.dtype.kind].pack(
-            self.n, *self.coins._key, self.cut, rr_address, self.seam is not None,
+            self.n, self.coins.seed, self.coins.stream, self.cut, rr_address,
+            self.seam is not None,
             self.seam or 0, self.v, *obs)
 
     @functools.cached_property
@@ -285,7 +316,6 @@ class _Stepper:
         self._own = None if self.plan.run is None else self.plan.own_args(rr)
         self._addresses = x, wind, disp
         self.x, self.wind = self._rows[0], _float_view(self._rows[2])
-        self._t = None  # the step the numpy word stream stands at
 
     @functools.cached_property
     def disp(self) -> np.ndarray:
@@ -325,20 +355,16 @@ class _Stepper:
         totals is a contiguous float64 array.  The fused kernel runs the steps in one
         call when it is loaded, split across ``threads`` threads when they are more than
         one; the bits are the same on any number.  Otherwise ``advance`` runs them on the
-        stepper's one word stream, which is rebuilt only when a call does not start
-        where the last one stopped.
+        call's words from ``CoinStream._words``.
         """
         k = 1 if totals is None else len(totals)
         if self.plan.run is not None:
             self.plan.run(self.args(t, k, 0 if totals is None else _address(totals), threads))
             return
-        if t != self._t:
-            self._words = self.plan.coins._words(len(self.x), t)
-        for i, w in zip(range(k), self._words):
+        for i, w in enumerate(self.plan.coins._words(len(self.x), t, k)):
             disp = self.advance(w)
             if totals is not None:
                 totals[i] = disp.sum()
-        self._t = t + k
 
     def configuration(self) -> Configuration:
         """The current state, on read-only copies of the stepper's arrays."""
@@ -368,7 +394,7 @@ def step(
     own rows, so the next ``step`` under the same params, coins and field checks
     nothing again and passes those rows to the kernel as they are.
     """
-    t = _uint64("time index", t)
+    t = _time_index(t)
     if _native.kernel() is None:
         stepper = _Stepper(cfg, params, coins, field)
         stepper.steps(t)
@@ -442,7 +468,7 @@ def run(
     Every snapshot, the one at t = 0 included, has the run's dtype; the one at
     t = 0 is ``cfg`` itself when ``cfg`` has that dtype and the run its terms.
     """
-    steps = _integer("steps", steps, 1)
+    steps = _integer("steps", steps, 1, _TIMES + 1)
     if snapshot_stride is not None:
         snapshot_stride = _integer("snapshot stride", snapshot_stride, 1)
     stepper = _Stepper(cfg, params, _as_coins(coins_or_seed), field)
@@ -498,7 +524,7 @@ def coupled_run(
     """
     if cfg_a.n != cfg_b.n:
         raise ValueError("statically coupled runs need equal particle counts")
-    steps = _integer("steps", steps, 1)
+    steps = _integer("steps", steps, 1, _TIMES + 1)
     scale = float(_positive("displacement_scale", displacement_scale))
     coins = _as_coins(coins_or_seed)
     a, b = _Stepper(cfg_a, params_a, coins), _Stepper(cfg_b, params_b, coins)
@@ -513,7 +539,7 @@ def coupled_run(
         a_args, b_args = (side.args(0, steps, 0, 1) for side in (a, b))
         _native.kernel()["coupled"](a_args, b_args, kinds, n_gaps, scale, _address(out))
     else:
-        for t, w in zip(range(steps), coins._words(n)):
+        for t, w in enumerate(coins._words(n, 0, steps)):
             out[0, t], out[1, t] = a.advance(w).sum(), b.advance(w).sum()
             if n_gaps:
                 ga, gb = ((side.bounds() - side.x)[:n_gaps] for side in (a, b))

@@ -49,9 +49,13 @@ def _image_automaton(m: MarkovMatrix, p: float) -> WeightedAutomaton:
     """The measure's one-step image; state 3*s0 + s1 holds the last two sites.
 
     Reading letter e moves (s0, s1) to (s1, s2), weighted by the new site's
-    transition and coin, when site s1 holds e after the step.
+    transition and coin, when site s1 holds e after the step.  The matrix keeps
+    the automaton of each p it is asked for; p is checked on every call.
     """
-    occ, coin = (0, 1, 1), (1.0, _probability("p", p), 1.0 - p)
+    image = m._images.get(_probability("p", p))
+    if image is not None:
+        return image
+    occ, coin = (0, 1, 1), (1.0, p, 1.0 - p)
     trans, pi = m.matrix(), m.stationary
     initial, transfer = np.zeros(9), np.zeros((9, 2, 9))
     for s0, s1 in product(range(3), repeat=2):
@@ -59,7 +63,8 @@ def _image_automaton(m: MarkovMatrix, p: float) -> WeightedAutomaton:
         for s2 in range(3):
             e = _post_letter(s0, s1, occ[s2])
             transfer[3 * s0 + s1, e, 3 * s1 + s2] = trans[occ[s1], occ[s2]] * coin[s2]
-    return WeightedAutomaton(initial, transfer)
+    image = m._images[p] = WeightedAutomaton(initial, transfer)
+    return image
 
 
 def one_step_cylinder_pushforward(m: MarkovMatrix, word: str, p: float) -> float:

@@ -8,6 +8,7 @@ stationary(a_1) * prod transition(a_i, a_{i+1}).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain
@@ -136,6 +137,10 @@ class MarkovMatrix:
     ``movement_p`` tags matrices built to be stationary for the lattice process
     with that movement probability, which enforces the invariance identity
     p00*p11 = (1-p)*p10*p01 at construction.
+
+    A matrix builds its automata once: its own, and its one-step image under each
+    movement probability it is asked for.  They live on the matrix, not in a table of
+    matrices, as equal matrices can differ in the sign of a zero entry.
     """
 
     p00: float
@@ -171,6 +176,19 @@ class MarkovMatrix:
 
     def matrix(self) -> np.ndarray:
         return np.array([[self.p00, self.p01], [self.p10, self.p11]])
+
+    @functools.cached_property
+    def _automaton(self) -> "WeightedAutomaton":
+        """The measure's automaton (markov_automaton)."""
+        t = np.zeros((3, 2, 3))  # reading letter a moves to state 1 + a
+        t[0, [0, 1], [1, 2]] = self.stationary
+        t[1:, [0, 1], [1, 2]] = self.matrix()
+        return WeightedAutomaton(np.array([1.0, 0.0, 0.0]), t)
+
+    @functools.cached_property
+    def _images(self) -> dict:
+        """{movement probability: one-step image automaton} (invariance._image_automaton)."""
+        return {}
 
     @property
     def stationary(self) -> tuple[float, float]:
@@ -216,12 +234,10 @@ def markov_automaton(m: MarkovMatrix) -> WeightedAutomaton:
     """The measure as a 3-state automaton: a start state, then the last letter.
 
     Each product has one nonzero term, so a weight equals the left-to-right
-    product stationary(a_1) * prod transition(a_i, a_{i+1}) bit for bit.
+    product stationary(a_1) * prod transition(a_i, a_{i+1}) bit for bit.  The
+    matrix builds it on first use and keeps it.
     """
-    t = np.zeros((3, 2, 3))  # reading letter a moves to state 1 + a
-    t[0, [0, 1], [1, 2]] = m.stationary
-    t[1:, [0, 1], [1, 2]] = m.matrix()
-    return WeightedAutomaton(np.array([1.0, 0.0, 0.0]), t)
+    return m._automaton
 
 
 def cylinder_measure(m: MarkovMatrix, word: str) -> float:

@@ -53,6 +53,19 @@ class TestExitCodes:
                      ["simulate", "--ring", "100", "--particles", "0", "--r", "0.5"]):
             assert main(["--outdir", str(tmp_path)] + args) == 2, args
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_heterogeneous_couple_check_names_a_bad_particle_count(self, tmp_path, capsys,
+                                                                    count):
+        # the count sizes the ring: it must be named itself, not through the ring's length
+        # ("ring circumference=0.0") or numpy's "negative dimensions"
+        code = main(["--outdir", str(tmp_path), "couple-check", "--mode", "heterogeneous",
+                     "--particles", count, "--steps", "5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: n_particles must be an integer of at least 1, "
+                              f"got {count}")
+        assert list(tmp_path.iterdir()) == []
+
     def test_verified_is_zero(self, tmp_path):
         code = main(["--outdir", str(tmp_path), "verify-invariance",
                      "--rho", "0.5", "--p", "0.5", "--max-len", "4", "--tol", "1e-10"])

@@ -8,7 +8,6 @@ import pickle
 
 import numpy as np
 import pytest
-from numpy.random import Philox
 
 from tasep import (
     LINE,
@@ -315,39 +314,52 @@ class TestCoinStream:
         assert abs(u.mean() - 0.5) < 0.05
 
     def test_streams_above_2_63_keep_their_own_keys(self):
-        # the key goes to numpy as a uint64 array, which no word passes through float64
-        # (a list key made both of these (1, 2**63) and their coins the same)
+        # seed and stream enter Philox as their exact 32-bit halves, the seed as the key
+        # and the stream as counter words 2 and 3, so no two of them share their coins
         a, b = CoinStream(1, 2**63 + 5), CoinStream(1, 2**63 + 6)
-        assert a._key == (1, 2**63 + 5) and b._key == (1, 2**63 + 6)
         assert not np.array_equal(a.uniforms(3, 64), b.uniforms(3, 64))
         cfg, params = even_lattice_ring(40, 15), ProcessParams(0.5, 1)
         assert run(cfg, params, 30, a).final != run(cfg, params, 30, b).final
-        # a key below 2**63 is stored as numpy stores the list
-        assert CoinStream(1, 5)._key == (1, 5)
+        # the seed's high half is a key word of its own
+        assert not np.array_equal(CoinStream(2**32 + 1).uniforms(0, 8),
+                                  CoinStream(1).uniforms(0, 8))
+
+    @pytest.mark.parametrize("backend", ["default", "numpy"], indirect=True)
+    def test_random123_known_answer(self, backend):
+        # Random123's known-answer vector of Philox4x32-10: counter and key zero
+        words = CoinStream(0).uniforms(0, 4) * 2**32
+        assert words.tolist() == [0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8]
+        # at p = 1/2 only particle 0 draws a word below 2**31
+        free = Configuration(LINE, np.arange(4) * 10, 0.5)
+        moved = step(free, ProcessParams(0.5, 1), CoinStream(0), 0).winding
+        assert moved.tolist() == [1.0, 0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("n", [1, 100, 101, 10_000])
     def test_run_words_are_the_uniforms(self, n):
-        # one generator per run, jumped to counter [0, t, 0, 0] each step
+        # a run's words come a chunk of steps per numpy pass; each is its step's uniforms
         s = CoinStream(5).derive(2)
-        words = s._words(n)
-        for t in range(20):
-            k = next(words)
+        words = list(s._words(n, 0, 20))
+        assert len(words) == 20
+        for t, k in enumerate(words):
             assert k.dtype == np.uint64 and len(k) == n and k.max() < 2**32
             assert np.array_equal(k.astype(np.float64), s.uniforms(t, n) * 2.0**32)
+        # a chunk that starts mid-run has the same words
+        assert all(np.array_equal(a, b) for a, b in zip(s._words(n, 7, 5), words[7:12]))
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 10_000])
     @pytest.mark.parametrize("backend", ["default", "numpy"], indirect=True)
-    def test_coin_i_is_half_i_mod_2_of_word_i_over_2(self, n, backend):
-        # the contract, against numpy's Philox words split with Python integers: particle
-        # i's coin is the low (i even) or high (i odd) 32 bits of word i // 2 of step t
+    def test_coin_i_is_word_i_mod_4_of_block_i_over_4(self, n, backend):
+        # the contract, against Philox4x32-10 computed here with Python integers: particle
+        # i's coin is word i mod 4 of counter block [i // 4, t, stream low, stream high]
+        # under the key (seed low, seed high)
         s = CoinStream(5).derive(3)
         free = Configuration(LINE, np.arange(n) * 10, 0.5)
-        words = s._words(n)
-        for t in (0, 1, 2**63 + 1):
-            gen = Philox(counter=t << 64, key=np.array([s.seed, s.stream], dtype=np.uint64))
-            raw = [int(w) for w in gen.random_raw(-(-n // 2))]
-            coins = np.array([raw[i // 2] >> 32 * (i % 2) & 0xFFFFFFFF for i in range(n)],
-                             dtype=np.uint64)
+        words = s._words(n, 0, 3)
+        for t in (0, 1, 2, 2**32 - 1):
+            blocks = [_philox4x32([b, t, s.stream & 0xFFFFFFFF, s.stream >> 32],
+                                  [s.seed & 0xFFFFFFFF, s.seed >> 32])
+                      for b in range(-(-n // 4))]
+            coins = np.array([blocks[i // 4][i % 4] for i in range(n)], dtype=np.uint64)
             if t < 3:
                 assert np.array_equal(next(words), coins)
             assert np.array_equal(s.uniforms(t, n), coins * 2.0**-32)
@@ -360,7 +372,7 @@ class TestCoinStream:
         # p within 2**-32 of 1 decides every coin, as p = 1 does; the least p moves k = 0
         assert cut == {1 - 2.0**-53: 2**32, 5e-324: 1}.get(p, cut)
         edges = np.array([0, cut - 1, cut, cut + 1, 2**32 - 1]).clip(0, 2**32 - 1)
-        words = np.concatenate([edges, next(CoinStream(8)._words(1000))]).astype(np.uint64)
+        words = np.concatenate([edges, next(CoinStream(8)._words(1000, 0, 1))]).astype(np.uint64)
         u = words.astype(np.float64) * 2.0**-32
         assert np.array_equal(words < cut, u < p)
         # the stepper moves exactly the particles whose coin falls below p
@@ -368,10 +380,30 @@ class TestCoinStream:
         disp = _Stepper(free, ProcessParams(p=p, v=1), CoinStream(8)).advance(words)
         assert np.array_equal(disp == 1, u < p)
 
+    def test_particle_counts_past_2_34_rejected(self):
+        # block i // 4 is a 32-bit counter word: 2**34 particles fill it
+        with pytest.raises(ValueError, match="particle count"):
+            CoinStream(3).uniforms(0, 2**34 + 1)
+        with pytest.raises(ValueError, match="particle count"):
+            next(CoinStream(3)._words(-1, 0, 1))
+
+
+def _philox4x32(counter: list[int], key: list[int]) -> list[int]:
+    """Philox4x32-10 of one counter block, in Python integers (Salmon et al., SC'11)."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + 0x9E3779B9) % 2**32, (k1 + 0xBB67AE85) % 2**32
+        p0, p1 = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 % 2**32, (p0 >> 32) ^ c3 ^ k1, p0 % 2**32
+    return [c0, c1, c2, c3]
+
 
 class TestTimeIndex:
     @pytest.mark.parametrize("backend", ["default", "numpy"], indirect=True)
-    @pytest.mark.parametrize("bad", [2**64, -1, 1.5, True, np.float64(1.0), "3"])
+    @pytest.mark.parametrize("bad", [2**64, -1, 1.5, True, np.float64(1.0), "3", 2**32,
+                                     np.uint64(2**32)])
     def test_non_integer_or_out_of_range_rejected(self, bad, backend):
         with pytest.raises(ValueError, match="time index"):
             step(even_lattice_ring(20, 5), ProcessParams(0.5, 1), CoinStream(3), bad)
@@ -379,14 +411,24 @@ class TestTimeIndex:
             CoinStream(3).uniforms(bad, 4)
 
     @pytest.mark.parametrize("backend", ["default", "numpy"], indirect=True)
-    def test_step_t_moves_on_uniforms_t_up_to_2_64(self, backend):
-        # each t has its own counter word; a list counter would round t >= 2**63 in float64
+    def test_step_t_moves_on_uniforms_t_up_to_2_32(self, backend):
+        # t is counter word 1: every t below 2**32 has its own coins
         free, coins = Configuration(LINE, np.arange(64) * 10, 0.5), CoinStream(3)
-        ts = [0, 2**63 - 1, 2**63, 2**63 + 1, np.uint64(2**64 - 1)]
+        ts = [0, 1, 2**31, 2**32 - 2, np.uint64(2**32 - 1)]
         moves = [step(free, ProcessParams(0.5, 1), coins, t).winding == 1 for t in ts]
         for t, moved in zip(ts, moves):
             assert np.array_equal(moved, coins.uniforms(t, 64) < 0.5)
         assert len({m.tobytes() for m in moves}) == len(ts)
+
+    def test_steps_past_2_32_rejected(self):
+        # a run's last step would be t = 2**32; it fails before any step
+        cfg, params = even_lattice_ring(20, 5), ProcessParams(0.5, 1)
+        with pytest.raises(ValueError, match="steps"):
+            run(cfg, params, 2**32 + 1, 3)
+        with pytest.raises(ValueError, match="steps"):
+            coupled_run(cfg, cfg, params, params, 2**32 + 1, 3)
+        with pytest.raises(ValueError, match="time index"):
+            next(CoinStream(3)._words(4, 2**32 - 1, 2))
 
 
 def _terms_are_fresh(cfg: Configuration) -> bool:

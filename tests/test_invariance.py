@@ -160,6 +160,24 @@ class TestCylinderTable:
                 for n in range(1, 11):
                     assert a.table(n).tobytes() == want[: 2 ** (n + 1) - 2].tobytes(), (rho, p, n)
 
+    @pytest.mark.parametrize("case", range(len(MATRICES)))
+    def test_repeat_calls_keep_their_bits(self, case):
+        # each matrix builds its automata once; a repeat call and a fresh equal matrix
+        # give the same bits, and a bad p still raises on every call
+        m, p = MATRICES[case]
+        fresh = MarkovMatrix(m.p00, m.p01, m.p10, m.p11, m.movement_p)
+        for word in ("0", "1", "10", "0110", "1011001"):
+            first = (cylinder_measure(m, word), one_step_cylinder_pushforward(m, word, p))
+            assert (cylinder_measure(m, word), one_step_cylinder_pushforward(m, word, p)) == first
+            assert (cylinder_measure(fresh, word),
+                    one_step_cylinder_pushforward(fresh, word, p)) == first
+        assert markov_automaton(m) is markov_automaton(m)
+        assert _image_automaton(m, p) is _image_automaton(m, p)
+        assert _image_automaton(m, 0.25) is not _image_automaton(m, p)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="movement probability"):
+                one_step_cylinder_pushforward(m, "10", 1.5)
+
 
 class TestReportValues:
     def test_cylinder_comparison_surface(self):

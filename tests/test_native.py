@@ -153,7 +153,7 @@ def _ring(n, lattice, rng):
     return Configuration(Ring(L * 1.7), pos * 1.7, 0.3), ProcessParams(0.5, 1.25)
 
 
-# sizes around the 8-coin Philox blocks and the 8-lane and 128-element blocks of
+# sizes around the 4-coin counter blocks and the 8-lane and 128-element blocks of
 # numpy's pairwise sum, which the reproducibility cases (n <= 120) do not reach, then
 # sizes around the split rule: just below, at and just above its particle count, one
 # that is not a multiple of 8, and 10^4
@@ -301,6 +301,27 @@ def test_forced_split_equals_numpy(n, kind, monkeypatch):
 
     fused, ref = _both_paths(monkeypatch, walk)
     assert fused == ref
+
+
+def test_split_helper_wraps_on_particle_0s_own_coin(monkeypatch):
+    """The helper thread of a split call repeats particle 0's move, on word 0 of counter
+    block 0, to decide whether its particles wrap at the seam.  On a small ring at
+    p = 1/2 particle 0 crosses the seam many times, and in each step at the seam its
+    coin alone decides whether it crosses, so another word (a later step's, say) would
+    wrap the helper's particles in the wrong steps."""
+    n, L = 136, 400
+    pos = np.sort(np.random.default_rng(21).choice(L, n, replace=False)).astype(np.int64)
+    cfg, params = Configuration(Ring(L), pos, 0.0), ProcessParams(0.5, 3)
+
+    def walk():
+        stepper, totals = _Stepper(cfg, params, CoinStream(21)), np.zeros(3000)
+        stepper.steps(0, totals, threads=2)
+        return stepper.x.tobytes(), stepper.wind.tobytes(), totals.tobytes()
+
+    fused, ref = _both_paths(monkeypatch, walk)
+    assert fused == ref
+    # particle 0 went round the ring many times within the one split call
+    assert np.frombuffer(ref[1])[0] > 5 * L
 
 
 def _long_jump_ring(n, rng):
@@ -634,7 +655,7 @@ def test_a_step_chain_that_changes_its_arguments_equals_numpy(monkeypatch):
 
 
 def test_kernel_equals_numpy_on_a_stream_above_2_63(monkeypatch):
-    # the kernel uses the key numpy stores, whose words are exact above 2**63 too
+    # the kernel splits seed and stream into exact 32-bit halves, as the numpy reference does
     coins = CoinStream(1, 2**63 + 5)
     cfg, params = _ring(100, True, np.random.default_rng(0))
     fused, ref = _both_paths(monkeypatch, lambda: (
@@ -767,3 +788,34 @@ def test_default_clone_equals_numpy_on_coupled_runs(default_clone, monkeypatch):
 
     fused, ref = _both_paths(monkeypatch, runs)
     assert fused == ref
+
+
+def _coin_walk(n):
+    """Runs of n particles that draw coins: a lattice and a continuum ring on one thread
+    and, past 128 particles, split across two, and a coupled pair."""
+    rng, out = np.random.default_rng(n), []
+    for lattice in (True, False):
+        cfg, params = _ring(n, lattice, rng)
+        for threads in (1, 2) if n > 128 else (1,):
+            stepper, totals = _Stepper(cfg, params, CoinStream(n)), np.zeros(20)
+            stepper.steps(0, totals, threads=threads)
+            out.append((stepper.x.tobytes(), stepper.wind.tobytes(), totals.tobytes()))
+    cfg_a, cfg_b = _het_pair(n, rng)
+    params = ProcessParams(0.6, 1.5)
+    return out + [_coupled_bytes(coupled_run(cfg_a, cfg_b, params, params, 20, CoinStream(n)))]
+
+
+# every size up to 40, off and on the AVX-512 body's groups of 32 coins, then sizes
+# around a block of 512 particles and one past the split rule's count
+@pytest.mark.parametrize("n", [*range(1, 41), 511, 512, 513, 4097])
+def test_coin_bodies_agree(n, default_clone_library, monkeypatch):
+    """The library's runs, whose coin body on a machine of x86-64-v4 is the AVX-512 one,
+    equal the default clone's, whose body is the portable one, and the numpy stepper,
+    on one thread and on forced split calls."""
+    if _native.kernel() is None:
+        pytest.skip("the fused kernel cannot be built here")
+    simd = _coin_walk(n)
+    monkeypatch.setattr(_native, "kernel", lambda: default_clone_library)
+    assert _coin_walk(n) == simd
+    monkeypatch.setattr(_native, "kernel", lambda: None)
+    assert _coin_walk(n) == simd

@@ -85,20 +85,20 @@ CASES = {
 
 # name -> digests of (final.positions, final.winding, step_total_displacement)
 RUN_DIGESTS = {
-    "lattice_ring": ("ce1ea6055c5d2c2e", "bb4cb971d976c3dc", "3785a57e6148a732"),
-    "continuum_ring": ("a38283b8802251f7", "f8d882a3b3bc9147", "575bfce3176f6d56"),
-    "line_window": ("31df41584b7f4785", "eb4cfa6de9427ead", "a7e5b466b0486fed"),
-    "integer_radius_0.3": ("9f9a0dbda59c3c14", "9b7f3b0e01913abc", "6accd084421a0013"),
-    "obstacles_continuum": ("3135d303c5e2a281", "01e7a5df2614ba0e", "2944fc2cbae8fb10"),
-    "obstacles_integer_ring": ("90838460e0a88e8d", "60631eba7a1db745", "de781277d7ac1b95"),
+    "lattice_ring": ("fe52d5b502b98f7b", "322236f5e737cdb3", "de0e77bd916700ec"),
+    "continuum_ring": ("a16bb2bde487e121", "d73670096bdc4f5e", "a6e80ae82489b156"),
+    "line_window": ("a93ce5e76cf11953", "2381d4a2c45ab1f9", "45fd1a75f9995552"),
+    "integer_radius_0.3": ("6679df59bf991200", "4fda557398c9dc61", "7fc389db920f2c09"),
+    "obstacles_continuum": ("021a17bde9a1210e", "9468c574ae7e4b6c", "ec76040175d8d0bc"),
+    "obstacles_integer_ring": ("08aeae4a0daeca5d", "3c83ab4d1a0b890f", "f34626e6483f34f2"),
 }
 
 # heterogeneous-radius ring coupled to its mean-radius conjugate: positions and
 # winding of both finals, both step-total series, then gap and displacement
 # divergences (rounding-level, so they pin the float arithmetic too)
 COUPLED_DIGESTS = (
-    "42f7d4523c4a0194", "0b3654c8ebda98f3", "8d60e63ab186e428", "ee719039237b6b2d",
-    "7baa908b26d85940", "71639022dfea9163", "427f7a0662f9ea77", "ed7941fad2e5bb76",
+    "fbaae7f4a4e0c1e5", "2bf770bed5e4a4b0", "8850e8bc06c2b68f", "a464c4fea8e01d91",
+    "5175607e0728ffef", "da78e965007673d6", "54aa354427e12cae", "8d1c20ef69ef9ef1",
 )
 
 
@@ -278,7 +278,7 @@ def test_measure_cylinder_csv_digest(tmp_path):
             "--max-len", "8"]
     assert main(argv) == 0
     data = (tmp_path / "cylinders.csv").read_bytes()
-    assert hashlib.sha256(data).hexdigest()[:16] == "c8312002ce210086"
+    assert hashlib.sha256(data).hexdigest()[:16] == "543fa1a51dafb938"
 
 
 def _sha(data: bytes) -> str:
@@ -324,34 +324,34 @@ def test_sample_ring_configuration_digest():
 
 # argv -> {artifact: digest}
 CLI_DIGESTS = {
-    ("periodic-points", "--n", "12"): {"periodic_points.csv": "a9021ce30d426633"},
-    ("periodic-points", "--n", "24"): {"periodic_points.csv": "8e840cadd37a063e"},
+    ("periodic-points", "--n", "12"): {"periodic_points.csv": "ad05a00df8f13811"},
+    ("periodic-points", "--n", "24"): {"periodic_points.csv": "0c15b0983fbbe950"},
     ("measure", "sample", "--rho", "0.35", "--p", "0.6", "--sites", "1000", "--seed", "7"):
-        {"sample.csv": "e7f7523ae03bb81b"},
+        {"sample.csv": "6a4194a8d437d674"},
     ("measure", "sample", "--rho", "0.3", "--p", "0.7", "--v", "2", "--r", "0.25",
      "--sites", "500", "--seed", "8", "--configuration", "--randomize-offset"):
-        {"sample.csv": "5c550e9f39f2c326"},
+        {"sample.csv": "b4d4eaf081769fe1"},
     ("simulate", "--ring", "100", "--particles", "50", "--p", "0.5", "--v", "1", "--r", "0.5",
      "--steps", "60", "--seed", "7", "--snapshot-stride", "20"):
-        {"trajectory.csv": "6e491b5a912fb043", "velocity.csv": "694c87a50280c3d8"},
+        {"trajectory.csv": "a2d8391fd6a07474", "velocity.csv": "d9da6e20c636d15e"},
     ("simulate", "--ring", "150", "--particles", "60", "--p", "0.6", "--v", "1.5",
      "--r", "0.25", "--steps", "60", "--seed", "8", "--snapshot-stride", "20"):
-        {"trajectory.csv": "ef46960707ba5e0b", "velocity.csv": "5501ce06e8342d86"},
+        {"trajectory.csv": "f3f3c165b10ba55f", "velocity.csv": "15e88cd9208754ff"},
     ("verify-invariance", "--rho", "0.35", "--p", "0.6", "--max-len", "6"):
-        {"invariance.csv": "e3e0531c63a8aa30"},
+        {"invariance.csv": "5465ba61ad2aaa93"},
     ("verify-invariance", "--rho", "0.3", "--p", "1", "--max-len", "6"):
-        {"invariance.csv": "13851871c1291a89"},
+        {"invariance.csv": "308a63d8dabb4763"},
     ("fundamental-diagram", "--rho", "0.2:0.4:0.1", "--p", "0.8", "--v", "1", "--r", "0.5",
-     "--particles", "200", "--steps", "300", "--seed", "11"): {"fd.csv": "2a531e19433c4830"},
+     "--particles", "200", "--steps", "300", "--seed", "11"): {"fd.csv": "c43cddbb00cd49ef"},
     ("couple-check", "--mode", "heterogeneous", "--rho", "0.3", "--p", "0.7",
-     "--particles", "60", "--steps", "50", "--seed", "4"): {"couple.csv": "d668756ea3287c58"},
+     "--particles", "60", "--steps", "50", "--seed", "4"): {"couple.csv": "5346b25641726981"},
     ("obstacles", "--ring", "100", "--rho-x", "0.25", "--count", "40", "--p", "0.5",
-     "--v", "1", "--steps", "400", "--seed", "1"): {"obstacles.csv": "164987915544a02f"},
+     "--v", "1", "--steps", "400", "--seed", "1"): {"obstacles.csv": "addefbc55bdbddea"},
     ("stability-sweep", "--rho", "0.5", "--v", "1", "--r", "0", "--p-list", "0.9,1.0",
-     "--particles", "100", "--steps", "100", "--seed", "2"): {"sweep.csv": "9a5db741308e2928"},
-    ("measure", "matrix", "--rho", "0.35", "--p", "0.6"): {"matrix.csv": "53a5708194c20d6d"},
+     "--particles", "100", "--steps", "100", "--seed", "2"): {"sweep.csv": "5966ca618976c4f7"},
+    ("measure", "matrix", "--rho", "0.35", "--p", "0.6"): {"matrix.csv": "1742cee5a48b1d07"},
     ("periodic-points", "--count-only", "--n", "100"):
-        {"periodic_counts.csv": "a3f51a6d8a520f61"},
+        {"periodic_counts.csv": "31512ed6311a9352"},
 }
 
 
