@@ -59,18 +59,15 @@
 
    A run call given threads > 1 runs each step on two threads: the caller
    moves particles [0, c) and a helper thread, started for the call and joined
-   at its end, moves [c, n).  The split c is always a point where pairwise's
-   recursion over n splits a node of more than 128 elements, so a multiple of
-   8.  It starts at the top split, n/2 rounded down to a multiple of 8, and
-   every ROUND steps moves toward the point where both threads take equally
-   long, as the two CPUs need not run equally fast.  In a float64 run each
-   thread sums the children on the path from the root to c's node that lie in
-   its range (tree_part), and the caller adds them up in pairwise's order
-   (tree_sum), so the step's total has the bits of pairwise over all n; with
-   integer totals each thread puts out its integer sum and the caller adds
-   the two.  A multiple of 8 particles is whole counter blocks and, as _Stepper
-   aligns x, disp and wind to 64 bytes, whole cache lines, so the threads never
-   write one line.
+   at its end, moves [c, n), with c = half_of(n) for the whole call, the point
+   where pairwise splits its root.  A float64 thread's share of the step's
+   total is pairwise over its own range and an int64 thread's its integer
+   sum; the caller adds the two shares, which for n > 128 is pairwise over all
+   n by pairwise's own definition.  c is a multiple of 8, so whole counter
+   blocks and, as _Stepper aligns x, disp and wind to 64 bytes, whole cache
+   lines: the threads never write one line.  The two halves take equally long
+   when the two CPUs run equally fast; a split that followed the CPUs'
+   measured speeds ran no faster on the coins of contract 0.3 (BENCH_28.json).
 
    Step s of a thread needs positions that the other thread moved, as they
    stood when the step began: the caller needs x[c] for its last particle's
@@ -83,15 +80,12 @@
    and the caller at its last 8 particles.  So neither thread waits on the
    other at every step, and either may run up to a step ahead: the caller adds
    up step s - 1's total after its step s, once the helper's count of finished
-   steps shows its sums.  Positions, sums and splits go out in slots by step
-   modulo RING, more slots than steps the threads can be apart, so a slot is
-   not written again before it has been read.  A new split moves particles
-   between the threads, so both finish the step before it first; the caller
-   sets each split three steps ahead, so that the thread moving particle c the
-   step before knows to put x[c] out.  A waiting thread spins while the other
-   runs on another CPU and yields when the two share one; the helper starts on
-   another CPU than the caller's, as a new thread is often placed beside the
-   thread that made it.
+   steps shows its share.  Positions and shares go out in slots by step modulo
+   RING, more slots than steps the threads can be apart, so a slot is not
+   written again before it has been read.  A waiting thread spins while the
+   other runs on another CPU and yields when the two share one; the helper
+   starts on another CPU than the caller's, as a new thread is often placed
+   beside the thread that made it.
 
    On x86-64 each run function and pairwise are built as two target clones,
    x86-64-v4 (AVX-512) and the baseline, and the dynamic loader picks one per
@@ -107,9 +101,7 @@
 #include <pthread.h>
 #include <sched.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
-#include <time.h>
 
 /* Philox4x32-10's round multipliers and the Weyl increments of its key */
 #define PHILOX_M0 0xD2511F53u
@@ -251,72 +243,6 @@ CLONES static double pairwise(const double *a, int64_t n) {
     return pairwise(a, n2) + pairwise(a + n2, n - n2);
 }
 
-/* pairwise's recursion depth is below this for any int64 length */
-#define DEPTH 64
-
-/* The split nearest to c of a node of pairwise's tree over n elements (of a
-   node above 128 elements, so a multiple of 8): where a split call may
-   divide its particles between its threads and still sum as pairwise does. */
-static int64_t nearest_split(int64_t n, int64_t c) {
-    int64_t b = 0, e = n, best = half_of(n);
-    while (e - b > 128) {
-        const int64_t mid = b + half_of(e - b);
-        if (llabs(mid - c) < llabs(best - c))
-            best = mid;
-        if (c < mid)
-            e = mid;
-        else
-            b = mid;
-    }
-    return best;
-}
-
-/* Thread me's share of pairwise(disp, n) when thread 0 holds [0, c) and
-   thread 1 [c, n), c a split of the tree: on the path from the root to the
-   node that splits at c, the sum of each child wholly in its range, in
-   part[depth].  Thread 0 then adds the shares up with tree_sum. */
-CLONES static void tree_part(const double *disp, int64_t n, int64_t c, int me,
-                             double *part) {
-    int64_t b = 0, e = n;
-    for (int d = 0;; d++) {
-        const int64_t mid = b + half_of(e - b);
-        if (me && c <= mid)
-            part[d] = pairwise(disp + mid, e - mid);
-        if (!me && c >= mid)
-            part[d] = pairwise(disp + b, mid - b);
-        if (c == mid)
-            return;
-        if (c < mid)
-            e = mid;
-        else
-            b = mid;
-    }
-}
-
-/* pairwise(disp, n) from both threads' tree_part: the node that splits at c
-   is left + right, and each node above it the same, in pairwise's order. */
-static double tree_sum(int64_t n, int64_t c, const double *part0,
-                       const double *part1) {
-    int64_t b = 0, e = n;
-    uint64_t left = 0; /* bit d: the path goes left at depth d */
-    int d = 0;
-    for (;; d++) {
-        const int64_t mid = b + half_of(e - b);
-        if (c == mid)
-            break;
-        if (c < mid) {
-            left |= 1ULL << d;
-            e = mid;
-        } else {
-            b = mid;
-        }
-    }
-    double sum = part0[d] + part1[d];
-    while (d-- > 0)
-        sum = left >> d & 1 ? sum + part1[d] : part0[d] + sum;
-    return sum;
-}
-
 /* The arguments of a run call, one struct per position type T (tasep_args_i64,
    tasep_args_f64), which _native.py packs into a bytes object.  The run's own
    fields come first and the call's after them, so a run packs its own once:
@@ -451,16 +377,6 @@ static int64_t at_or_below(const double *obs, int64_t m, double x) {
     return lo;
 }
 
-/* steps between two settings of a split call's split */
-#define ROUND 16
-
-/* Nanoseconds on the monotonic clock. */
-static int64_t now_ns(void) {
-    struct timespec ts;
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
-}
-
 /* The CPU the calling thread runs on, or -1 where that cannot be known. */
 static int this_cpu(void) {
 #ifdef __linux__
@@ -504,13 +420,12 @@ static void say(struct count *mine, int64_t s) {
     __atomic_store_n(&mine->steps, s, __ATOMIC_RELEASE);
 }
 
-/* Wait until *theirs reaches s; returns the ns waited.  A waiter spins while
-   the other thread runs on another CPU; when the two share one, the other
-   cannot run until this one yields, so it yields at once. */
-static int64_t await(const struct count *theirs, int64_t s) {
+/* Wait until *theirs reaches s.  A waiter spins while the other thread runs
+   on another CPU; when the two share one, the other cannot run until this one
+   yields, so it yields at once. */
+static void await(const struct count *theirs, int64_t s) {
     if (__atomic_load_n(&theirs->steps, __ATOMIC_ACQUIRE) >= s)
-        return 0;
-    const int64_t start = now_ns();
+        return;
     const int cpu = this_cpu();
     for (int spins = 0; __atomic_load_n(&theirs->steps, __ATOMIC_ACQUIRE) < s;
          spins++) {
@@ -524,7 +439,6 @@ static int64_t await(const struct count *theirs, int64_t s) {
             sched_yield();
         }
     }
-    return now_ns() - start;
 }
 
 /* slots of a split call's published values: neither thread ever runs more
@@ -537,13 +451,6 @@ static int64_t await(const struct count *theirs, int64_t s) {
    them is an integer that a double holds exactly (see the header). */
 static int integer_totals(int64_t n, int64_t v) {
     return n == 0 || v <= ((int64_t)1 << 53) / n;
-}
-
-/* A split call's step total from the two threads' parts: the integer parts'
-   sum, or pairwise's by tree_sum. */
-static double split_total(int exact, int64_t n, int64_t c, const double *part0,
-                          const double *part1) {
-    return 0. + (exact ? part0[0] + part1[0] : tree_sum(n, c, part0, part1));
 }
 
 /* Steps t, t + 1, ..., t + k - 1 of the run a; step t's coins are the words
@@ -588,13 +495,11 @@ static double split_total(int exact, int64_t n, int64_t c, const double *part0,
     /* What one thread of a split call writes for the other, in slots by step      \
        modulo RING. */                                                             \
     struct NAME##_post {                                                           \
-        struct count head;         /* steps whose boundary positions are out */    \
-        struct count done;         /* steps finished */                            \
-        T pos[RING][2];            /* thread 0: x[0] and x[1] as step s begins */  \
-        T at[RING];                /* x[c] as step s begins, c its split */        \
-        int64_t split[RING];       /* thread 0: the split of step s */             \
-        int64_t busy[RING];        /* thread 1: ns it worked on step s */          \
-        double part[RING][DEPTH];  /* thread 1: its tree_part or integer sum */    \
+        struct count head;  /* steps whose boundary positions are out */           \
+        struct count done;  /* steps finished */                                   \
+        T pos[RING][2];     /* thread 0: x[0] and x[1] as step s begins */         \
+        T at[RING];         /* thread 1: x[c] as step s begins */                  \
+        double part[RING];  /* its share of step s's total */                      \
     } __attribute__((aligned(64)));                                                \
                                                                                    \
     struct NAME##_team {                                                           \
@@ -607,34 +512,23 @@ static double split_total(int exact, int64_t n, int64_t c, const double *part0,
     };                                                                             \
                                                                                    \
     /* Thread me's share of every step of a split call: thread 0 moves the         \
-       particles [0, c), thread 1 [c, n). */                                       \
+       particles [0, c) and thread 1 [c, n), c = half_of(n). */                    \
     CLONES __attribute__((noinline)) static void NAME##_share(                     \
         struct NAME##_team *tm, const int me) {                                    \
         const struct tasep_args_##SUFFIX *a = tm->a;                               \
         const int64_t n = a->n, k = tm->k, cut = (int64_t)a->cut;                  \
+        const int64_t c = half_of(n), lo = me ? c : 0, hi = me ? n : c;            \
         const T seam = a->seam, *x = a->x;                                         \
         struct NAME##_post *mine = &tm->post[me], *theirs = &tm->post[!me];        \
-        const int64_t *split = tm->post[0].split;                                  \
         coin_body_fn *const draw = tm->draw;                                       \
         const int exact = EXACT && integer_totals(n, (int64_t)a->v);               \
         T moved[BLOCK] __attribute__((aligned(64)));                               \
         uint32_t w[BLOCK] __attribute__((aligned(64)));                            \
         double scratch[BLOCK] __attribute__((aligned(64)));                        \
-        double part[RING][DEPTH], work[2] = {0., 0.}, spent[2] = {0., 0.};         \
-        int64_t busy[RING] = {0}, c_last = split[0];                               \
         for (int64_t s = 0; s < k; s++) {                                          \
             const uint64_t t = tm->t + s;                                          \
-            const int64_t start = now_ns();                                        \
             double *const into = exact && s + 1 < k ? scratch : NULL;              \
             uint64_t sum = 0;                                                      \
-            /* thread 1 needs x[0] and x[1]; once they are out, so are the splits  \
-               of steps s and s + 1, which thread 0 set at the end of step s - 2 */\
-            int64_t waited = me ? await(&theirs->head, s) : 0;                     \
-            const int64_t c = split[s % RING], c_next = split[(s + 1) % RING];     \
-            /* a new split moves particles between the threads: both finish the    \
-               last step first */                                                  \
-            if (c != c_last)                                                       \
-                waited += await(&theirs->done, s);                                 \
             if (me == 0) {                                                         \
                 /* block 0 first, so that x[0] and x[1] go out early */            \
                 const int64_t h = c - 8 < BLOCK ? c - 8 : BLOCK;                   \
@@ -645,17 +539,11 @@ static double split_total(int exact, int64_t n, int64_t c, const double *part0,
                 say(&mine->head, s + 1);                                           \
                 wrap = NAME##_part(a, t, h, c - 8, x[c - 8], wrap, draw, moved, w, \
                                    into, &sum);                                    \
-                /* x[c] comes from the thread that moved particle c last step */   \
-                const struct NAME##_post *from = c < c_last ? mine : theirs;       \
-                if (c == c_last)                                                   \
-                    waited += await(&theirs->head, s);                             \
-                const T xc = from->at[s % RING];                                   \
+                await(&theirs->head, s);                                           \
+                const T xc = theirs->at[s % RING];                                 \
                 NAME##_part(a, t, c - 8, c, xc, wrap, draw, moved, w, into, &sum); \
-                if (exact)                                                         \
-                    part[s % RING][0] = (double)(int64_t)sum;                      \
-                else                                                               \
-                    tree_part(a->disp, n, c, 0, part[s % RING]);                   \
             } else {                                                               \
+                await(&theirs->head, s);                                           \
                 const T *in = theirs->pos[s % RING], x0 = in[0];                   \
                 const T last = a->ring ? x0 + seam : (CAP);                        \
                 int wrap = 0;                                                      \
@@ -676,61 +564,24 @@ static double split_total(int exact, int64_t n, int64_t c, const double *part0,
                 const int64_t h = n - c < BLOCK ? n : c + BLOCK;                   \
                 NAME##_part(a, t, c, h, h < n ? x[h] : last, wrap, draw, moved, w, \
                             into, &sum);                                           \
-                if (c_next == c) {                                                 \
-                    mine->at[(s + 1) % RING] = x[c];                               \
-                    say(&mine->head, s + 1);                                       \
-                }                                                                  \
+                mine->at[(s + 1) % RING] = x[c];                                   \
+                say(&mine->head, s + 1);                                           \
                 NAME##_part(a, t, h, n, last, wrap, draw, moved, w, into, &sum);   \
-                if (exact)                                                         \
-                    mine->part[s % RING][0] = (double)(int64_t)sum;                \
-                else                                                               \
-                    tree_part(a->disp, n, c, 1, mine->part[s % RING]);             \
             }                                                                      \
-            if (c_next != c) {                                                     \
-                /* whoever moved particle c_next puts it out, after the step */    \
-                if ((c_next < c) == (me == 0))                                     \
-                    mine->at[(s + 1) % RING] = x[c_next];                          \
-                if (me == 1)                                                       \
-                    say(&mine->head, s + 1);                                       \
-            }                                                                      \
-            if (me == 0)                                                           \
-                busy[s % RING] = now_ns() - start - waited;                        \
-            else                                                                   \
-                mine->busy[s % RING] = now_ns() - start - waited;                  \
+            mine->part[s % RING] =                                                 \
+                exact ? (double)(int64_t)sum : pairwise(a->disp + lo, hi - lo);    \
             say(&mine->done, s + 1);                                               \
-            c_last = c;                                                            \
             if (me == 1 || s == 0)                                                 \
                 continue;                                                          \
             /* thread 0: step s - 1's total, once thread 1 has finished it */      \
             await(&theirs->done, s);                                               \
-            const int64_t c_prev = split[(s - 1) % RING];                          \
-            tm->totals[s - 1] = split_total(exact, n, c_prev, part[(s - 1) % RING],\
-                                            theirs->part[(s - 1) % RING]);         \
-            /* the split of step s + 3: every ROUND steps, toward the one at       \
-               which both threads would have worked equally long */                \
-            work[0] += c_prev;                                                     \
-            work[1] += n - c_prev;                                                 \
-            spent[0] += busy[(s - 1) % RING];                                      \
-            spent[1] += theirs->busy[(s - 1) % RING];                              \
-            int64_t c_new = split[(s + 2) % RING];                                 \
-            if (s % ROUND == 0) {                                                  \
-                if (spent[0] > 0 && spent[1] > 0) {                                \
-                    const double r0 = work[0] / spent[0], r1 = work[1] / spent[1]; \
-                    int64_t to = (int64_t)(n * r0 / (r0 + r1));                    \
-                    to = to < c_new - n / 16 ? c_new - n / 16 : to;                \
-                    to = to > c_new + n / 16 ? c_new + n / 16 : to;                \
-                    to = to < n / 8 ? n / 8 : to > n - n / 8 ? n - n / 8 : to;     \
-                    c_new = nearest_split(n, to);                                  \
-                }                                                                  \
-                work[0] = work[1] = spent[0] = spent[1] = 0.;                      \
-            }                                                                      \
-            mine->split[(s + 3) % RING] = c_new;                                   \
+            const int64_t r = (s - 1) % RING;                                      \
+            tm->totals[s - 1] = 0. + (mine->part[r] + theirs->part[r]);            \
         }                                                                          \
         if (me == 0 && k > 0) {                                                    \
             await(&theirs->done, k);                                               \
-            tm->totals[k - 1] = split_total(exact, n, split[(k - 1) % RING],       \
-                                            part[(k - 1) % RING],                  \
-                                            theirs->part[(k - 1) % RING]);         \
+            const int64_t r = (k - 1) % RING;                                      \
+            tm->totals[k - 1] = 0. + (mine->part[r] + theirs->part[r]);            \
         }                                                                          \
     }                                                                              \
                                                                                    \
@@ -744,14 +595,11 @@ static double split_total(int exact, int64_t n, int64_t c, const double *part0,
     __attribute__((noinline)) static int NAME##_split(                             \
         const struct tasep_args_##SUFFIX *a, uint64_t t, int64_t k,                \
         double *totals, coin_body_fn *draw) {                                      \
-        const int64_t n2 = half_of(a->n);                                          \
         struct NAME##_team tm = {.a = a, .t = t, .k = k, .totals = totals,         \
                                  .draw = draw};                                    \
         tm.post[0].pos[0][0] = a->x[0];                                            \
         tm.post[0].pos[0][1] = a->x[1];                                            \
-        for (int i = 0; i < RING; i++)                                             \
-            tm.post[0].split[i] = n2;                                              \
-        tm.post[1].at[0] = a->x[n2];                                               \
+        tm.post[1].at[0] = a->x[half_of(a->n)];                                    \
         pthread_t helper;                                                          \
         pthread_attr_t attr;                                                       \
         if (pthread_attr_init(&attr))                                              \

@@ -256,8 +256,8 @@ def _before_the_seam(cfg, gap):
     return Configuration(Ring(L), pos.astype(cfg.positions.dtype), cfg.radii)
 
 
-# particle 0 reaches the seam after a few hundred steps of one split call, after the
-# split has had time to move
+# particle 0 reaches the seam after a few hundred steps of one split call, so the
+# helper's particles wrap mid-call, on its replay of particle 0's move
 @pytest.mark.parametrize("kind", ["lattice", "continuum", "obstacles"])
 def test_split_call_wraps_at_the_seam(kind, monkeypatch):
     n, steps, gap = SPLIT + 1, 600, 300
@@ -281,8 +281,9 @@ def test_split_call_wraps_at_the_seam(kind, monkeypatch):
 
 
 # a split call on any machine: two threads that may share one CPU, at the smallest
-# size the kernel splits (n > 128) and around it
-@pytest.mark.parametrize("n", [129, 130, 136, 1000, SPLIT + 1])
+# size the kernel splits (n > 128) and around it, and where the split c = half_of(n)
+# meets a block edge: n - c = BLOCK (1024), c - 8 = BLOCK (1040), c - 8 > BLOCK (1056)
+@pytest.mark.parametrize("n", [129, 130, 136, 1000, 1024, 1040, 1056, SPLIT + 1])
 @pytest.mark.parametrize("kind", ["lattice", "continuum", "ring_obstacles", "line_obstacles"])
 def test_forced_split_equals_numpy(n, kind, monkeypatch):
     rng = np.random.default_rng(n)
