@@ -62,30 +62,31 @@
    at its end, moves [c, n), with c = half_of(n) for the whole call, the point
    where pairwise splits its root.  A float64 thread's share of the step's
    total is pairwise over its own range and an int64 thread's its integer
-   sum; the caller adds the two shares, which for n > 128 is pairwise over all
-   n by pairwise's own definition.  c is a multiple of 8, so whole counter
-   blocks and, as _Stepper aligns x, disp and wind to 64 bytes, whole cache
-   lines: the threads never write one line.  The two halves take equally long
-   when the two CPUs run equally fast; a split that followed the CPUs'
-   measured speeds ran no faster on the coins of contract 0.3 (BENCH_28.json).
+   sum; the helper adds the caller's share to its own, which for n > 128 is
+   pairwise over all n by pairwise's own definition.  c is a multiple of 8, so
+   whole counter blocks and, as _Stepper aligns x, disp and wind to 64 bytes,
+   whole cache lines: the threads never write one line.  The two halves take
+   equally long when the two CPUs run equally fast; a split that followed the
+   CPUs' measured speeds ran no faster on the coins of contract 0.3
+   (BENCH_28.json).
 
-   Step s of a thread needs positions that the other thread moved, as they
-   stood when the step began: the caller needs x[c] for its last particle's
-   bound, and the helper x[0] and x[1], for its last particle's bound and for
-   particle 0's move, which decides the seam wrap (the helper repeats pass 1
-   on particle 0 alone, with word 0 of counter block 0, into none of its rows
-   or sums).  Each thread moves the block holding its boundary first and then
-   puts those positions out, raising a count (say); the other waits on that
-   count (await) only when it needs them, the helper at the start of its step
-   and the caller at its last 8 particles.  So neither thread waits on the
-   other at every step, and either may run up to a step ahead: the caller adds
-   up step s - 1's total after its step s, once the helper's count of finished
-   steps shows its share.  Positions and shares go out in slots by step modulo
-   RING, more slots than steps the threads can be apart, so a slot is not
-   written again before it has been read.  A waiting thread spins while the
-   other runs on another CPU and yields when the two share one; the helper
-   starts on another CPU than the caller's, as a new thread is often placed
-   beside the thread that made it.
+   Step s of a thread needs values that only the other thread knows: the
+   caller needs x[c] as the step began, for its last particle's bound, and the
+   helper x[0] as the step began, for its last particle's bound, and whether
+   the step wraps at the seam, which particle 0's move decides.  Each thread
+   writes its values of step s during step s, into slot s % RING of its post,
+   and then raises its count of steps whose values are out (say).  The helper
+   puts out x[c] before it moves anything, then waits on the caller's count
+   (await) and moves its whole range.  The caller puts out x[0] as the step
+   begins and the seam decision once it has moved block 0, and waits on the
+   helper's count only before its last 8 particles, whose bound needs x[c].
+   The caller then puts out its share of the total and raises a second count,
+   on which the helper waits to write the step's total.  So the caller runs at
+   most a step ahead of the helper and the helper never ahead of the caller,
+   which sizes RING.  A waiting thread spins while the other runs on another
+   CPU and yields when the two share one; the helper starts on another CPU than
+   the caller's, as a new thread is often placed beside the thread that made
+   it.
 
    On x86-64 each run function and pairwise are built as two target clones,
    x86-64-v4 (AVX-512) and the baseline, and the dynamic loader picks one per
@@ -252,12 +253,12 @@ CLONES static double pairwise(const double *a, int64_t n) {
    from.  A line (ring == 0) bounds its last particle by CAP, a
    ring by x_0 + seam.  disp receives the n displacements of the last step.
    obs holds the m sorted obstacles; only the obstacle run reads obs and m.
-   totals may be NULL when k is 1: the step's total is then not kept.  When
-   x_src is not NULL, a run call first copies the n positions at x_src and the
-   n windings at wind_src into x and wind, so one call takes a step out of
-   place from rows it never writes; a coupled call takes NULL there.  One
-   pointer is the whole call, as each further argument costs a ctypes call
-   about a fifth of a microsecond. */
+   totals[s] receives step t + s's total.  When x_src is not NULL, a run call
+   first copies the n positions at x_src and the n windings at wind_src into x
+   and wind, so one call takes a step out of place from rows it never writes.
+   A coupled call, which writes its totals to its own out, takes NULL for
+   totals, x_src and wind_src.  One pointer is the whole call, as each further
+   argument costs a ctypes call about a fifth of a microsecond. */
 #define ARGS(T, SUFFIX)                                                            \
     struct tasep_args_##SUFFIX {                                                   \
         int64_t n;                                                                 \
@@ -441,10 +442,10 @@ static void await(const struct count *theirs, int64_t s) {
     }
 }
 
-/* slots of a split call's published values: neither thread ever runs more
-   than a step ahead of the other, so the two touch the slots of three steps
-   at most */
-#define RING 4
+/* slots of a split call's values, one per step: thread 0 runs at most a step
+   ahead of the helper and the helper never ahead of thread 0, so a slot is
+   written again two steps on, once the other thread has read it */
+#define RING 2
 
 /* Whether an int64 run of n particles and jump v takes its step totals as
    integers: each displacement lies in [0, v], so when n v <= 2**53 every sum of
@@ -492,14 +493,14 @@ static int integer_totals(int64_t n, int64_t v) {
         return wrap;                                                               \
     }                                                                              \
                                                                                    \
-    /* What one thread of a split call writes for the other, in slots by step      \
-       modulo RING. */                                                             \
+    /* What one thread of a split call writes for the other in step s, in slot     \
+       s % RING. */                                                                \
     struct NAME##_post {                                                           \
-        struct count head;  /* steps whose boundary positions are out */           \
-        struct count done;  /* steps finished */                                   \
-        T pos[RING][2];     /* thread 0: x[0] and x[1] as step s begins */         \
-        T at[RING];         /* thread 1: x[c] as step s begins */                  \
-        double part[RING];  /* its share of step s's total */                      \
+        struct count head;  /* steps whose first values are out */                 \
+        struct count done;  /* thread 0: steps whose share is out */               \
+        T first[RING];      /* x[0] or x[c], its first, as step s begins */        \
+        int wrap[RING];     /* thread 0: whether step s wraps at the seam */       \
+        double part[RING];  /* thread 0: its share of step s's total */            \
     } __attribute__((aligned(64)));                                                \
                                                                                    \
     struct NAME##_team {                                                           \
@@ -512,13 +513,13 @@ static int integer_totals(int64_t n, int64_t v) {
     };                                                                             \
                                                                                    \
     /* Thread me's share of every step of a split call: thread 0 moves the         \
-       particles [0, c) and thread 1 [c, n), c = half_of(n). */                    \
+       particles [0, c) and thread 1 [c, n), c = half_of(n), and thread 1 writes   \
+       the step totals. */                                                         \
     CLONES __attribute__((noinline)) static void NAME##_share(                     \
         struct NAME##_team *tm, const int me) {                                    \
         const struct tasep_args_##SUFFIX *a = tm->a;                               \
-        const int64_t n = a->n, k = tm->k, cut = (int64_t)a->cut;                  \
-        const int64_t c = half_of(n), lo = me ? c : 0, hi = me ? n : c;            \
-        const T seam = a->seam, *x = a->x;                                         \
+        const int64_t n = a->n, k = tm->k, c = half_of(n);                         \
+        const T *x = a->x;                                                         \
         struct NAME##_post *mine = &tm->post[me], *theirs = &tm->post[!me];        \
         coin_body_fn *const draw = tm->draw;                                       \
         const int exact = EXACT && integer_totals(n, (int64_t)a->v);               \
@@ -527,61 +528,36 @@ static int integer_totals(int64_t n, int64_t v) {
         double scratch[BLOCK] __attribute__((aligned(64)));                        \
         for (int64_t s = 0; s < k; s++) {                                          \
             const uint64_t t = tm->t + s;                                          \
+            const int64_t r = s % RING;                                            \
             double *const into = exact && s + 1 < k ? scratch : NULL;              \
             uint64_t sum = 0;                                                      \
+            mine->first[r] = x[me ? c : 0];                                        \
             if (me == 0) {                                                         \
-                /* block 0 first, so that x[0] and x[1] go out early */            \
+                /* block 0 first, so that the seam decision goes out early */      \
                 const int64_t h = c - 8 < BLOCK ? c - 8 : BLOCK;                   \
                 int wrap = NAME##_part(a, t, 0, h, x[h], 0, draw, moved, w, into,  \
                                        &sum);                                      \
-                mine->pos[(s + 1) % RING][0] = x[0];                               \
-                mine->pos[(s + 1) % RING][1] = x[1];                               \
+                mine->wrap[r] = wrap;                                              \
                 say(&mine->head, s + 1);                                           \
                 wrap = NAME##_part(a, t, h, c - 8, x[c - 8], wrap, draw, moved, w, \
                                    into, &sum);                                    \
-                await(&theirs->head, s);                                           \
-                const T xc = theirs->at[s % RING];                                 \
-                NAME##_part(a, t, c - 8, c, xc, wrap, draw, moved, w, into, &sum); \
-            } else {                                                               \
-                await(&theirs->head, s);                                           \
-                const T *in = theirs->pos[s % RING], x0 = in[0];                   \
-                const T last = a->ring ? x0 + seam : (CAP);                        \
-                int wrap = 0;                                                      \
-                if (a->ring) {                                                     \
-                    /* particle 0's move, as thread 0 makes it */                  \
-                    uint32_t w0[1] = {0};                                          \
-                    int64_t j = OBS ? at_or_below(a->obs, a->m, x0) : 0;           \
-                    T to;                                                          \
-                    double d, wd = 0.;                                             \
-                    uint64_t sum0 = 0;                                             \
-                    if (draw)                                                      \
-                        draw(w0, 0, 1, t, a->seed, a->stream);                     \
-                    NAME##_pass1(1, &x0, in[1], a->rr, draw ? w0 : NULL, cut,      \
-                                 a->v, a->obs, a->m, &j, &to, &d, &wd, &sum0);     \
-                    wrap = to >= seam;                                             \
-                }                                                                  \
-                /* the first block first, so that x[c] goes out early */           \
-                const int64_t h = n - c < BLOCK ? n : c + BLOCK;                   \
-                NAME##_part(a, t, c, h, h < n ? x[h] : last, wrap, draw, moved, w, \
+                await(&theirs->head, s + 1);                                       \
+                NAME##_part(a, t, c - 8, c, theirs->first[r], wrap, draw, moved, w,\
                             into, &sum);                                           \
-                mine->at[(s + 1) % RING] = x[c];                                   \
+                mine->part[r] =                                                    \
+                    exact ? (double)(int64_t)sum : pairwise(a->disp, c);           \
+                say(&mine->done, s + 1);                                           \
+            } else {                                                               \
                 say(&mine->head, s + 1);                                           \
-                NAME##_part(a, t, h, n, last, wrap, draw, moved, w, into, &sum);   \
+                await(&theirs->head, s + 1);                                       \
+                const T last = a->ring ? theirs->first[r] + a->seam : (CAP);       \
+                NAME##_part(a, t, c, n, last, theirs->wrap[r], draw, moved, w,     \
+                            into, &sum);                                           \
+                const double part =                                                \
+                    exact ? (double)(int64_t)sum : pairwise(a->disp + c, n - c);   \
+                await(&theirs->done, s + 1);                                       \
+                tm->totals[s] = 0. + (theirs->part[r] + part);                     \
             }                                                                      \
-            mine->part[s % RING] =                                                 \
-                exact ? (double)(int64_t)sum : pairwise(a->disp + lo, hi - lo);    \
-            say(&mine->done, s + 1);                                               \
-            if (me == 1 || s == 0)                                                 \
-                continue;                                                          \
-            /* thread 0: step s - 1's total, once thread 1 has finished it */      \
-            await(&theirs->done, s);                                               \
-            const int64_t r = (s - 1) % RING;                                      \
-            tm->totals[s - 1] = 0. + (mine->part[r] + theirs->part[r]);            \
-        }                                                                          \
-        if (me == 0 && k > 0) {                                                    \
-            await(&theirs->done, k);                                               \
-            const int64_t r = (k - 1) % RING;                                      \
-            tm->totals[k - 1] = 0. + (mine->part[r] + theirs->part[r]);            \
         }                                                                          \
     }                                                                              \
                                                                                    \
@@ -597,9 +573,6 @@ static int integer_totals(int64_t n, int64_t v) {
         double *totals, coin_body_fn *draw) {                                      \
         struct NAME##_team tm = {.a = a, .t = t, .k = k, .totals = totals,         \
                                  .draw = draw};                                    \
-        tm.post[0].pos[0][0] = a->x[0];                                            \
-        tm.post[0].pos[0][1] = a->x[1];                                            \
-        tm.post[1].at[0] = a->x[half_of(a->n)];                                    \
         pthread_t helper;                                                          \
         pthread_attr_t attr;                                                       \
         if (pthread_attr_init(&attr))                                              \
@@ -633,8 +606,7 @@ static int integer_totals(int64_t n, int64_t v) {
             uint64_t sum = 0;                                                      \
             NAME##_part(a, t, 0, n, n && a->ring ? a->x[0] + a->seam : (CAP), 0,   \
                         draw, moved, w, exact && s + 1 < k ? scratch : NULL, &sum);\
-            if (totals)                                                            \
-                totals[s] = 0. + (exact ? (double)(int64_t)sum : pairwise(a->disp, n));\
+            totals[s] = 0. + (exact ? (double)(int64_t)sum : pairwise(a->disp, n));\
         }                                                                          \
     }
 

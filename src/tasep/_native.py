@@ -72,7 +72,7 @@ def threads(n: int, k: int) -> int:
 # holds a run's own fields, which it packs once: n, the coins' seed and stream, cut, the
 # address of rr, ring, seam, v, the address of obs and m.  CALL_ARGS holds a call's:
 # the addresses of x, wind and disp, its first step t, its step count k, the address of
-# the totals (0 to keep none of a one-step call's), the threads it may split across and
+# the totals (0 for a coupled call, which writes its own), the threads it may split across and
 # the addresses of the positions and windings it copies into x and wind before its
 # first step (0 and 0 to start from x and wind as they are).  Native layout ("@", "P"
 # for a pointer) lays the fields out as the C compiler does; every field is 8 bytes, so

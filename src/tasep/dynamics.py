@@ -19,6 +19,7 @@ import numpy as np
 
 from . import _native
 from .configuration import (
+    _INT_CAP,
     Configuration,
     LineWindow,
     ProcessParams,
@@ -293,6 +294,20 @@ class _Plan:
             self.seam is not None,
             self.seam or 0, self.v, *obs)
 
+    def check_reach(self, x: np.ndarray, steps: int) -> None:
+        """Reject a call of ``steps`` steps from positions x on a line whose last particle
+        could pass its int64 sentinel bound, where it would stop without a word, or
+        overflow float64.  A ring's window bounds its positions, so a ring passes."""
+        if self.seam is not None or not len(x):
+            return
+        if self.rr.dtype.kind == "i":
+            fits = int(x[-1]) + steps * self.v <= _INT_CAP - int(self.rr[-1])
+        else:
+            fits = math.isfinite(float(x[-1]) + steps * self.v)
+        if not fits:
+            raise ValueError(f"line positions up to {x[-1]} with maximal jump v={self.v} "
+                             f"could leave the exact range within steps={steps}")
+
     @functools.cached_property
     def step_args(self) -> bytes:
         """The run's own fields of ARGS for step(), which reads rr where it lies."""
@@ -345,26 +360,26 @@ class _Stepper:
 
     def args(self, t: int, k: int, totals: int, threads: int) -> bytes:
         """The kernel's packed ARGS of a call of steps t .. t + k - 1 on the stepper's rows,
-        with the address of the totals (0 for none)."""
+        with the address of the totals (0 for a coupled call, which writes its own)."""
         return self._own + _native.CALL_ARGS.pack(*self._addresses, t, k, totals, threads, 0, 0)
 
     def steps(self, t: int, totals: np.ndarray | None = None, threads: int = 1) -> None:
         """Steps t, t + 1, ..., one per entry of totals, each set to its step's total
         displacement; step t alone, its total not kept, when totals is None.
 
-        totals is a contiguous float64 array.  The fused kernel runs the steps in one
-        call when it is loaded, split across ``threads`` threads when they are more than
-        one; the bits are the same on any number.  Otherwise ``advance`` runs them on the
-        call's words from ``CoinStream._words``.
+        totals is a contiguous float64 array, a slot of scratch when totals is None: every
+        call writes its totals.  The fused kernel runs the steps in one call when it is
+        loaded, split across ``threads`` threads when they are more than one; the bits
+        are the same on any number.  Otherwise ``advance`` runs them on the call's words
+        from ``CoinStream._words``.
         """
-        k = 1 if totals is None else len(totals)
+        if totals is None:
+            totals = np.empty(1)
         if self.plan.run is not None:
-            self.plan.run(self.args(t, k, 0 if totals is None else _address(totals), threads))
+            self.plan.run(self.args(t, len(totals), _address(totals), threads))
             return
-        for i, w in enumerate(self.plan.coins._words(len(self.x), t, k)):
-            disp = self.advance(w)
-            if totals is not None:
-                totals[i] = disp.sum()
+        for i, w in enumerate(self.plan.coins._words(len(self.x), t, len(totals))):
+            totals[i] = self.advance(w).sum()
 
     def configuration(self) -> Configuration:
         """The current state, on read-only copies of the stepper's arrays."""
@@ -397,6 +412,7 @@ def step(
     t = _time_index(t)
     if _native.kernel() is None:
         stepper = _Stepper(cfg, params, coins, field)
+        stepper.plan.check_reach(stepper.x, 1)
         stepper.steps(t)
         return stepper.configuration()
     plan, _, x_src, wind_src = vars(cfg).get("_step_chain") or _NO_CHAIN
@@ -408,16 +424,20 @@ def step(
         # alive through the kernel call
         source = cfg.positions.astype(plan.rr.dtype, copy=False), cfg.winding
         x_src, wind_src = source[0].ctypes.data, source[1].ctypes.data
+    if plan.seam is None:  # check_reach passes a ring; its chain of steps skips the call
+        plan.check_reach(cfg.positions, 1)
     n = plan.n
-    rows = np.empty((3, n), plan.rr.dtype)  # x, wind and disp, which nothing reads
+    # x and wind, then disp and the step's total, which nothing reads
+    rows = np.empty(3 * n + 1, plan.rr.dtype)
     x = _address(rows)
     wind = x + 8 * n
-    plan.run(plan.step_args + _native.CALL_ARGS.pack(x, wind, wind + 8 * n, t, 1, 0, 1,
+    disp = wind + 8 * n
+    plan.run(plan.step_args + _native.CALL_ARGS.pack(x, wind, disp, t, 1, disp + 8 * n, 1,
                                                       x_src, wind_src))
     # one flag makes both of the state's arrays read-only
     rows.setflags(write=False)
     # the chain holds the rows, so their addresses stay valid while it lives
-    return Configuration._of_state(cfg, rows[0], _float_view(rows[1]), plan.terms,
+    return Configuration._of_state(cfg, rows[:n], _float_view(rows[n:2 * n]), plan.terms,
                                    (plan, rows, x, wind))
 
 
@@ -472,6 +492,7 @@ def run(
     if snapshot_stride is not None:
         snapshot_stride = _integer("snapshot stride", snapshot_stride, 1)
     stepper = _Stepper(cfg, params, _as_coins(coins_or_seed), field)
+    stepper.plan.check_reach(stepper.x, steps)
     totals = np.empty(steps)  # the kernel or the numpy stepper writes every entry
     # a start in the run's dtype under its own terms is its own snapshot, as it is immutable
     as_is = cfg.positions.dtype is stepper.x.dtype and stepper.plan.terms is cfg._terms
@@ -528,6 +549,8 @@ def coupled_run(
     scale = float(_positive("displacement_scale", displacement_scale))
     coins = _as_coins(coins_or_seed)
     a, b = _Stepper(cfg_a, params_a, coins), _Stepper(cfg_b, params_b, coins)
+    for side in (a, b):
+        side.plan.check_reach(side.x, steps)
     n = cfg_a.n
     # a line has no gap ahead of its last particle
     n_gaps = n if cfg_a.is_ring else max(n - 1, 0)

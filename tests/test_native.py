@@ -12,6 +12,7 @@ import os
 import platform
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from tasep import (
     ProcessParams,
     Ring,
     coupled_run,
+    even_lattice_ring,
     radius_conjugate,
     run,
     step,
@@ -257,7 +259,7 @@ def _before_the_seam(cfg, gap):
 
 
 # particle 0 reaches the seam after a few hundred steps of one split call, so the
-# helper's particles wrap mid-call, on its replay of particle 0's move
+# helper's particles wrap mid-call, on the seam decision the caller's thread puts out
 @pytest.mark.parametrize("kind", ["lattice", "continuum", "obstacles"])
 def test_split_call_wraps_at_the_seam(kind, monkeypatch):
     n, steps, gap = SPLIT + 1, 600, 300
@@ -305,11 +307,11 @@ def test_forced_split_equals_numpy(n, kind, monkeypatch):
 
 
 def test_split_helper_wraps_on_particle_0s_own_coin(monkeypatch):
-    """The helper thread of a split call repeats particle 0's move, on word 0 of counter
-    block 0, to decide whether its particles wrap at the seam.  On a small ring at
-    p = 1/2 particle 0 crosses the seam many times, and in each step at the seam its
-    coin alone decides whether it crosses, so another word (a later step's, say) would
-    wrap the helper's particles in the wrong steps."""
+    """The helper thread of a split call wraps its particles at the seam as particle 0's
+    move of the same step decides, which the caller's thread puts out for that step.  On
+    a small ring at p = 1/2 particle 0 crosses the seam many times, and in each step at
+    the seam its coin alone decides whether it crosses, so another step's decision
+    would wrap the helper's particles in the wrong steps."""
     n, L = 136, 400
     pos = np.sort(np.random.default_rng(21).choice(L, n, replace=False)).astype(np.int64)
     cfg, params = Configuration(Ring(L), pos, 0.0), ProcessParams(0.5, 3)
@@ -323,6 +325,56 @@ def test_split_helper_wraps_on_particle_0s_own_coin(monkeypatch):
     assert fused == ref
     # particle 0 went round the ring many times within the one split call
     assert np.frombuffer(ref[1])[0] > 5 * L
+
+
+# a split step whose total no caller keeps still writes it, into a slot of scratch; a
+# call without one died at that write (exit status 139), so it runs in a process of its own
+SPLIT_STEP = ("from tasep import CoinStream, ProcessParams, even_lattice_ring\n"
+              "from tasep.dynamics import _Stepper\n"
+              "s = _Stepper(even_lattice_ring(400, 200), ProcessParams(0.5, 1), CoinStream(1))\n"
+              "s.steps(0, None, threads=2)\n"
+              "print(s.x.tobytes().hex())\n")
+
+
+def test_a_split_step_without_totals_leaves_the_numpy_positions(monkeypatch):
+    if _native.kernel() is None:
+        pytest.skip("the fused kernel cannot be built here")
+    env = dict(os.environ, PYTHONPATH=str(Path(dynamics.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", SPLIT_STEP], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setattr(_native, "kernel", lambda: None)
+    stepper = _Stepper(even_lattice_ring(400, 200), ProcessParams(0.5, 1), CoinStream(1))
+    stepper.steps(0)
+    assert proc.stdout.strip() == stepper.x.tobytes().hex()
+
+
+# tests/tsan_split.c's build: ThreadSanitizer, and no target clones, whose start-up
+# code crashed under it with gcc 12.2
+TSAN = ("-O1", "-g", "-fsanitize=thread", "-ffp-contract=off", "-pthread", "-DTASEP_NO_CLONES")
+
+
+def test_split_calls_pass_thread_sanitizer(tmp_path):
+    """Forced split calls of every run function on rings and lines, around the sizes
+    where the split meets a block edge, at p = 1/2 and p = 1: ThreadSanitizer reports no
+    data race, and each call has the bytes of a one-thread call of the same steps."""
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on this machine")
+    runtime = subprocess.run(["gcc", "-print-file-name=libtsan.so"], capture_output=True,
+                             text=True).stdout.strip()
+    if not os.path.isabs(runtime):
+        pytest.skip("no ThreadSanitizer runtime (libtsan) on this machine")
+    exe = tmp_path / "tsan_split"
+    build = subprocess.run(["gcc", *TSAN, "-o", str(exe),
+                            str(Path(__file__).with_name("tsan_split.c")), "-lm"],
+                           capture_output=True, text=True, timeout=_native._BUILD_TIMEOUT_S)
+    assert build.returncode == 0, build.stderr
+    proc = subprocess.run([str(exe)], capture_output=True, text=True, timeout=300)
+    if "ThreadSanitizer: unexpected memory mapping" in proc.stderr:
+        # a runtime that cannot start under this kernel's address layout reports no race
+        pytest.skip("the ThreadSanitizer runtime cannot start on this kernel")
+    assert proc.returncode == 0 and "ThreadSanitizer" not in proc.stderr, (
+        proc.stdout + proc.stderr)
 
 
 def _long_jump_ring(n, rng):

@@ -15,6 +15,7 @@ import pytest
 
 from tasep import (
     LINE,
+    CoinStream,
     Configuration,
     MarkovMatrix,
     ObstacleField,
@@ -37,6 +38,7 @@ from tasep import (
     sample_ring_configuration,
     scale_shift,
     similarity_check,
+    step,
     theoretical_velocity,
     theoretical_velocity_obstacles,
     verify_invariance,
@@ -117,6 +119,21 @@ REJECTIONS = {
     "coupled run at a negative scale": (coupled_run, (LATTICE, LATTICE, ProcessParams(0.5, 1),
                                                       ProcessParams(0.5, 1), 5, 0, -1.0),
                                         "displacement_scale=-1.0 must be positive"),
+    # a line has no window: its last particle would turn inf in float64, or stop at the
+    # int64 sentinel bound, without a word
+    "line run past float64": (run, (Configuration(LINE, [0.0, 1e308], 0.0),
+                                    ProcessParams(1, 1e308), 3, 0),
+                              r"positions up to 1e\+308 with maximal jump v=1e\+308"),
+    "line run past the int64 sentinel": (run, (Configuration(LINE, np.array([0, 2**62]), 0.0),
+                                               ProcessParams(1, 2**61), 3, 0),
+                                         f"positions up to {2**62} with maximal jump v={2**61}"),
+    "line step past the int64 sentinel": (step, (Configuration(LINE, np.array([0, 2**61 - 1]),
+                                                               0.0), ProcessParams(1, 1),
+                                                 CoinStream(0), 0), "exact range"),
+    "coupled line run past float64": (coupled_run, (Configuration(LINE, [0.0, 1.0], 0.0),
+                                                    Configuration(LINE, [0.0, 1e308], 0.0),
+                                                    ProcessParams(1, 1), ProcessParams(1, 1e308),
+                                                    3, 0), "exact range"),
     "two-part grid": (parse_grid, ("0.1:0.2",), "start:stop:step"),
     "grid with a nan step": (parse_grid, ("0.1:0.2:nan",), "bad grid"),
     "grid to infinity": (parse_grid, ("0.1:inf:0.1",), "bad grid"),
