@@ -30,11 +30,17 @@
    written yet (the block's and the first of the next block) and writes the
    moved positions, the displacements and the winding through pointers that do
    not alias, so the compiler runs it in SIMD lanes.  Pass 2 copies the moved
-   positions back into the block's x, wrapping them at the seam when the first
-   particle's moved position passes it.  The moved positions are stored rather
+   positions back into the block's x.  The moved positions are stored rather
    than rebuilt as x + disp, which is not exact in float64.  A block's words
    and moved positions stay in L1 cache, in the run function's own stack
    buffers of BLOCK entries.
+
+   A ring's positions lie in a window [x_0, x_0 + seam) that moves back by the
+   seam once particle 0 passes it.  As in _Stepper.advance, that wrap is a
+   renormalization between steps: once every particle of the step has moved,
+   if particle 0's new position has reached the seam, each position moves back
+   by the seam (unwrap), the same subtraction numpy makes.  So no block's moves
+   depend on the wrap, and each thread moves back its own range.
 
    An int64 run adds each step's displacements up as integers in pass 1 and
    takes that sum, as a double, for the step's total.  Every displacement is
@@ -48,14 +54,17 @@
    a stack buffer of BLOCK entries, which stays in L1 cache.  The float64 runs
    need the displacements' values for pairwise, and always write the row.
 
-   A coupled call (tasep_coupled) steps two runs of n particles on one coin
-   stream block by block: it draws each block's words once and hands them to both
-   runs' block step, the one a run call takes.  After each block it takes the
-   maxima of |disp_b - scale disp_a| and of |gap_b - scale gap_a| over what
-   the block settled, gap_i = (succ_i - rr_i) - x_i as numpy's _bounds takes
-   it, so the two runs are compared while their block is still in L1 cache.
-   A maximum does not depend on the order it is taken in, so it has numpy's
-   bits; with a NaN term it is the quiet NaN numpy's max returns.
+   A coupled call steps two runs of n particles on one coin stream block by
+   block: it draws each block's words once and hands them to both runs' block
+   step, the one a run call takes.  There is one entry point per pair of
+   position types, tasep_coupled_{i64,f64}_{i64,f64} (a's type first), each
+   with its own stack buffers; _native.bind returns the four as a tuple that
+   coupled_run indexes by the kinds it computes.  Once both runs have moved
+   and unwrapped, the call takes the maxima of |disp_b - scale disp_a| and of
+   |gap_b - scale gap_a| over whole rows, gap_i = (succ_i - rr_i) - x_i as
+   numpy's _bounds takes it.  A maximum does not depend on the order it is
+   taken in, so it has numpy's bits; with a NaN term it is the quiet NaN
+   numpy's max returns.
 
    A run call given threads > 1 runs each step on two threads: the caller
    moves particles [0, c) and a helper thread, started for the call and joined
@@ -75,18 +84,22 @@
    helper x[0] as the step began, for its last particle's bound, and whether
    the step wraps at the seam, which particle 0's move decides.  Each thread
    writes its values of step s during step s, into slot s % RING of its post,
-   and then raises its count of steps whose values are out (say).  The helper
-   puts out x[c] before it moves anything, then waits on the caller's count
-   (await) and moves its whole range.  The caller puts out x[0] as the step
-   begins and the seam decision once it has moved block 0, and waits on the
-   helper's count only before its last 8 particles, whose bound needs x[c].
-   The caller then puts out its share of the total and raises a second count,
-   on which the helper waits to write the step's total.  So the caller runs at
-   most a step ahead of the helper and the helper never ahead of the caller,
-   which sizes RING.  A waiting thread spins while the other runs on another
-   CPU and yields when the two share one; the helper starts on another CPU than
-   the caller's, as a new thread is often placed beside the thread that made
-   it.
+   and then raises a count of steps whose values are out (say).  As the step
+   begins each thread puts out its first position, x[0] or x[c], and raises
+   its head count, before it moves anything.  The caller moves [0, c - 8),
+   waits on the helper's head (await), whose x[c] bounds its last 8
+   particles, and moves them; it then puts out its share of the total and the
+   seam decision, raises its done count and unwraps [0, c).  The helper waits
+   on the caller's head for x[0], moves [c, n), waits on the caller's done,
+   writes the step's total and unwraps [c, n) as the caller decided.  The
+   caller ends step s + 1 only once the helper has begun it, so after the
+   helper has read every slot of step s: the caller runs at most a step ahead
+   of the helper, and the helper, which ends step s only after the caller's
+   done of step s, never ahead of the caller.  So a slot is written again two
+   steps on, once the other thread has read it, and RING is 2.  A waiting
+   thread spins while the other runs on another CPU and yields when the two
+   share one; the helper starts on another CPU than the caller's, as a new
+   thread is often placed beside the thread that made it.
 
    On x86-64 each run function and pairwise are built as two target clones,
    x86-64-v4 (AVX-512) and the baseline, and the dynamic loader picks one per
@@ -341,27 +354,31 @@ static coin_body_fn *drawn_by(uint64_t cut, coin_body_fn *body) {
 
 /* The block [b, e) of a step of the run a on its coins w (NULL when it draws
    none): pass 1 into moved, then pass 2 back into x.  next is the position
-   after particle e - 1 as the step began and wrap whether the step wraps at
-   the seam, which block 0 decides; *jp is the obstacle merge walk's index.
-   The displacements go to the disp row, or to scratch when it is not NULL,
-   and the int64 run adds them into *sump.  Returns wrap. */
+   after particle e - 1 as the step began; *jp is the obstacle merge walk's
+   index.  The displacements go to the disp row, or to scratch when it is not
+   NULL, and the int64 run adds them into *sump.
+   NAME##_wraps says whether a's step, once every particle has moved, wraps at
+   the seam, and NAME##_unwrap moves particles [lo, hi) back by it. */
 #define BLOCK_STEP(NAME, T, SUFFIX)                                                \
-    static inline __attribute__((always_inline)) int NAME##_block(                 \
+    static inline __attribute__((always_inline)) void NAME##_block(                \
         const struct tasep_args_##SUFFIX *a, int64_t b, int64_t e, T next,         \
-        int wrap, const uint32_t *restrict w, T *restrict moved, int64_t *jp,      \
+        const uint32_t *restrict w, T *restrict moved, int64_t *jp,                \
         double *scratch, uint64_t *sump) {                                         \
-        T *x = a->x;                                                               \
-        const T seam = a->seam;                                                    \
-        NAME##_pass1(e - b, x + b, next, a->rr + b, w, (int64_t)a->cut, a->v,      \
+        NAME##_pass1(e - b, a->x + b, next, a->rr + b, w, (int64_t)a->cut, a->v,   \
                      a->obs, a->m, jp, moved, scratch ? scratch : a->disp + b,     \
                      a->wind + b, sump);                                           \
-        if (b == 0)                                                                \
-            wrap = a->ring && moved[0] >= seam;                                    \
-        if (wrap)                                                                  \
-            for (int64_t i = b; i < e; i++) x[i] = moved[i - b] - seam;            \
-        else                                                                       \
-            memcpy(x + b, moved, (e - b) * sizeof(T));                             \
-        return wrap;                                                               \
+        memcpy(a->x + b, moved, (e - b) * sizeof(T));                              \
+    }                                                                              \
+                                                                                   \
+    static inline int NAME##_wraps(const struct tasep_args_##SUFFIX *a) {          \
+        return a->ring && a->n && a->x[0] >= a->seam;                              \
+    }                                                                              \
+                                                                                   \
+    static inline void NAME##_unwrap(const struct tasep_args_##SUFFIX *a,          \
+                                     int64_t lo, int64_t hi) {                     \
+        T *const x = a->x;                                                         \
+        const T seam = a->seam;                                                    \
+        for (int64_t i = lo; i < hi; i++) x[i] -= seam;                            \
     }
 
 /* The number of the m sorted obstacles at or below x: where the merge walk of
@@ -471,14 +488,12 @@ static int integer_totals(int64_t n, int64_t v) {
                                                                                    \
     /* Particles [lo, hi) of step t, lo a multiple of 8, on the coins draw gives   \
        (none when it is NULL): next is the position after particle hi - 1 as       \
-       the step began, and wrap says whether the step wraps at the seam; a part    \
-       that holds particle 0 decides that itself.                                  \
-       The displacements go to the disp row, or block by block to scratch when     \
-       it is not NULL; the int64 run adds them into *sump.  Returns wrap. */       \
-    CLONES __attribute__((noinline)) static int NAME##_part(                       \
+       the step began.  The displacements go to the disp row, or block by block    \
+       to scratch when it is not NULL; the int64 run adds them into *sump. */      \
+    CLONES __attribute__((noinline)) static void NAME##_part(                      \
         const struct tasep_args_##SUFFIX *a, uint64_t t, int64_t lo, int64_t hi,   \
-        T next, int wrap, coin_body_fn *draw, T *restrict moved,                   \
-        uint32_t *restrict w, double *restrict scratch, uint64_t *sump) {          \
+        T next, coin_body_fn *draw, T *restrict moved, uint32_t *restrict w,       \
+        double *restrict scratch, uint64_t *sump) {                                \
         /* a local copy, which no store through x can change */                    \
         const struct tasep_args_##SUFFIX run = *a;                                 \
         const T *x = run.x;                                                        \
@@ -487,17 +502,16 @@ static int integer_totals(int64_t n, int64_t v) {
             const int64_t e = hi - b < BLOCK ? hi : b + BLOCK;                     \
             if (draw)                                                              \
                 draw(w, b, e, t, run.seed, run.stream);                            \
-            wrap = NAME##_block(&run, b, e, e < hi ? x[e] : next, wrap,            \
-                                draw ? w : NULL, moved, &j, scratch, sump);        \
+            NAME##_block(&run, b, e, e < hi ? x[e] : next, draw ? w : NULL, moved, \
+                         &j, scratch, sump);                                       \
         }                                                                          \
-        return wrap;                                                               \
     }                                                                              \
                                                                                    \
     /* What one thread of a split call writes for the other in step s, in slot     \
        s % RING. */                                                                \
     struct NAME##_post {                                                           \
         struct count head;  /* steps whose first values are out */                 \
-        struct count done;  /* thread 0: steps whose share is out */               \
+        struct count done;  /* thread 0: steps whose share and wrap are out */     \
         T first[RING];      /* x[0] or x[c], its first, as step s begins */        \
         int wrap[RING];     /* thread 0: whether step s wraps at the seam */       \
         double part[RING];  /* thread 0: its share of step s's total */            \
@@ -505,9 +519,6 @@ static int integer_totals(int64_t n, int64_t v) {
                                                                                    \
     struct NAME##_team {                                                           \
         const struct tasep_args_##SUFFIX *a;                                       \
-        uint64_t t;                                                                \
-        int64_t k;                                                                 \
-        double *totals;                                                            \
         coin_body_fn *draw; /* the call's coin body, NULL when it draws none */    \
         struct NAME##_post post[2];                                                \
     };                                                                             \
@@ -518,7 +529,7 @@ static int integer_totals(int64_t n, int64_t v) {
     CLONES __attribute__((noinline)) static void NAME##_share(                     \
         struct NAME##_team *tm, const int me) {                                    \
         const struct tasep_args_##SUFFIX *a = tm->a;                               \
-        const int64_t n = a->n, k = tm->k, c = half_of(n);                         \
+        const int64_t n = a->n, k = a->k, c = half_of(n);                          \
         const T *x = a->x;                                                         \
         struct NAME##_post *mine = &tm->post[me], *theirs = &tm->post[!me];        \
         coin_body_fn *const draw = tm->draw;                                       \
@@ -527,36 +538,33 @@ static int integer_totals(int64_t n, int64_t v) {
         uint32_t w[BLOCK] __attribute__((aligned(64)));                            \
         double scratch[BLOCK] __attribute__((aligned(64)));                        \
         for (int64_t s = 0; s < k; s++) {                                          \
-            const uint64_t t = tm->t + s;                                          \
+            const uint64_t t = a->t + s;                                           \
             const int64_t r = s % RING;                                            \
             double *const into = exact && s + 1 < k ? scratch : NULL;              \
             uint64_t sum = 0;                                                      \
             mine->first[r] = x[me ? c : 0];                                        \
+            say(&mine->head, s + 1);                                               \
             if (me == 0) {                                                         \
-                /* block 0 first, so that the seam decision goes out early */      \
-                const int64_t h = c - 8 < BLOCK ? c - 8 : BLOCK;                   \
-                int wrap = NAME##_part(a, t, 0, h, x[h], 0, draw, moved, w, into,  \
-                                       &sum);                                      \
-                mine->wrap[r] = wrap;                                              \
-                say(&mine->head, s + 1);                                           \
-                wrap = NAME##_part(a, t, h, c - 8, x[c - 8], wrap, draw, moved, w, \
-                                   into, &sum);                                    \
+                NAME##_part(a, t, 0, c - 8, x[c - 8], draw, moved, w, into, &sum); \
                 await(&theirs->head, s + 1);                                       \
-                NAME##_part(a, t, c - 8, c, theirs->first[r], wrap, draw, moved, w,\
-                            into, &sum);                                           \
+                NAME##_part(a, t, c - 8, c, theirs->first[r], draw, moved, w, into,\
+                            &sum);                                                 \
                 mine->part[r] =                                                    \
                     exact ? (double)(int64_t)sum : pairwise(a->disp, c);           \
+                mine->wrap[r] = NAME##_wraps(a);                                   \
                 say(&mine->done, s + 1);                                           \
+                if (mine->wrap[r])                                                 \
+                    NAME##_unwrap(a, 0, c);                                        \
             } else {                                                               \
-                say(&mine->head, s + 1);                                           \
                 await(&theirs->head, s + 1);                                       \
                 const T last = a->ring ? theirs->first[r] + a->seam : (CAP);       \
-                NAME##_part(a, t, c, n, last, theirs->wrap[r], draw, moved, w,     \
-                            into, &sum);                                           \
+                NAME##_part(a, t, c, n, last, draw, moved, w, into, &sum);         \
                 const double part =                                                \
                     exact ? (double)(int64_t)sum : pairwise(a->disp + c, n - c);   \
                 await(&theirs->done, s + 1);                                       \
-                tm->totals[s] = 0. + (theirs->part[r] + part);                     \
+                a->totals[s] = 0. + (theirs->part[r] + part);                      \
+                if (theirs->wrap[r])                                               \
+                    NAME##_unwrap(a, c, n);                                        \
             }                                                                      \
         }                                                                          \
     }                                                                              \
@@ -569,10 +577,8 @@ static int integer_totals(int64_t n, int64_t v) {
     /* The steps of a call split between this thread and a helper; 0 when the      \
        helper cannot be started. */                                                \
     __attribute__((noinline)) static int NAME##_split(                             \
-        const struct tasep_args_##SUFFIX *a, uint64_t t, int64_t k,                \
-        double *totals, coin_body_fn *draw) {                                      \
-        struct NAME##_team tm = {.a = a, .t = t, .k = k, .totals = totals,         \
-                                 .draw = draw};                                    \
+        const struct tasep_args_##SUFFIX *a, coin_body_fn *draw) {                 \
+        struct NAME##_team tm = {.a = a, .draw = draw};                            \
         pthread_t helper;                                                          \
         pthread_attr_t attr;                                                       \
         if (pthread_attr_init(&attr))                                              \
@@ -596,7 +602,7 @@ static int integer_totals(int64_t n, int64_t v) {
             memcpy(a->wind, a->wind_src, n * sizeof(double));                      \
         }                                                                          \
         coin_body_fn *const draw = drawn_by(a->cut, coin_body());                  \
-        if (a->threads > 1 && n > 128 && NAME##_split(a, t, k, totals, draw))      \
+        if (a->threads > 1 && n > 128 && NAME##_split(a, draw))                    \
             return;                                                                \
         const int exact = EXACT && integer_totals(n, (int64_t)a->v);               \
         T moved[BLOCK] __attribute__((aligned(64)));                               \
@@ -604,9 +610,11 @@ static int integer_totals(int64_t n, int64_t v) {
         double scratch[BLOCK] __attribute__((aligned(64)));                        \
         for (int64_t s = 0; s < k; s++, t++) {                                     \
             uint64_t sum = 0;                                                      \
-            NAME##_part(a, t, 0, n, n && a->ring ? a->x[0] + a->seam : (CAP), 0,   \
-                        draw, moved, w, exact && s + 1 < k ? scratch : NULL, &sum);\
+            NAME##_part(a, t, 0, n, n && a->ring ? a->x[0] + a->seam : (CAP), draw,\
+                        moved, w, exact && s + 1 < k ? scratch : NULL, &sum);      \
             totals[s] = 0. + (exact ? (double)(int64_t)sum : pairwise(a->disp, n));\
+            if (NAME##_wraps(a))                                                   \
+                NAME##_unwrap(a, 0, n);                                            \
         }                                                                          \
     }
 
@@ -635,9 +643,13 @@ static double unfold(uint64_t m) {
     return m > 0x7FF0000000000000ULL ? NAN : d;
 }
 
-/* Steps t, t + 1, ..., t + k - 1 of the runs a and b, whose positions are of
-   types TA and TB, coupled on a's coins; see tasep_coupled.  NAME##_gap is
-   |gap_b - scale gap_a| of a particle at xa and xb with successors sa and sb. */
+/* Steps t, t + 1, ..., t + k - 1 (a's t and k) of the runs a and b of n
+   particles each, whose positions are of types TA and TB, both on a's coins:
+   each block's words are drawn once, for both sides that need them.  out is 4
+   rows of k: a's and b's step totals, then the per-step maxima over i < gaps
+   of |gap_b - scale gap_a| and over all i of |disp_b - scale disp_a|; gaps is
+   n on a ring and n - 1 on a line.  NAME##_gap is |gap_b - scale gap_a| of a
+   particle at xa and xb with successors sa and sb. */
 #define COUPLED(NAME, A, B, TA, TB, CAP_A, CAP_B)                                  \
     static inline __attribute__((always_inline)) double NAME##_gap(                \
         TA sa, TA xa, TA rra, TB sb, TB xb, TB rrb, double scale) {                \
@@ -646,10 +658,9 @@ static double unfold(uint64_t m) {
         return fabs((double)gb - scale * (double)ga);                              \
     }                                                                              \
                                                                                    \
-    static inline __attribute__((always_inline)) void NAME(                        \
-        const struct tasep_args_##A *a_args, const struct tasep_args_##B *b_args,  \
-        int64_t gaps, double scale, double *out, TA *restrict moved_a,             \
-        TB *restrict moved_b, uint32_t *restrict w) {                              \
+    CLONES void NAME(const struct tasep_args_##A *a_args,                          \
+                     const struct tasep_args_##B *b_args, int64_t gaps,            \
+                     double scale, double *out) {                                  \
         /* local copies, which no store through x can change */                    \
         const struct tasep_args_##A ra = *a_args;                                  \
         const struct tasep_args_##B rb = *b_args;                                  \
@@ -663,28 +674,33 @@ static double unfold(uint64_t m) {
         const TA *xa = a->x, *rra = a->rr;                                         \
         const TB *xb = b->x, *rrb = b->rr;                                         \
         const double *da = a->disp, *db = b->disp;                                 \
+        TA moved_a[BLOCK] __attribute__((aligned(64)));                            \
+        TB moved_b[BLOCK] __attribute__((aligned(64)));                            \
+        uint32_t w[BLOCK] __attribute__((aligned(64)));                            \
         for (int64_t s = 0; s < k; s++, t++) {                                     \
             const TA next_a = n && a->ring ? xa[0] + a->seam : (CAP_A);            \
             const TB next_b = n && b->ring ? xb[0] + b->seam : (CAP_B);            \
-            int wrap_a = 0, wrap_b = 0;                                            \
             int64_t ja = 0, jb = 0;                                                \
             uint64_t gm = 0, dm = 0, unused = 0; /* pairwise takes the totals */   \
             for (int64_t lo = 0; lo < n; lo += BLOCK) {                            \
                 const int64_t e = n - lo < BLOCK ? n : lo + BLOCK;                 \
                 if (draw_a || draw_b)                                              \
                     body(w, lo, e, t, a->seed, a->stream);                         \
-                wrap_a = tasep_run_##A##_block(a, lo, e, e < n ? xa[e] : next_a,   \
-                                               wrap_a, draw_a ? w : NULL, moved_a, \
-                                               &ja, NULL, &unused);                \
-                wrap_b = tasep_run_##B##_block(b, lo, e, e < n ? xb[e] : next_b,   \
-                                               wrap_b, draw_b ? w : NULL, moved_b, \
-                                               &jb, NULL, &unused);                \
-                FOLD(dm, lo, e, fabs(db[i] - scale * da[i]));                      \
-                /* the gaps the block settled: gap i needs x[i + 1] */             \
-                FOLD(gm, lo ? lo - 1 : 0, e - 1,                                   \
-                     NAME##_gap(xa[i + 1], xa[i], rra[i], xb[i + 1], xb[i],        \
-                                rrb[i], scale));                                   \
+                tasep_run_##A##_block(a, lo, e, e < n ? xa[e] : next_a,            \
+                                      draw_a ? w : NULL, moved_a, &ja, NULL,       \
+                                      &unused);                                    \
+                tasep_run_##B##_block(b, lo, e, e < n ? xb[e] : next_b,            \
+                                      draw_b ? w : NULL, moved_b, &jb, NULL,       \
+                                      &unused);                                    \
             }                                                                      \
+            if (tasep_run_##A##_wraps(a))                                          \
+                tasep_run_##A##_unwrap(a, 0, n);                                   \
+            if (tasep_run_##B##_wraps(b))                                          \
+                tasep_run_##B##_unwrap(b, 0, n);                                   \
+            FOLD(dm, 0, n, fabs(db[i] - scale * da[i]));                           \
+            FOLD(gm, 0, n - 1,                                                     \
+                 NAME##_gap(xa[i + 1], xa[i], rra[i], xb[i + 1], xb[i], rrb[i],    \
+                            scale));                                               \
             /* the last particle's successor: x[0] + seam on a ring */             \
             const TA sa = n && a->ring ? xa[0] + a->seam : (CAP_A);                \
             const TB sb = n && b->ring ? xb[0] + b->seam : (CAP_B);                \
@@ -698,36 +714,7 @@ static double unfold(uint64_t m) {
         }                                                                          \
     }
 
-COUPLED(coupled_i64_i64, i64, i64, int64_t, int64_t, INT64_MAX / 4, INT64_MAX / 4)
-COUPLED(coupled_i64_f64, i64, f64, int64_t, double, INT64_MAX / 4, INFINITY)
-COUPLED(coupled_f64_i64, f64, i64, double, int64_t, INFINITY, INT64_MAX / 4)
-COUPLED(coupled_f64_f64, f64, f64, double, double, INFINITY, INFINITY)
-
-/* Steps t, t + 1, ..., t + k - 1 (a's t and k) of the runs a and b of n
-   particles each, both on a's coins: each block's words are drawn once, for
-   both sides that need them.  kinds is 2 when a's positions are float64 (its
-   arguments a tasep_args_f64), else 0, plus 1 when b's are.  out is 4 rows of k: a's and
-   b's step totals, then the per-step maxima over i < gaps of
-   |gap_b - scale gap_a| and over all i of |disp_b - scale disp_a|; gaps is n on
-   a ring and n - 1 on a line. */
-CLONES void tasep_coupled(const void *a, const void *b, int64_t kinds, int64_t gaps,
-                          double scale, double *out) {
-    uint32_t w[BLOCK] __attribute__((aligned(64)));
-    union moved {
-        int64_t i[BLOCK];
-        double f[BLOCK];
-    } ma __attribute__((aligned(64))), mb __attribute__((aligned(64)));
-    switch (kinds) {
-    case 0:
-        coupled_i64_i64(a, b, gaps, scale, out, ma.i, mb.i, w);
-        break;
-    case 1:
-        coupled_i64_f64(a, b, gaps, scale, out, ma.i, mb.f, w);
-        break;
-    case 2:
-        coupled_f64_i64(a, b, gaps, scale, out, ma.f, mb.i, w);
-        break;
-    default:
-        coupled_f64_f64(a, b, gaps, scale, out, ma.f, mb.f, w);
-    }
-}
+COUPLED(tasep_coupled_i64_i64, i64, i64, int64_t, int64_t, INT64_MAX / 4, INT64_MAX / 4)
+COUPLED(tasep_coupled_i64_f64, i64, f64, int64_t, double, INT64_MAX / 4, INFINITY)
+COUPLED(tasep_coupled_f64_i64, f64, i64, double, int64_t, INFINITY, INT64_MAX / 4)
+COUPLED(tasep_coupled_f64_f64, f64, f64, double, double, INFINITY, INFINITY)

@@ -83,21 +83,26 @@ CALL_ARGS = struct.Struct("@PPPQqPqPP")
 
 
 def bind(dll) -> dict:
-    """{"i", "f", "obstacles", "coupled": function} of a loaded library.
+    """{"i", "f", "obstacles", "coupled"} of a loaded library.
 
     "i" and "f" are the int64 and float64 runs, "obstacles" the float64 run among
-    obstacles; each takes one call's packed ARGS.  "coupled" takes two runs' packed
-    ARGS, the steps and step count being the first's, their kinds (2 when the first is
-    float64, plus 1 when the second is), the gaps to compare, the displacement scale
-    and the address of a 4 x k float64 output.
+    obstacles; each takes one call's packed ARGS.  "coupled" is the tuple of the four
+    coupled entry points, indexed by the two runs' kinds: 2 when the first's positions
+    are float64, plus 1 when the second's are.  Each takes the two runs' packed ARGS,
+    the steps and step count being the first's, the gaps to compare, the displacement
+    scale and the address of a 4 x k float64 output.
     """
     fns = {"i": dll.tasep_run_i64, "f": dll.tasep_run_f64,
-           "obstacles": dll.tasep_run_f64_obstacles, "coupled": dll.tasep_coupled}
+           "obstacles": dll.tasep_run_f64_obstacles}
     for fn in fns.values():
         fn.restype = None
         fn.argtypes = [ctypes.c_char_p]
-    fns["coupled"].argtypes = [ctypes.c_char_p, ctypes.c_char_p, ctypes.c_int64,
-                               ctypes.c_int64, ctypes.c_double, ctypes.c_void_p]
+    fns["coupled"] = tuple(getattr(dll, f"tasep_coupled_{a}_{b}")
+                           for a in ("i64", "f64") for b in ("i64", "f64"))
+    for fn in fns["coupled"]:
+        fn.restype = None
+        fn.argtypes = [ctypes.c_char_p, ctypes.c_char_p, ctypes.c_int64, ctypes.c_double,
+                       ctypes.c_void_p]
     return fns
 
 

@@ -9,6 +9,7 @@ Exit codes: 0 success or verified, 1 usage error, 2 domain error,
 from __future__ import annotations
 
 import argparse
+import decimal
 import math
 import os
 import sys
@@ -217,19 +218,27 @@ def _cmd_measure(args) -> int:
     return 0
 
 
+def _digits(count: int) -> str:
+    """count in decimal, however many digits it has: str(int) stops at the
+    interpreter's digit limit (sys.get_int_max_str_digits), and an exact Decimal
+    converts without one."""
+    return str(decimal.Decimal(count))
+
+
 def _cmd_periodic_points(args) -> int:
     ts = _STRUCTURES[args.structure]()
     count = periodic_point_count(ts, args.n)
+    digits = _digits(count)
     header = _header(args, "periodic-points")
     if args.count_only:
-        _write_csv(args, "periodic_counts.csv", header, "n,count", "%d,%d\n", [(args.n, count)])
+        _write_csv(args, "periodic_counts.csv", header, "n,count", "%d,%s\n", [(args.n, digits)])
     else:
         written = _write_csv(args, "periodic_points.csv", header, "word", "%s\n",
                              zip(_periodic_words(ts, args.n)))
         if written != count:
             raise RuntimeError(f"enumeration wrote {written} words, trace count is {count}")
     pm = parry_matrix(ts)
-    print(f"n={args.n} count={count} parry_p11={pm.p11:.6f} entropy={ts.entropy:.6f}")
+    print(f"n={args.n} count={digits} parry_p11={pm.p11:.6f} entropy={ts.entropy:.6f}")
     return 0
 
 
@@ -247,7 +256,11 @@ def _cmd_stability_sweep(args) -> int:
 
 def _cmd_obstacles(args) -> int:
     if args.obstacles_csv:
-        z = np.loadtxt(args.obstacles_csv, delimiter=",", ndmin=1)
+        try:
+            z = np.loadtxt(args.obstacles_csv, delimiter=",", ndmin=1)
+        except OSError as exc:  # a missing file, a directory, no permission
+            raise ValueError(f"--obstacles-csv {args.obstacles_csv!r} cannot be read: "
+                             f"{exc.strerror or exc}") from exc
         field = ObstacleField(Ring(args.ring), z)
     else:
         field = ObstacleField(Ring(args.ring), _evenly_spaced(args.ring, args.count))

@@ -560,7 +560,7 @@ def coupled_run(
         kinds = 2 * (a.plan.rr.dtype.kind == "f") + (b.plan.rr.dtype.kind == "f")
         # both sides' call arguments: steps 0 .. steps - 1, which the kernel reads from a's
         a_args, b_args = (side.args(0, steps, 0, 1) for side in (a, b))
-        _native.kernel()["coupled"](a_args, b_args, kinds, n_gaps, scale, _address(out))
+        _native.kernel()["coupled"][kinds](a_args, b_args, n_gaps, scale, _address(out))
     else:
         for t, w in enumerate(coins._words(n, 0, steps)):
             out[0, t], out[1, t] = a.advance(w).sum(), b.advance(w).sum()

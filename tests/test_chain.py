@@ -1,7 +1,8 @@
 """The exhaustive gap chain of every hard-core lattice ring of at most 10 sites
 (tests/_chain.py) as an exact referee: the reference stepper repeats its closed-form
-update, its stationary velocity is finite_ring_velocity, and the run kernel's step
-totals at p = 1 are its sites moved, exactly."""
+update, its stationary velocity is finite_ring_velocity at v = 1 and the sum of
+finite_ring_velocity over the v channel rings at v = 2 and 3, and the run kernel's
+step totals at p = 1 are its sites moved, exactly."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from tasep.velocity import finite_ring_velocity
 RINGS = [(n, L - n) for L in range(2, 11) for n in range(1, L)]
 
 
-@pytest.mark.parametrize("v", [1, 2])
+@pytest.mark.parametrize("v", [1, 2, 3])
 def test_the_stepper_repeats_the_closed_form_chain(v):
     for n, free in RINGS:
         succ, f = table(n, free, v)
@@ -32,6 +33,18 @@ def test_the_chain_velocity_is_finite_ring_velocity(p):
         assert np.allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-15)
         exact = finite_ring_velocity(n + free, n, p)
         assert abs(velocity(P, h, n) - exact) <= 1e-12, (n, free, p)
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.9])
+@pytest.mark.parametrize("v", [2, 3])
+def test_the_chain_velocity_is_the_channel_sum(v, p):
+    # a v-jump ring is v coupled v = 1 rings: channel j has the gaps floor((g_i + j) / v),
+    # so N particles and floor((F + j) / v) free sites, and a particle's move is the sum
+    # of its channel moves under one coin
+    for n, free in RINGS:
+        P, h = chain(*table(n, free, v), n, p)
+        channels = sum(finite_ring_velocity(n + (free + j) // v, n, p) for j in range(v))
+        assert abs(velocity(P, h, n) - channels) <= 1e-12, (n, free, v, p)
 
 
 @pytest.mark.parametrize("v", [1, 2])

@@ -111,6 +111,18 @@ class TestExitCodes:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "obstacles.csv").exists()
 
+    @pytest.mark.parametrize("name", ["missing.csv", "a_directory"])
+    def test_an_unreadable_obstacles_csv_is_a_domain_error(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        if name == "a_directory":
+            path.mkdir()
+        code = main(["--outdir", str(tmp_path), "obstacles", "--ring", "100",
+                     "--rho-x", "0.5", "--obstacles-csv", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: ") and str(path) in err
+        assert not (tmp_path / "obstacles.csv").exists()
+
     def test_couple_check_failure_is_three(self, tmp_path):
         # heterogeneous radii diverge by rounding only (2.8e-14 here), which tol = 0 fails
         code = main(["--outdir", str(tmp_path), "couple-check", "--mode", "heterogeneous",
@@ -213,6 +225,24 @@ class TestArtifacts:
         assert read(tmp_path / "periodic_counts.csv").splitlines()[-1] == (
             "100,792070839848372253127")  # the Lucas number L_100
         assert main(["--outdir", str(tmp_path), "periodic-points", "--n", "100"]) == 2
+
+    def test_periodic_counts_past_the_digit_limit(self, tmp_path, capsys):
+        # tr M^30000 of no-11 is the Lucas number L_30000, of 6270 digits: more than
+        # str(int) converts under the interpreter's default limit of 4300
+        lucas, following = 2, 1
+        for _ in range(30_000):
+            lucas, following = following, lucas + following
+        # its digits 1000 at a time, each chunk within the limit
+        chunks = []
+        while lucas >= 10**1000:
+            lucas, low = divmod(lucas, 10**1000)
+            chunks.append(f"{low:01000d}")
+        digits = str(lucas) + "".join(reversed(chunks))
+        assert len(digits) == 6270
+        assert main(["--outdir", str(tmp_path), "periodic-points", "--count-only",
+                     "--n", "30000"]) == 0
+        assert read(tmp_path / "periodic_counts.csv").splitlines()[-1] == f"30000,{digits}"
+        assert f" count={digits} " in capsys.readouterr().out
 
     def test_periodic_points_count_mismatch_raises(self, tmp_path, monkeypatch):
         # the rows are counted as they stream out, then checked against the trace

@@ -90,7 +90,9 @@ def test_default_clone_compiles_under_strict_warnings(default_clone_build):
     assert proc.returncode == 0, proc.stderr
 
 
-RUN_FUNCTIONS = ("tasep_run_i64", "tasep_run_f64", "tasep_run_f64_obstacles", "tasep_coupled")
+RUN_FUNCTIONS = ("tasep_run_i64", "tasep_run_f64", "tasep_run_f64_obstacles",
+                 "tasep_coupled_i64_i64", "tasep_coupled_i64_f64", "tasep_coupled_f64_i64",
+                 "tasep_coupled_f64_f64")
 
 
 def _exported(lib: Path) -> dict[str, str]:
@@ -103,7 +105,7 @@ def _exported(lib: Path) -> dict[str, str]:
 
 
 def test_library_exports_every_run_function(default_clone_build):
-    # each run function, the coupled one too, is an indirect function (its clones behind
+    # each run function, the coupled ones too, is an indirect function (its clones behind
     # one resolver) on x86-64 and a plain one elsewhere; without clones it is plain everywhere
     if _native.kernel() is None:
         pytest.skip("the fused kernel cannot be built here")
