@@ -96,10 +96,12 @@
    helper has read every slot of step s: the caller runs at most a step ahead
    of the helper, and the helper, which ends step s only after the caller's
    done of step s, never ahead of the caller.  So a slot is written again two
-   steps on, once the other thread has read it, and RING is 2.  A waiting
-   thread spins while the other runs on another CPU and yields when the two
-   share one; the helper starts on another CPU than the caller's, as a new
-   thread is often placed beside the thread that made it.
+   steps on, once the other thread has read it, and RING is 2.  The scheduler
+   places the helper.  A waiting thread spins SPINS pauses and then yields at
+   each look, so two threads that share one CPU take turns.  On two CPUs the
+   split pays for itself where a run is large enough: the benchmark's 10**4
+   particle fundamental-diagram points run faster on two threads than on one
+   (BENCH_31.json, ROADMAP item 14).
 
    On x86-64 each run function and pairwise are built as two target clones,
    x86-64-v4 (AVX-512) and the baseline, and the dynamic loader picks one per
@@ -110,7 +112,6 @@
    code cost about 250 ns per step.  The baseline clone is the portable
    reference; defining TASEP_NO_CLONES builds it alone, as every other
    architecture does. */
-#define _GNU_SOURCE /* sched_getcpu, CPU_COUNT, pthread_attr_setaffinity_np */
 #include <math.h>
 #include <pthread.h>
 #include <sched.h>
@@ -395,61 +396,29 @@ static int64_t at_or_below(const double *obs, int64_t m, double x) {
     return lo;
 }
 
-/* The CPU the calling thread runs on, or -1 where that cannot be known. */
-static int this_cpu(void) {
-#ifdef __linux__
-    return sched_getcpu();
-#else
-    return -1;
-#endif
-}
-
-/* Start a helper on another CPU than the calling thread's: a new thread is
-   often placed beside its creator, and two threads of a team on one CPU take
-   turns.  Where the CPUs cannot be read or set, the scheduler places it. */
-static void place_helper(pthread_attr_t *attr) {
-#if defined(__linux__) && defined(__GLIBC__)
-    cpu_set_t cpus;
-    const int cpu = sched_getcpu();
-    if (cpu >= 0 && cpu < CPU_SETSIZE &&
-        !sched_getaffinity(0, sizeof cpus, &cpus) && CPU_COUNT(&cpus) > 1) {
-        CPU_CLR(cpu, &cpus);
-        pthread_attr_setaffinity_np(attr, sizeof cpus, &cpus);
-    }
-#else
-    (void)attr;
-#endif
-}
-
-/* A count one thread of a split call raises and the other waits on, with
-   the CPU the thread last raised it from, alone on its cache line. */
+/* A count one thread of a split call raises and the other waits on, alone on
+   its cache line. */
 struct count {
     int64_t steps;
-    int cpu;
 } __attribute__((aligned(64)));
 
-/* rounds a waiting thread spins, about 18 ns each on a Xeon, before it yields */
-#define SPINS 4096
+/* rounds a waiting thread spins, about 18 ns each on a Xeon, before it yields:
+   with 4096 a process's first split call ran about 4x slower, as its helper
+   starts beside the caller and each wait spun out its rounds before the other
+   thread could run (BENCH_31.json) */
+#define SPINS 16
 
 /* Raise *mine to s: the release store orders every write before it before
    the reads of a thread that sees s. */
 static void say(struct count *mine, int64_t s) {
-    __atomic_store_n(&mine->cpu, this_cpu(), __ATOMIC_RELAXED);
     __atomic_store_n(&mine->steps, s, __ATOMIC_RELEASE);
 }
 
-/* Wait until *theirs reaches s.  A waiter spins while the other thread runs
-   on another CPU; when the two share one, the other cannot run until this one
-   yields, so it yields at once. */
+/* Wait until *theirs reaches s: spin SPINS pauses, then yield the CPU at each
+   look, so that a thread sharing it with the other can let that one run. */
 static void await(const struct count *theirs, int64_t s) {
-    if (__atomic_load_n(&theirs->steps, __ATOMIC_ACQUIRE) >= s)
-        return;
-    const int cpu = this_cpu();
-    for (int spins = 0; __atomic_load_n(&theirs->steps, __ATOMIC_ACQUIRE) < s;
-         spins++) {
-        const int apart =
-            cpu < 0 || __atomic_load_n(&theirs->cpu, __ATOMIC_RELAXED) != cpu;
-        if (spins < SPINS && apart) {
+    for (int spins = 0; __atomic_load_n(&theirs->steps, __ATOMIC_ACQUIRE) < s; spins++) {
+        if (spins < SPINS) {
 #if defined(__x86_64__) || defined(__i386__)
             __builtin_ia32_pause();
 #endif
@@ -580,13 +549,7 @@ static int integer_totals(int64_t n, int64_t v) {
         const struct tasep_args_##SUFFIX *a, coin_body_fn *draw) {                 \
         struct NAME##_team tm = {.a = a, .draw = draw};                            \
         pthread_t helper;                                                          \
-        pthread_attr_t attr;                                                       \
-        if (pthread_attr_init(&attr))                                              \
-            return 0;                                                              \
-        place_helper(&attr);                                                       \
-        const int failed = pthread_create(&helper, &attr, NAME##_helper, &tm);     \
-        pthread_attr_destroy(&attr);                                               \
-        if (failed)                                                                \
+        if (pthread_create(&helper, NULL, NAME##_helper, &tm))                     \
             return 0;                                                              \
         NAME##_share(&tm, 0);                                                      \
         pthread_join(helper, NULL);                                                \

@@ -44,8 +44,6 @@ __all__ = [
 
 # a zero-length ctypes type: its from_buffer takes any writable buffer, empty ones too
 _NO_BYTES = ctypes.c_char * 0
-# particles from which _Stepper places its arrays on cache lines (4 KB of positions)
-_ALIGNED_FROM = 512
 # what step() finds on a state no step() returned: no plan and no rows
 _NO_CHAIN = (None, None, 0, 0)
 _FLOAT64 = np.dtype(np.float64)
@@ -194,27 +192,20 @@ def _kernel_rows(positions: np.ndarray, winding: np.ndarray, rr: np.ndarray):
     displacements, which a step writes before anything reads it.  Returns the rows and
     the addresses of all four, in the order of the kernel's arguments.
 
-    From _ALIGNED_FROM particles on each row starts a 64-byte cache line, the rows at
-    0, 1024, 2048 and 3072 bytes mod 4096, so the streams the kernel reads and writes
-    together do not collide in 4 KB steps, and a split call, which divides the
-    particles between its threads at a multiple of 8, gives each thread whole cache
-    lines.  Smaller rows lie within a page or two, where their placement did not show
-    in timings; there one np.array call builds them, as each array operation costs
-    about a tenth of the few microseconds a step() call takes at 100 particles.
+    Each row starts a 64-byte cache line, the rows at 0, 1024, 2048 and 3072 bytes mod
+    4096, so the streams the kernel reads and writes together do not collide in 4 KB
+    steps, and a split call, which divides the particles between its threads at a
+    multiple of 8, gives each thread whole cache lines.
     """
     n = len(positions)
     wind = winding if rr.dtype.kind == "f" else winding.view(rr.dtype)
-    if n < _ALIGNED_FROM:
-        rows = np.array((positions, rr, wind, wind), rr.dtype)
-        stride, base = n, _address(rows)
-    else:
-        # rows of stride = 128 (mod 512) slots from a 4096-byte boundary
-        stride = n + (128 - n) % 512
-        raw = np.empty(4 * stride + 511, rr.dtype)
-        start = _address(raw)
-        i = -start % 4096 // 8
-        rows, base = raw[i:i + 4 * stride].reshape(4, stride)[:, :n], start + 8 * i
-        rows[0], rows[1], rows[2] = positions, rr, wind
+    # rows of stride = 128 (mod 512) slots from a 4096-byte boundary
+    stride = n + (128 - n) % 512
+    raw = np.empty(4 * stride + 511, rr.dtype)
+    start = _address(raw)
+    i = -start % 4096 // 8
+    rows, base = raw[i:i + 4 * stride].reshape(4, stride)[:, :n], start + 8 * i
+    rows[0], rows[1], rows[2] = positions, rr, wind
     step = 8 * stride
     return rows, (base, base + step, base + 2 * step, base + 3 * step)
 
@@ -278,6 +269,10 @@ class _Plan:
         self.terms = terms
         self.rr, self.seam = terms
         self.v = int(params.v) if kind == "i" else float(params.v)
+        if kind == "i" and self.seam is not None:
+            # no bound lies more than the seam ahead on a ring, so the capped jump moves
+            # each particle as far, and x + v stays within int64
+            self.v = min(self.v, int(self.seam))
         # k * 2**-32 < p exactly when k < ceil(p * 2**32); the product is exact
         self.cut = math.ceil(params.p * 2**32)
         self.tiled = None if field is None else _tiled_obstacles(field)
@@ -318,12 +313,15 @@ class _Stepper:
     """The one-step map of one run: its ``_Plan`` and its own rows.
 
     Owns copies of the positions ``x`` and the winding ``wind``, which every step
-    updates in place; ``disp`` holds the last step's displacements.
+    updates in place; ``disp`` holds the last step's displacements.  A stepper of a
+    line first checks that its run of ``steps`` steps stays in range (check_reach).
     """
 
     def __init__(self, cfg: Configuration, params: ProcessParams, coins: CoinStream,
-                 field: ObstacleField | None = None) -> None:
+                 field: ObstacleField | None = None, steps: int = 1) -> None:
         self.plan = _Plan(cfg, params, coins, field)
+        # before the kernel's arguments pack a jump that may not fit them
+        self.plan.check_reach(cfg.positions, steps)
         self.cfg = cfg
         # the addresses stay valid, as the rows live with the stepper and are never rebound
         self._rows, (x, rr, wind, disp) = _kernel_rows(cfg.positions, cfg.winding,
@@ -412,7 +410,6 @@ def step(
     t = _time_index(t)
     if _native.kernel() is None:
         stepper = _Stepper(cfg, params, coins, field)
-        stepper.plan.check_reach(stepper.x, 1)
         stepper.steps(t)
         return stepper.configuration()
     plan, _, x_src, wind_src = vars(cfg).get("_step_chain") or _NO_CHAIN
@@ -491,8 +488,7 @@ def run(
     steps = _integer("steps", steps, 1, _TIMES + 1)
     if snapshot_stride is not None:
         snapshot_stride = _integer("snapshot stride", snapshot_stride, 1)
-    stepper = _Stepper(cfg, params, _as_coins(coins_or_seed), field)
-    stepper.plan.check_reach(stepper.x, steps)
+    stepper = _Stepper(cfg, params, _as_coins(coins_or_seed), field, steps)
     totals = np.empty(steps)  # the kernel or the numpy stepper writes every entry
     # a start in the run's dtype under its own terms is its own snapshot, as it is immutable
     as_is = cfg.positions.dtype is stepper.x.dtype and stepper.plan.terms is cfg._terms
@@ -548,9 +544,8 @@ def coupled_run(
     steps = _integer("steps", steps, 1, _TIMES + 1)
     scale = float(_positive("displacement_scale", displacement_scale))
     coins = _as_coins(coins_or_seed)
-    a, b = _Stepper(cfg_a, params_a, coins), _Stepper(cfg_b, params_b, coins)
-    for side in (a, b):
-        side.plan.check_reach(side.x, steps)
+    a, b = (_Stepper(cfg, params, coins, steps=steps)
+            for cfg, params in ((cfg_a, params_a), (cfg_b, params_b)))
     n = cfg_a.n
     # a line has no gap ahead of its last particle
     n_gaps = n if cfg_a.is_ring else max(n - 1, 0)

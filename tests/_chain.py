@@ -8,7 +8,8 @@ the C(F + N - 1, N - 1) compositions of F into N parts.  Under the coin pattern 
     m_i = c_i min(v, g_i),
 
 and the gaps become g'_i = g_i - m_i + m_{i+1}, indices mod N.  A step moves
-f = sum_i m_i sites in all.  ``table`` builds the (successor, f) of every state and
+f = sum_i m_i sites in all.  ``channels`` maps a v-jump ring's gaps to those of v
+rings of jump 1.  ``table`` builds the (successor, f) of every state and
 pattern from this closed form; ``stepper_table`` builds the same table a second time
 through the reference stepper ``_Stepper.advance``.  ``chain`` turns a table into
 the transition matrix P and h = E[f | g] at a coin probability p, and ``velocity``
@@ -73,6 +74,13 @@ def ring_of(gaps: np.ndarray) -> Configuration:
 def gaps_of(x: np.ndarray, length: int) -> np.ndarray:
     """The gap vector of sorted lattice positions x on a ring of ``length`` sites."""
     return np.diff(x, append=x[0] + length) - 1
+
+
+def channels(gaps: np.ndarray, v: int) -> np.ndarray:
+    """The v channel gap vectors of a v-jump ring, one per row: h^j_i = floor((g_i + j) / v)
+    for j < v.  They sum to g (Hermite's identity), and min(1, h^j_i) summed over j is
+    min(v, g_i), so under one coin a particle's move is the sum of its channel moves."""
+    return (gaps[None, :] + np.arange(v)[:, None]) // v
 
 
 def stepper_table(n: int, free: int, v: int) -> tuple[np.ndarray, np.ndarray]:

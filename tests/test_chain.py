@@ -2,14 +2,16 @@
 (tests/_chain.py) as an exact referee: the reference stepper repeats its closed-form
 update, its stationary velocity is finite_ring_velocity at v = 1 and the sum of
 finite_ring_velocity over the v channel rings at v = 2 and 3, and the run kernel's
-step totals at p = 1 are its sites moved, exactly."""
+step totals at p = 1 are its sites moved, exactly.  Criterion 14 checks the channel
+map itself through run: on the recurrent support a v-jump ring's channels are v rings
+of jump 1 on the same coins."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from _chain import chain, gaps_of, ring_of, states, stepper_table, table, velocity
+from _chain import channels, chain, gaps_of, ring_of, states, stepper_table, table, velocity
 from tasep import CoinStream, ProcessParams, run
 from tasep.velocity import finite_ring_velocity
 
@@ -61,3 +63,36 @@ def test_fused_step_totals_at_p_1_are_the_sites_moved(v):
             assert summary.step_total_displacement.tolist() == [f[s, every], f[s1, every]]
             assert np.array_equal(gaps_of(summary.final.positions, n + free),
                                   g[succ[s1, every]])
+
+
+def _channel_mismatches(rng, remainders: int) -> int:
+    """Random v-jump rings (v in {2, 3, 4}) whose gaps are multiples of v except for
+    ``remainders`` chosen gaps, which get a remainder below v (possibly 0 when there is
+    one such gap, at least 1 when there are more): how many, after a run of up to 60
+    steps, have a channel that is not the jump-1 run of that channel's start on the same
+    seed."""
+    mismatches = 0
+    for _ in range(150):
+        v, n = int(rng.integers(2, 5)), int(rng.integers(2, 400))
+        g = v * rng.integers(0, 4, n)
+        g[rng.choice(n, remainders, replace=False)] += rng.integers(remainders > 1, v,
+                                                                    remainders)
+        p, steps = float(rng.uniform(0.05, 0.95)), int(rng.integers(1, 61))
+        seed = int(rng.integers(2**63))
+        end = run(ring_of(g), ProcessParams(p, v, "lattice"), steps, seed).final.positions
+        got = channels(gaps_of(end, n + int(g.sum())), v)
+        for h, want in zip(channels(g, v), got):
+            one = run(ring_of(h), ProcessParams(p, 1, "lattice"), steps, seed).final.positions
+            if not np.array_equal(gaps_of(one, n + int(h.sum())), want):
+                mismatches += 1
+                break
+    return mismatches
+
+
+def test_criterion_14_the_channels_of_a_v_ring_are_jump_1_rings():
+    # ROADMAP item 2: on the support, where every gap is a multiple of v but at most one,
+    # which carries F mod v, the channel map intertwines v-jump steps with jump-1 steps
+    # under one coin per particle, exactly
+    assert _channel_mismatches(np.random.default_rng(14), remainders=1) == 0
+    # the check tells the support apart: with two remainders the map breaks
+    assert _channel_mismatches(np.random.default_rng(14), remainders=2) > 0

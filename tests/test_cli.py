@@ -143,6 +143,18 @@ class TestArtifacts:
         vel = read(tmp_path / "velocity.csv")
         assert "v_hat" in vel
 
+    def test_simulate_runs_a_jump_past_int64_as_the_ring_length(self, tmp_path):
+        # a lattice ring caps the jump at its length, exactly: v = 1e19 moves as v = 10,
+        # where it once left cli.main with a struct.error; v = 1 moves otherwise
+        rows = {}
+        for v in ("1e19", "10", "1"):
+            out = tmp_path / v
+            assert main(["--outdir", str(out), "simulate", "--ring", "10", "--particles", "3",
+                         "--r", "0.5", "--p", "0.5", "--v", v, "--steps", "50"]) == 0
+            rows[v] = [read(out / name).splitlines()[1:]
+                       for name in ("trajectory.csv", "velocity.csv")]
+        assert rows["1e19"] == rows["10"] != rows["1"]
+
     def test_simulate_runs_the_continuum_ring_it_was_given(self, tmp_path, monkeypatch):
         # 333 * (1 / (333 / 150)) is 149.99999999999997
         seen = []

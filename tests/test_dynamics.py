@@ -612,6 +612,47 @@ class TestCoupledRun:
             coupled_run(a, b, DET, DET, 5, CoinStream(0))
 
 
+# jumps at and past 2**63: an int64 ring takes x + v, which int64 cannot hold, and a line
+# packs v for the kernel, which a 64-bit field cannot hold
+HUGE_JUMPS = [float(2**63 - 1024), float(2**63), 1e19]
+
+
+class TestJumpsPastInt64:
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    @pytest.mark.parametrize("v", HUGE_JUMPS)
+    @pytest.mark.parametrize("backend", ["default", "numpy"], indirect=True)
+    def test_a_ring_moves_as_its_float64_copy(self, v, p, backend):
+        # no bound lies more than the ring's length ahead, so every jump past it moves
+        # each particle to its bound, in int64 as in float64
+        cfg = even_lattice_ring(4000, 2)
+        copy = Configuration(Ring(4000.0), cfg.positions.astype(np.float64), 0.5)
+        exact, floats = ProcessParams(p, v, "lattice"), ProcessParams(p, v)
+        got, want = run(cfg, exact, 5, 1), run(copy, floats, 5, 1)
+        assert got.final.positions.dtype == np.int64
+        assert got.final.positions.tolist() == want.final.positions.tolist()
+        assert np.array_equal(got.step_total_displacement, want.step_total_displacement)
+        assert got.step_total_displacement.sum() > 0
+        # at p = 1 both particles reach their bounds, 1999 sites ahead, in the first step
+        assert p < 1 or got.step_total_displacement[0] == 3998
+        one = step(cfg, exact, CoinStream(1), 0)
+        assert one.positions.tolist() == step(copy, floats, CoinStream(1), 0).positions.tolist()
+        both = coupled_run(cfg, copy, exact, floats, 5, 1)
+        assert np.array_equal(both.a.step_total_displacement, want.step_total_displacement)
+        assert both.max_gap_divergence.max() == 0 == both.max_displacement_divergence.max()
+
+    @pytest.mark.parametrize("v", HUGE_JUMPS)
+    @pytest.mark.parametrize("backend", ["default", "numpy"], indirect=True)
+    def test_a_line_rejects_them_before_any_step(self, v, backend):
+        line = Configuration(LINE, np.array([0, 5]), 0.5)
+        huge, unit = ProcessParams(1.0, v, "lattice"), ProcessParams(1.0, 1, "lattice")
+        for call in (lambda: run(line, huge, 1, 1),
+                     lambda: step(line, huge, CoinStream(1), 0),
+                     lambda: coupled_run(line, line, unit, huge, 1, 1),
+                     lambda: coupled_run(line, line, huge, unit, 1, 1)):
+            with pytest.raises(ValueError, match="could leave the exact range"):
+                call()
+
+
 class TestConservationSuite:
     """Seeded randomized invariant checks (small version of the acceptance sweep)."""
 

@@ -454,6 +454,37 @@ def test_a_process_on_one_cpu_runs_one_thread_to_the_same_bytes():
     assert got == _summary_bytes(run(cfg, params, 100, CoinStream(3), snapshot_stride=40))
 
 
+def _split_walk(n, threads):
+    """The bytes of a 300-step call of threads threads on a lattice ring of n particles."""
+    cfg, params = _ring(n, True, np.random.default_rng(n))
+    stepper, totals = _Stepper(cfg, params, CoinStream(n)), np.zeros(300)
+    stepper.steps(0, totals, threads=threads)
+    return stepper.x.tobytes(), stepper.wind.tobytes(), stepper.disp.tobytes(), totals.tobytes()
+
+
+def _pinned_split(n, results) -> None:
+    """In a process allowed one CPU: its CPU count and the bytes of a forced split call."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    results.put((len(os.sched_getaffinity(0)), _split_walk(n, 2)))
+
+
+# the two threads of a forced split take turns on one CPU: each wait spins, then yields
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+@pytest.mark.parametrize("n", [136, 1040])
+def test_a_forced_split_on_one_cpu_has_one_threads_bytes(n):
+    if _native.kernel() is None:
+        pytest.skip("the fused kernel cannot be built here")
+    ctx = multiprocessing.get_context("spawn")
+    results = ctx.Queue()
+    proc = ctx.Process(target=_pinned_split, args=(n, results))
+    proc.start()
+    cpus, got = results.get(timeout=120)
+    proc.join(timeout=30)
+    assert not proc.is_alive() and proc.exitcode == 0
+    assert cpus == 1
+    assert got == _split_walk(n, 1)
+
+
 def _obstacles_on_every_site():
     cfg = Configuration(Ring(30.0), np.arange(0.0, 30.0, 3.0), 0.0)
     return cfg, ObstacleField(Ring(30.0), np.arange(30.0)), ProcessParams(1.0, 3.0)
