@@ -74,30 +74,28 @@
    sum; the helper adds the caller's share to its own, which for n > 128 is
    pairwise over all n by pairwise's own definition.  c is a multiple of 8, so
    whole counter blocks and, as _Stepper aligns x, disp and wind to 64 bytes,
-   whole cache lines: the threads never write one line.  The two halves take
-   equally long when the two CPUs run equally fast; a split that followed the
-   CPUs' measured speeds ran no faster on the coins of contract 0.3
-   (BENCH_28.json).
+   whole cache lines: the threads never write one line.
 
    Step s of a thread needs values that only the other thread knows: the
    caller needs x[c] as the step began, for its last particle's bound, and the
    helper x[0] as the step began, for its last particle's bound, and whether
    the step wraps at the seam, which particle 0's move decides.  Each thread
-   writes its values of step s during step s, into slot s % RING of its post,
-   and then raises a count of steps whose values are out (say).  As the step
-   begins each thread puts out its first position, x[0] or x[c], and raises
-   its head count, before it moves anything.  The caller moves [0, c - 8),
-   waits on the helper's head (await), whose x[c] bounds its last 8
-   particles, and moves them; it then puts out its share of the total and the
-   seam decision, raises its done count and unwraps [0, c).  The helper waits
-   on the caller's head for x[0], moves [c, n), waits on the caller's done,
-   writes the step's total and unwraps [c, n) as the caller decided.  The
-   caller ends step s + 1 only once the helper has begun it, so after the
-   helper has read every slot of step s: the caller runs at most a step ahead
-   of the helper, and the helper, which ends step s only after the caller's
-   done of step s, never ahead of the caller.  So a slot is written again two
-   steps on, once the other thread has read it, and RING is 2.  The scheduler
-   places the helper.  A waiting thread spins SPINS pauses and then yields at
+   ends step s by writing its post and raising its one count, out, to s + 1
+   (say).  The post holds the thread's first position, x[0] or x[c], as step
+   s + 1 begins; the caller's also holds its share of step s's total and
+   whether step s wrapped.  The caller moves [0, c - 8), waits until the
+   helper's out reaches s (await), reads x[c] from the helper's post and
+   moves its last 8 particles; it then writes its share, decides the wrap and
+   unwraps [0, c).  The helper moves [c, n), bounded by the x[0] it read at
+   the end of step s - 1, waits until the caller's out reaches s + 1, reads
+   the caller's post, writes the step's total and unwraps [c, n) as the
+   caller decided.  Each thread reads the other's post right after its wait
+   and writes its own only after the wait that shows the other has read the
+   last one, so one slot per value is enough.  The values of step 0 are set
+   before the helper starts: the helper's post holds x[c], and the team holds
+   x[0] for the helper's first bound, since the caller may end step 0, and
+   overwrite its post, before the helper reads it.  The scheduler places the
+   helper.  A waiting thread spins SPINS pauses and then yields at
    each look, so two threads that share one CPU take turns.  On two CPUs the
    split pays for itself where a run is large enough: the benchmark's 10**4
    particle fundamental-diagram points run faster on two threads than on one
@@ -264,8 +262,8 @@ CLONES static double pairwise(const double *a, int64_t n) {
    n, its coins' seed and stream, and so on.  A call's are the rows x, wind and
    disp the call steps in place, its steps t, t + 1, ..., t + k - 1, where
    their totals go, the threads it may split across and the rows it starts
-   from.  A line (ring == 0) bounds its last particle by CAP, a
-   ring by x_0 + seam.  disp receives the n displacements of the last step.
+   from.  A line, whose seam is 0, bounds its last particle by CAP,
+   a ring by x_0 + seam.  disp receives the n displacements of the last step.
    obs holds the m sorted obstacles; only the obstacle run reads obs and m.
    totals[s] receives step t + s's total.  When x_src is not NULL, a run call
    first copies the n positions at x_src and the n windings at wind_src into x
@@ -278,7 +276,6 @@ CLONES static double pairwise(const double *a, int64_t n) {
         int64_t n;                                                                 \
         uint64_t seed, stream, cut;                                                \
         const T *rr;                                                               \
-        int64_t ring;                                                              \
         T seam, v;                                                                 \
         const double *obs;                                                         \
         int64_t m;                                                                 \
@@ -323,7 +320,8 @@ static coin_body_fn *drawn_by(uint64_t cut, coin_body_fn *body) {
         uint64_t sum = 0;                                                          \
         for (int64_t i = 0; i < len; i++) {                                        \
             T bound = (i + 1 < len ? x[i + 1] : next) - rr[i];                     \
-            T target = x[i] + v;                                                   \
+            /* int64 adds min(v, bound - x), as x + v may pass 2**63 */            \
+            T target = EXACT && bound - x[i] < v ? bound : x[i] + v;               \
             target = target < bound ? target : bound;                              \
             if (OBS) {                                                             \
                 /* searchsorted(obs, x_i, "right") as a merge walk, since          \
@@ -372,7 +370,7 @@ static coin_body_fn *drawn_by(uint64_t cut, coin_body_fn *body) {
     }                                                                              \
                                                                                    \
     static inline int NAME##_wraps(const struct tasep_args_##SUFFIX *a) {          \
-        return a->ring && a->n && a->x[0] >= a->seam;                              \
+        return a->seam && a->n && a->x[0] >= a->seam;                              \
     }                                                                              \
                                                                                    \
     static inline void NAME##_unwrap(const struct tasep_args_##SUFFIX *a,          \
@@ -428,11 +426,6 @@ static void await(const struct count *theirs, int64_t s) {
     }
 }
 
-/* slots of a split call's values, one per step: thread 0 runs at most a step
-   ahead of the helper and the helper never ahead of thread 0, so a slot is
-   written again two steps on, once the other thread has read it */
-#define RING 2
-
 /* Whether an int64 run of n particles and jump v takes its step totals as
    integers: each displacement lies in [0, v], so when n v <= 2**53 every sum of
    them is an integer that a double holds exactly (see the header). */
@@ -476,19 +469,19 @@ static int integer_totals(int64_t n, int64_t v) {
         }                                                                          \
     }                                                                              \
                                                                                    \
-    /* What one thread of a split call writes for the other in step s, in slot     \
-       s % RING. */                                                                \
+    /* What one thread of a split call writes for the other as it ends step s,     \
+       s + 1 being its count of steps whose values are out. */                     \
     struct NAME##_post {                                                           \
-        struct count head;  /* steps whose first values are out */                 \
-        struct count done;  /* thread 0: steps whose share and wrap are out */     \
-        T first[RING];      /* x[0] or x[c], its first, as step s begins */        \
-        int wrap[RING];     /* thread 0: whether step s wraps at the seam */       \
-        double part[RING];  /* thread 0: its share of step s's total */            \
+        struct count out;                                                          \
+        T first;     /* x[0] or x[c], its first, as step s + 1 begins */           \
+        int wrap;    /* thread 0: whether step s wrapped at the seam */            \
+        double part; /* thread 0: its share of step s's total */                   \
     } __attribute__((aligned(64)));                                                \
                                                                                    \
     struct NAME##_team {                                                           \
         const struct tasep_args_##SUFFIX *a;                                       \
         coin_body_fn *draw; /* the call's coin body, NULL when it draws none */    \
+        T x0;               /* x[0] as the call begins: the helper's first bound */\
         struct NAME##_post post[2];                                                \
     };                                                                             \
                                                                                    \
@@ -503,38 +496,35 @@ static int integer_totals(int64_t n, int64_t v) {
         struct NAME##_post *mine = &tm->post[me], *theirs = &tm->post[!me];        \
         coin_body_fn *const draw = tm->draw;                                       \
         const int exact = EXACT && integer_totals(n, (int64_t)a->v);               \
+        T x0 = tm->x0; /* the helper's: x[0] as step s begins */                   \
         T moved[BLOCK] __attribute__((aligned(64)));                               \
         uint32_t w[BLOCK] __attribute__((aligned(64)));                            \
         double scratch[BLOCK] __attribute__((aligned(64)));                        \
         for (int64_t s = 0; s < k; s++) {                                          \
             const uint64_t t = a->t + s;                                           \
-            const int64_t r = s % RING;                                            \
             double *const into = exact && s + 1 < k ? scratch : NULL;              \
             uint64_t sum = 0;                                                      \
-            mine->first[r] = x[me ? c : 0];                                        \
-            say(&mine->head, s + 1);                                               \
             if (me == 0) {                                                         \
                 NAME##_part(a, t, 0, c - 8, x[c - 8], draw, moved, w, into, &sum); \
-                await(&theirs->head, s + 1);                                       \
-                NAME##_part(a, t, c - 8, c, theirs->first[r], draw, moved, w, into,\
+                await(&theirs->out, s);                                            \
+                NAME##_part(a, t, c - 8, c, theirs->first, draw, moved, w, into,   \
                             &sum);                                                 \
-                mine->part[r] =                                                    \
-                    exact ? (double)(int64_t)sum : pairwise(a->disp, c);           \
-                mine->wrap[r] = NAME##_wraps(a);                                   \
-                say(&mine->done, s + 1);                                           \
-                if (mine->wrap[r])                                                 \
+                mine->part = exact ? (double)(int64_t)sum : pairwise(a->disp, c);  \
+                if ((mine->wrap = NAME##_wraps(a)))                                \
                     NAME##_unwrap(a, 0, c);                                        \
             } else {                                                               \
-                await(&theirs->head, s + 1);                                       \
-                const T last = a->ring ? theirs->first[r] + a->seam : (CAP);       \
-                NAME##_part(a, t, c, n, last, draw, moved, w, into, &sum);         \
+                NAME##_part(a, t, c, n, a->seam ? x0 + a->seam : (CAP), draw,      \
+                            moved, w, into, &sum);                                 \
                 const double part =                                                \
                     exact ? (double)(int64_t)sum : pairwise(a->disp + c, n - c);   \
-                await(&theirs->done, s + 1);                                       \
-                a->totals[s] = 0. + (theirs->part[r] + part);                      \
-                if (theirs->wrap[r])                                               \
+                await(&theirs->out, s + 1);                                        \
+                x0 = theirs->first;                                                \
+                a->totals[s] = 0. + (theirs->part + part);                         \
+                if (theirs->wrap)                                                  \
                     NAME##_unwrap(a, c, n);                                        \
             }                                                                      \
+            mine->first = x[me ? c : 0];                                           \
+            say(&mine->out, s + 1);                                                \
         }                                                                          \
     }                                                                              \
                                                                                    \
@@ -547,7 +537,8 @@ static int integer_totals(int64_t n, int64_t v) {
        helper cannot be started. */                                                \
     __attribute__((noinline)) static int NAME##_split(                             \
         const struct tasep_args_##SUFFIX *a, coin_body_fn *draw) {                 \
-        struct NAME##_team tm = {.a = a, .draw = draw};                            \
+        struct NAME##_team tm = {.a = a, .draw = draw, .x0 = a->x[0],              \
+                                 .post[1].first = a->x[half_of(a->n)]};            \
         pthread_t helper;                                                          \
         if (pthread_create(&helper, NULL, NAME##_helper, &tm))                     \
             return 0;                                                              \
@@ -573,7 +564,7 @@ static int integer_totals(int64_t n, int64_t v) {
         double scratch[BLOCK] __attribute__((aligned(64)));                        \
         for (int64_t s = 0; s < k; s++, t++) {                                     \
             uint64_t sum = 0;                                                      \
-            NAME##_part(a, t, 0, n, n && a->ring ? a->x[0] + a->seam : (CAP), draw,\
+            NAME##_part(a, t, 0, n, n && a->seam ? a->x[0] + a->seam : (CAP), draw,\
                         moved, w, exact && s + 1 < k ? scratch : NULL, &sum);      \
             totals[s] = 0. + (exact ? (double)(int64_t)sum : pairwise(a->disp, n));\
             if (NAME##_wraps(a))                                                   \
@@ -609,9 +600,9 @@ static double unfold(uint64_t m) {
 /* Steps t, t + 1, ..., t + k - 1 (a's t and k) of the runs a and b of n
    particles each, whose positions are of types TA and TB, both on a's coins:
    each block's words are drawn once, for both sides that need them.  out is 4
-   rows of k: a's and b's step totals, then the per-step maxima over i < gaps
-   of |gap_b - scale gap_a| and over all i of |disp_b - scale disp_a|; gaps is
-   n on a ring and n - 1 on a line.  NAME##_gap is |gap_b - scale gap_a| of a
+   rows of k: a's and b's step totals, then the per-step maxima over a's gaps
+   of |gap_b - scale gap_a| and over all i of |disp_b - scale disp_a|; a has n
+   gaps on a ring and n - 1 on a line.  NAME##_gap is |gap_b - scale gap_a| of a
    particle at xa and xb with successors sa and sb. */
 #define COUPLED(NAME, A, B, TA, TB, CAP_A, CAP_B)                                  \
     static inline __attribute__((always_inline)) double NAME##_gap(                \
@@ -622,8 +613,8 @@ static double unfold(uint64_t m) {
     }                                                                              \
                                                                                    \
     CLONES void NAME(const struct tasep_args_##A *a_args,                          \
-                     const struct tasep_args_##B *b_args, int64_t gaps,            \
-                     double scale, double *out) {                                  \
+                     const struct tasep_args_##B *b_args, double scale,            \
+                     double *out) {                                                \
         /* local copies, which no store through x can change */                    \
         const struct tasep_args_##A ra = *a_args;                                  \
         const struct tasep_args_##B rb = *b_args;                                  \
@@ -641,8 +632,8 @@ static double unfold(uint64_t m) {
         TB moved_b[BLOCK] __attribute__((aligned(64)));                            \
         uint32_t w[BLOCK] __attribute__((aligned(64)));                            \
         for (int64_t s = 0; s < k; s++, t++) {                                     \
-            const TA next_a = n && a->ring ? xa[0] + a->seam : (CAP_A);            \
-            const TB next_b = n && b->ring ? xb[0] + b->seam : (CAP_B);            \
+            const TA next_a = n && a->seam ? xa[0] + a->seam : (CAP_A);            \
+            const TB next_b = n && b->seam ? xb[0] + b->seam : (CAP_B);            \
             int64_t ja = 0, jb = 0;                                                \
             uint64_t gm = 0, dm = 0, unused = 0; /* pairwise takes the totals */   \
             for (int64_t lo = 0; lo < n; lo += BLOCK) {                            \
@@ -665,9 +656,9 @@ static double unfold(uint64_t m) {
                  NAME##_gap(xa[i + 1], xa[i], rra[i], xb[i + 1], xb[i], rrb[i],    \
                             scale));                                               \
             /* the last particle's successor: x[0] + seam on a ring */             \
-            const TA sa = n && a->ring ? xa[0] + a->seam : (CAP_A);                \
-            const TB sb = n && b->ring ? xb[0] + b->seam : (CAP_B);                \
-            if (n && gaps == n)                                                    \
+            const TA sa = n && a->seam ? xa[0] + a->seam : (CAP_A);                \
+            const TB sb = n && b->seam ? xb[0] + b->seam : (CAP_B);                \
+            if (n && a->seam)                                                      \
                 FOLD(gm, n - 1, n,                                                 \
                      NAME##_gap(sa, xa[i], rra[i], sb, xb[i], rrb[i], scale));     \
             out[s] = 0. + pairwise(da, n);                                         \

@@ -70,15 +70,15 @@ def threads(n: int, k: int) -> int:
 # The kernel's struct of run-call arguments (ARGS in _kernel.c), packed in two parts
 # whose bytes join into it.  OWN_ARGS, for positions of int64 ("i") and float64 ("f"),
 # holds a run's own fields, which it packs once: n, the coins' seed and stream, cut, the
-# address of rr, ring, seam, v, the address of obs and m.  CALL_ARGS holds a call's:
-# the addresses of x, wind and disp, its first step t, its step count k, the address of
-# the totals (0 for a coupled call, which writes its own), the threads it may split across and
-# the addresses of the positions and windings it copies into x and wind before its
-# first step (0 and 0 to start from x and wind as they are).  Native layout ("@", "P"
-# for a pointer) lays the fields out as the C compiler does; every field is 8 bytes, so
-# the joined parts have no padding to miss.  A call passes the bytes, whose data CPython
-# keeps 8-byte aligned, as its one c_char_p argument.
-OWN_ARGS = {"i": struct.Struct("@qQQQPqqqPq"), "f": struct.Struct("@qQQQPqddPq")}
+# address of rr, seam (0 on a line), v, the address of obs and m.  CALL_ARGS holds a
+# call's: the addresses of x, wind and disp, its first step t, its step count k, the
+# address of the totals (0 for a coupled call, which writes its own), the threads it may
+# split across and the addresses of the positions and windings it copies into x and
+# wind before its first step (0 and 0 to start from x and wind as they are).  Native
+# layout ("@", "P" for a pointer) lays the fields out as the C compiler does; every
+# field is 8 bytes, so the joined parts have no padding to miss.  A call passes the
+# bytes, whose data CPython keeps 8-byte aligned, as its one c_char_p argument.
+OWN_ARGS = {"i": struct.Struct("@qQQQPqqPq"), "f": struct.Struct("@qQQQPddPq")}
 CALL_ARGS = struct.Struct("@PPPQqPqPP")
 
 
@@ -89,8 +89,9 @@ def bind(dll) -> dict:
     obstacles; each takes one call's packed ARGS.  "coupled" is the tuple of the four
     coupled entry points, indexed by the two runs' kinds: 2 when the first's positions
     are float64, plus 1 when the second's are.  Each takes the two runs' packed ARGS,
-    the steps and step count being the first's, the gaps to compare, the displacement
-    scale and the address of a 4 x k float64 output.
+    the steps and step count being the first's, the displacement scale and the address
+    of a 4 x k float64 output; the gaps compared are the first's, n on a ring and n - 1
+    on a line.
     """
     fns = {"i": dll.tasep_run_i64, "f": dll.tasep_run_f64,
            "obstacles": dll.tasep_run_f64_obstacles}
@@ -101,8 +102,7 @@ def bind(dll) -> dict:
                            for a in ("i64", "f64") for b in ("i64", "f64"))
     for fn in fns["coupled"]:
         fn.restype = None
-        fn.argtypes = [ctypes.c_char_p, ctypes.c_char_p, ctypes.c_int64, ctypes.c_double,
-                       ctypes.c_void_p]
+        fn.argtypes = [ctypes.c_char_p, ctypes.c_char_p, ctypes.c_double, ctypes.c_void_p]
     return fns
 
 

@@ -52,6 +52,10 @@ _UINT64 = 2**64
 # bound + v never overflows int64 in any realistic run.
 _INT_CAP = np.iinfo(np.int64).max // 4
 
+# The longest ring that holds integer positions: they lie below 2L, as does the last
+# particle's successor x_0 + L, so 2L - 1 must fit int64.
+_INT_RING = 2**62
+
 # Overlap smaller than a few ulps of the state scale is floating-point noise
 # (a touching contact re-read after the ring window shifts by L), not a real
 # violation; integer lattices use exact zero tolerance.
@@ -230,6 +234,9 @@ class Configuration(_Value):
             L = self.geometry.circumference
             if not (0 <= pos[0] < L):
                 raise ValueError(f"first ring position {pos[0]} outside [0, {L})")
+            if pos.dtype.kind == "i" and L > _INT_RING:
+                raise ValueError(f"integer positions need a ring of at most 2**62 sites, "
+                                 f"as they and x_0 + L lie below 2L; got L={L}")
             if pos[-1] > pos[0] + L:
                 raise ValueError("ring positions exceed one circumference window")
         self._freeze(positions=pos, radii=rad, winding=wind)
@@ -556,10 +563,13 @@ def evenly_spaced_ring(n_particles: int, rho: float, radius: float = 0.0) -> Con
 
 def even_lattice_ring(n_sites: int, n_particles: int, radius: float = 0.5) -> Configuration:
     """Lattice ring with n particles spread as evenly as integer sites allow."""
-    n_sites = _integer("n_sites", n_sites, 1)
-    n_particles = _integer("n_particles", n_particles, 0, n_sites + 1)
-    # particle m takes the first site j with (j + 1) * n // n_sites > m
-    pos = (np.arange(1, n_particles + 1, dtype=np.int64) * n_sites - 1) // n_particles
+    n_sites = _integer("n_sites", n_sites, 1, 2**63)
+    n = _integer("n_particles", n_particles, 0, n_sites + 1)
+    # particle m takes the first site j with (j + 1) * n // n_sites > m, which is
+    # (k * n_sites - 1) // n for k = m + 1, split as below so that no term passes int64
+    q, r = divmod(n_sites, n or 1)
+    k = np.arange(1, n + 1, dtype=np.int64)
+    pos = q * k + (k * r - 1) // n
     return Configuration(Ring(n_sites), pos, np.full(len(pos), float(radius)))
 
 

@@ -44,8 +44,8 @@ __all__ = [
 
 # a zero-length ctypes type: its from_buffer takes any writable buffer, empty ones too
 _NO_BYTES = ctypes.c_char * 0
-# what step() finds on a state no step() returned: no plan and no rows
-_NO_CHAIN = (None, None, 0, 0)
+# what step() finds on a state no step() returned: no plan and no rows' addresses
+_NO_CHAIN = (None, 0, 0)
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -242,8 +242,9 @@ class _Plan:
 
     Arithmetic is exact int64 when the configuration is_lattice, the jump is integral
     and no obstacles are present, float64 otherwise.  Building a plan rejects a
-    mismatched field, a space="lattice" that rule does not allow and an inadmissible
-    configuration; the last check runs once per configuration.  A ``_Stepper`` holds
+    mismatched field, a space="lattice" that rule does not allow, integer positions
+    past 2**53 that a float64 run would round and an inadmissible configuration; the
+    last check runs once per configuration.  A ``_Stepper`` holds
     the plan of its run, and ``step`` keeps its plan on each state it returns.
     """
 
@@ -264,6 +265,11 @@ class _Plan:
             rr, seam = terms
             terms, kind = (rr.astype(np.float64), None if seam is None else float(seam)), "f"
             terms[0].setflags(write=False)
+        pos = cfg.positions
+        # a float64 run copies integer positions into its rows, exactly up to |x| = 2**53
+        if kind == "f" and pos.dtype.kind == "i" and np.abs(pos).max(initial=0) > 2**53:
+            raise ValueError("a float64 run would round integer positions past 2**53; "
+                             "give float positions")
         self.params, self.coins, self.field = params, coins, field
         # the configuration's own terms unless the run converts them
         self.terms = terms
@@ -271,7 +277,7 @@ class _Plan:
         self.v = int(params.v) if kind == "i" else float(params.v)
         if kind == "i" and self.seam is not None:
             # no bound lies more than the seam ahead on a ring, so the capped jump moves
-            # each particle as far, and x + v stays within int64
+            # each particle as far and fits the kernel's int64 argument
             self.v = min(self.v, int(self.seam))
         # k * 2**-32 < p exactly when k < ceil(p * 2**32); the product is exact
         self.cut = math.ceil(params.p * 2**32)
@@ -285,9 +291,8 @@ class _Plan:
         at rr_address; a call's fields follow them."""
         obs = (0, 0) if self.tiled is None else (self.tiled.ctypes.data, len(self.tiled))
         return _native.OWN_ARGS[self.rr.dtype.kind].pack(
-            self.n, self.coins.seed, self.coins.stream, self.cut, rr_address,
-            self.seam is not None,
-            self.seam or 0, self.v, *obs)
+            self.n, self.coins.seed, self.coins.stream, self.cut, rr_address, self.seam or 0,
+            self.v, *obs)
 
     def check_reach(self, x: np.ndarray, steps: int) -> None:
         """Reject a call of ``steps`` steps from positions x on a line whose last particle
@@ -342,7 +347,13 @@ class _Stepper:
         """One synchronous update under 32-bit coins (CoinStream._words); returns the
         displacements."""
         x, plan = self.x, self.plan
-        target = np.minimum(x + plan.v, self.bounds())
+        bounds = self.bounds()
+        if x.dtype.kind == "i":
+            # x + min(v, bound - x), the kernel's order: no term passes the bound, so
+            # none leaves int64
+            target = x + np.minimum(bounds - x, plan.v)
+        else:
+            target = np.minimum(x + plan.v, bounds)
         if plan.tiled is not None:
             target = np.minimum(target, _next_obstacle(x, plan.tiled))
         # never move left: an ulp-scale overlap exposed by a window shift must not
@@ -412,7 +423,7 @@ def step(
         stepper = _Stepper(cfg, params, coins, field)
         stepper.steps(t)
         return stepper.configuration()
-    plan, _, x_src, wind_src = vars(cfg).get("_step_chain") or _NO_CHAIN
+    plan, x_src, wind_src = vars(cfg).get("_step_chain") or _NO_CHAIN
     # a plan serves the very params, coins and field it was built for, immutable values
     if plan is None or not (params is plan.params and coins is plan.coins
                             and field is plan.field):
@@ -433,9 +444,9 @@ def step(
                                                       x_src, wind_src))
     # one flag makes both of the state's arrays read-only
     rows.setflags(write=False)
-    # the chain holds the rows, so their addresses stay valid while it lives
+    # the state's arrays are views of the rows, so the addresses stay valid while it lives
     return Configuration._of_state(cfg, rows[:n], _float_view(rows[n:2 * n]), plan.terms,
-                                   (plan, rows, x, wind))
+                                   (plan, x, wind))
 
 
 @dataclass(frozen=True, eq=False)
@@ -547,16 +558,16 @@ def coupled_run(
     a, b = (_Stepper(cfg, params, coins, steps=steps)
             for cfg, params in ((cfg_a, params_a), (cfg_b, params_b)))
     n = cfg_a.n
-    # a line has no gap ahead of its last particle
-    n_gaps = n if cfg_a.is_ring else max(n - 1, 0)
     # rows: each side's step totals, then the gap and the displacement divergences
     out = np.zeros((4, steps))
     if a.plan.run is not None:
         kinds = 2 * (a.plan.rr.dtype.kind == "f") + (b.plan.rr.dtype.kind == "f")
         # both sides' call arguments: steps 0 .. steps - 1, which the kernel reads from a's
         a_args, b_args = (side.args(0, steps, 0, 1) for side in (a, b))
-        _native.kernel()["coupled"][kinds](a_args, b_args, n_gaps, scale, _address(out))
+        _native.kernel()["coupled"][kinds](a_args, b_args, scale, _address(out))
     else:
+        # a line has no gap ahead of its last particle
+        n_gaps = n if cfg_a.is_ring else max(n - 1, 0)
         for t, w in enumerate(coins._words(n, 0, steps)):
             out[0, t], out[1, t] = a.advance(w).sum(), b.advance(w).sum()
             if n_gaps:

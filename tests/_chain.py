@@ -15,6 +15,12 @@ through the reference stepper ``_Stepper.advance``.  ``chain`` turns a table int
 the transition matrix P and h = E[f | g] at a coin probability p, and ``velocity``
 gives the exact stationary velocity pi h / N.
 
+``moments`` gives Q_f, P weighted by the sites moved (Q_f[g, g'] = E[f 1{g -> g'} | g],
+so Q_f 1 = h), and E[f^2 | g].  From a stationary start the sites moved in T steps,
+S_T = f_0 + ... + f_{T-1}, have Var(S_T) / T -> sigma^2 (``sigma2``), and
+``variance_rates`` gives Var(S_T) / T itself from the powers of P: a second route to
+sigma^2, which it approaches at the rate 1/T.
+
 This module is test-side only: the package gains no public name from it.
 """
 
@@ -102,20 +108,71 @@ def stepper_table(n: int, free: int, v: int) -> tuple[np.ndarray, np.ndarray]:
     return _index(nxt, free, g), f
 
 
+def _weights(n: int, p: float) -> np.ndarray:
+    """The probability of each coin pattern of n particles at coin probability p."""
+    movers = patterns(n).sum(axis=1)
+    return p**movers * (1 - p) ** (n - movers)
+
+
+def _matrix(succ: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """The matrix whose entry (g, g') sums weight[g, c] over the patterns c that take
+    state g to g'."""
+    m = np.zeros((len(succ), len(succ)))
+    np.add.at(m, (np.arange(len(succ))[:, None], succ), weight)
+    return m
+
+
 def chain(succ: np.ndarray, f: np.ndarray, n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """(P, h) of a table at coin probability p: the transition matrix and the mean
     sites moved from each state, h = E[f | g]."""
-    movers = patterns(n).sum(axis=1)
-    weight = p**movers * (1 - p) ** (n - movers)
-    P = np.zeros((len(succ), len(succ)))
-    np.add.at(P, (np.arange(len(succ))[:, None], succ), weight)
-    return P, f @ weight
+    weight = _weights(n, p)
+    return _matrix(succ, weight), f @ weight
 
 
-def velocity(P: np.ndarray, h: np.ndarray, n: int) -> float:
-    """pi h / N, pi the stationary law by least squares on [P^T - I; 1]."""
+def moments(succ: np.ndarray, f: np.ndarray, n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Q_f, E[f^2 | g]) of a table at coin probability p: P weighted by the sites
+    moved, Q_f[g, g'] = E[f 1{g -> g'} | g], and the mean square sites moved from each
+    state."""
+    weight = _weights(n, p)
+    return _matrix(succ, weight * f), (f * f) @ weight
+
+
+def stationary(P: np.ndarray) -> np.ndarray:
+    """pi, the stationary law, by least squares on [P^T - I; 1]."""
     size = len(P)
     a = np.vstack([P.T - np.eye(size), np.ones(size)])
     b = np.concatenate([np.zeros(size), [1.0]])
-    pi = np.linalg.lstsq(a, b, rcond=None)[0]
-    return float(pi @ h) / n
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def velocity(P: np.ndarray, h: np.ndarray, n: int) -> float:
+    """pi h / N, pi the stationary law."""
+    return float(stationary(P) @ h) / n
+
+
+def sigma2(P: np.ndarray, h: np.ndarray, q: np.ndarray, h2: np.ndarray) -> float:
+    """sigma^2 = lim Var(S_T) / T = Var_pi(f) + 2 pi Q_f y, y = Z(h - pi h) the solution
+    of (I - P) y = h - pi h with pi y = 0: f_0's covariance with f_k, k >= 1, is
+    pi Q_f P^(k-1) h - (pi h)^2, and summed over k it is pi Q_f y."""
+    pi = stationary(P)
+    mean = pi @ h
+    size = len(P)
+    a = np.vstack([np.eye(size) - P, pi])
+    y = np.linalg.lstsq(a, np.concatenate([h - mean, [0.0]]), rcond=None)[0]
+    return float(pi @ h2 - mean**2 + 2 * pi @ q @ y)
+
+
+def variance_rates(P: np.ndarray, h: np.ndarray, q: np.ndarray, h2: np.ndarray,
+                   steps: int) -> np.ndarray:
+    """Var(S_T) / T for T = 1 .. steps from a stationary start, entry T - 1, from the
+    powers of P: Var_pi(f) + 2 sum_{k < T} (1 - k / T) c_k, c_k = pi Q_f P^(k-1) h -
+    (pi h)^2 the covariance of f_0 and f_k."""
+    pi = stationary(P)
+    mean, row, u = pi @ h, pi @ q, h
+    c = np.zeros(steps)  # c[k] for k < steps; c[0] = 0 adds nothing
+    for k in range(1, steps):
+        c[k] = row @ u - mean**2
+        u = P @ u
+    k = np.arange(steps)
+    t = k + 1.0
+    return pi @ h2 - mean**2 + 2 * (np.cumsum(c) - np.cumsum(k * c) / t)

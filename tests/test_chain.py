@@ -4,14 +4,29 @@ update, its stationary velocity is finite_ring_velocity at v = 1 and the sum of
 finite_ring_velocity over the v channel rings at v = 2 and 3, and the run kernel's
 step totals at p = 1 are its sites moved, exactly.  Criterion 14 checks the channel
 map itself through run: on the recurrent support a v-jump ring's channels are v rings
-of jump 1 on the same coins."""
+of jump 1 on the same coins.  The asymptotic variance sigma^2 of the sites moved, from
+the fundamental matrix, is the limit of Var(S_T) / T from the powers of P, at the rate
+1/T, and its ratio to Var_pi(f) grows with the ring as ROADMAP item 16 tabulates."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from _chain import channels, chain, gaps_of, ring_of, states, stepper_table, table, velocity
+from _chain import (
+    chain,
+    channels,
+    gaps_of,
+    moments,
+    ring_of,
+    sigma2,
+    states,
+    stationary,
+    stepper_table,
+    table,
+    variance_rates,
+    velocity,
+)
 from tasep import CoinStream, ProcessParams, run
 from tasep.velocity import finite_ring_velocity
 
@@ -96,3 +111,39 @@ def test_criterion_14_the_channels_of_a_v_ring_are_jump_1_rings():
     assert _channel_mismatches(np.random.default_rng(14), remainders=1) == 0
     # the check tells the support apart: with two remainders the map breaks
     assert _channel_mismatches(np.random.default_rng(14), remainders=2) > 0
+
+
+def _variance(n, free, v, p):
+    """(sigma^2, Var(S_T) / T for T = 1 .. 2000, Var_pi(f)) of a ring's chain."""
+    succ, f = table(n, free, v)
+    (P, h), (q, h2) = chain(succ, f, n, p), moments(succ, f, n, p)
+    pi = stationary(P)
+    return sigma2(P, h, q, h2), variance_rates(P, h, q, h2, 2000), pi @ h2 - (pi @ h) ** 2
+
+
+@pytest.mark.parametrize("v, p", [(1, 0.25), (1, 0.5), (1, 0.9), (2, 0.5)])
+def test_sigma2_is_the_limit_of_var_s_t_over_t(v, p):
+    # Var(S_T) / T = sigma^2 - 2 sum_k k c_k / T + o(1 / T), c_k decaying geometrically,
+    # so T (Var(S_T) / T - sigma^2) is the same at T = 1000 and 2000; a sigma^2 off by d
+    # would part the two by 1000 d, so the bound pins sigma^2 to 1e-8
+    for n, free in RINGS:
+        s2, rates, var = _variance(n, free, v, p)
+        assert s2 > 0 and var > 0, (n, free)
+        offset = [T * (rates[T - 1] - s2) for T in (1000, 2000)]
+        assert abs(offset[0] - offset[1]) <= 1e-5, (n, free, offset)
+
+
+def test_the_variance_rate_converges_at_rate_1_over_t():
+    # L = 10, N = 5, p = 1/2: T (Var(S_T) / T - sigma^2) from T = 250 on
+    s2, rates, _ = _variance(5, 5, 1, 0.5)
+    offsets = [T * (rates[T - 1] - s2) for T in (250, 500, 1000, 2000)]
+    assert [round(o, 5) for o in offsets] == [-2.17645] * 4
+
+
+def test_sigma2_over_var_f_grows_as_item_16_tabulates():
+    # v = 1, rho = 1/2, p = 1/2: the KPZ growth of the current's variance (ROADMAP item 16)
+    ratios = []
+    for L in (4, 6, 8, 10):
+        s2, _, var = _variance(L // 2, L // 2, 1, 0.5)
+        ratios.append(round(s2 / var, 3))
+    assert ratios == [1.286, 1.469, 1.640, 1.798]

@@ -155,6 +155,11 @@ class TestArtifacts:
                        for name in ("trajectory.csv", "velocity.csv")]
         assert rows["1e19"] == rows["10"] != rows["1"]
 
+    def test_simulate_rejects_a_ring_past_int64(self, tmp_path):
+        # 10**19 sites once wrapped k * n_sites in even_lattice_ring and left a traceback
+        assert main(["--outdir", str(tmp_path), "simulate", "--ring", "1e19",
+                     "--particles", "5", "--r", "0.5", "--steps", "4"]) == 2
+
     def test_simulate_runs_the_continuum_ring_it_was_given(self, tmp_path, monkeypatch):
         # 333 * (1 / (333 / 150)) is 149.99999999999997
         seen = []

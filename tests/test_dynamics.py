@@ -612,8 +612,8 @@ class TestCoupledRun:
             coupled_run(a, b, DET, DET, 5, CoinStream(0))
 
 
-# jumps at and past 2**63: an int64 ring takes x + v, which int64 cannot hold, and a line
-# packs v for the kernel, which a 64-bit field cannot hold
+# jumps at and past 2**63, which the kernel's 64-bit field cannot hold: an int64 ring caps
+# them at its length, and a line rejects them
 HUGE_JUMPS = [float(2**63 - 1024), float(2**63), 1e19]
 
 
@@ -651,6 +651,72 @@ class TestJumpsPastInt64:
                      lambda: coupled_run(line, line, huge, unit, 1, 1)):
             with pytest.raises(ValueError, match="could leave the exact range"):
                 call()
+
+
+L62 = 2**62
+
+
+class TestRingsAtTheInt64Bound:
+    """Integer positions on a ring lie below 2L, and so does x_0 + L: int64 holds rings of
+    up to 2**62 sites.  An int64 step adds min(v, bound - x), as x + v may pass 2**63."""
+
+    @pytest.mark.parametrize("pos, v, moved", [
+        # particle 1's x + v passes 2**63, which once wrapped and left it in place
+        ([L62 - 1024, L62 + 2**61], L62, [2**61 + 1024, 2**61 - 1024]),
+        # one site each past 2**53, where float64 would round the move away
+        ([L62 - 4096, L62 - 2048], 1, [1, 1]),
+        # particle 0 reaches 2**63 - 1 and the step wraps at the seam
+        ([L62 - 1, 2**63 - 1], L62, [L62, 0]),
+    ])
+    @pytest.mark.parametrize("backend", ["default", "numpy"], indirect=True)
+    def test_a_ring_of_2_62_sites_moves_exactly(self, backend, pos, v, moved):
+        cfg = Configuration(Ring(L62), pos, 0.0)
+        params = ProcessParams(1.0, v, "lattice")
+        want = [x + d for x, d in zip(pos, moved)]
+        if want[0] >= L62:
+            want = [x - L62 for x in want]
+        got = run(cfg, params, 1, 0)
+        assert got.final.positions.dtype == np.int64
+        assert got.final.positions.tolist() == want
+        assert got.final.winding.tolist() == moved
+        assert got.step_total_displacement.tolist() == [sum(moved)]
+        assert step(cfg, params, CoinStream(0), 0).positions.tolist() == want
+        both = coupled_run(cfg, cfg, params, params, 1, 0)
+        assert both.a.step_total_displacement.tolist() == [sum(moved)]
+
+    def test_a_longer_ring_rejects_integer_positions(self):
+        for L in (L62 + 1, 5 * 10**18, 2**63):
+            with pytest.raises(ValueError, match=r"at most 2\*\*62 sites"):
+                Configuration(Ring(L), [0, 5], 0.5)
+        # float positions run in float64, on any ring
+        cfg = Configuration(Ring(2**63), [0.0, 5.0], 0.5)
+        assert run(cfg, ProcessParams(1.0, 1), 2, 0).step_total_displacement.tolist() == [2, 2]
+        assert Configuration(Ring(L62), [0, L62], 0.0).n == 2
+        with pytest.raises(ValueError, match="one circumference window"):
+            Configuration(Ring(L62), [0, L62 + 1], 0.0)
+
+    @pytest.mark.parametrize("backend", ["default", "numpy"], indirect=True)
+    def test_a_float64_run_rejects_integer_positions_past_2_53(self, backend):
+        big = Configuration(Ring(L62), [L62 - 4096, L62 - 2048], 0.0)
+        # a fractional jump, an obstacle field or fractional radii make a run float64
+        for cfg, v, field in ((big, 1.5, None),
+                              (big, 1, ObstacleField(Ring(L62), [0.0])),
+                              (Configuration(Ring(L62), big.positions, 0.25), 1, None)):
+            for call in (lambda: run(cfg, ProcessParams(1.0, v), 1, 0, field=field),
+                         lambda: step(cfg, ProcessParams(1.0, v), CoinStream(0), 0, field)):
+                with pytest.raises(ValueError, match=r"past 2\*\*53"):
+                    call()
+        # 2**53 itself converts exactly
+        edge = Configuration(Ring(2**60), [2**53 - 2, 2**53], 0.0)
+        assert run(edge, ProcessParams(1.0, 1.5), 1, 0).final.positions.dtype == np.float64
+
+    def test_even_lattice_ring_spreads_them_exactly(self):
+        cfg = even_lattice_ring(L62, 5)
+        assert cfg.positions.tolist() == [(k * L62 - 1) // 5 for k in range(1, 6)]
+        with pytest.raises(ValueError, match=r"at most 2\*\*62 sites"):
+            even_lattice_ring(5 * 10**18, 5)
+        with pytest.raises(ValueError, match="n_sites"):
+            even_lattice_ring(2**63, 5)
 
 
 class TestConservationSuite:

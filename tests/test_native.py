@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import platform
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +89,48 @@ def default_clone_build(tmp_path_factory):
 def test_default_clone_compiles_under_strict_warnings(default_clone_build):
     _, proc = default_clone_build
     assert proc.returncode == 0, proc.stderr
+
+
+# the fields of the kernel's struct tasep_args_*, in the order of _native's packing
+ARGS_FIELDS = ("n", "seed", "stream", "cut", "rr", "seam", "v", "obs", "m",
+               "x", "wind", "disp", "t", "k", "totals", "threads", "x_src", "wind_src")
+# prints each field's offset in both structs (FIELDS expands to one FIELD per field),
+# then both sizes
+ARGS_PROBE = """#include "_kernel.c"
+#include <stddef.h>
+#include <stdio.h>
+#define FIELD(f) printf("%zu %zu\\n", offsetof(struct tasep_args_i64, f), \\
+                        offsetof(struct tasep_args_f64, f));
+int main(void) {
+    FIELDS
+    printf("%zu %zu\\n", sizeof(struct tasep_args_i64), sizeof(struct tasep_args_f64));
+    return 0;
+}
+"""
+
+
+def test_the_packed_arguments_match_the_kernels_struct(tmp_path):
+    """_native packs ARGS by hand; each field's offset in its joined formats, and their
+    size, must be those the compiler gives struct tasep_args_i64 and tasep_args_f64."""
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on this machine")
+    probe, exe = tmp_path / "probe.c", tmp_path / "probe"
+    probe.write_text(ARGS_PROBE.replace("FIELDS", " ".join(map("FIELD({})".format,
+                                                               ARGS_FIELDS))))
+    build = subprocess.run(["gcc", "-pthread", "-DTASEP_NO_CLONES",
+                            f"-I{_native._SOURCE.parent}", "-o", str(exe), str(probe), "-lm"],
+                           capture_output=True, text=True, timeout=_native._BUILD_TIMEOUT_S)
+    assert build.returncode == 0, build.stderr
+    rows = [tuple(map(int, line.split())) for line in
+            subprocess.run([str(exe)], capture_output=True, text=True, check=True,
+                           timeout=60).stdout.splitlines()]
+    for column, kind in enumerate("if"):
+        # one code per field, "@" applying to the joined format as to each part
+        codes = _native.OWN_ARGS[kind].format[1:] + _native.CALL_ARGS.format[1:]
+        assert len(codes) == len(ARGS_FIELDS)
+        packed = [struct.calcsize("@" + codes[:j]) for j in range(len(codes) + 1)]
+        assert [row[column] for row in rows] == packed
+        assert _native.OWN_ARGS[kind].size + _native.CALL_ARGS.size == packed[-1]
 
 
 RUN_FUNCTIONS = ("tasep_run_i64", "tasep_run_f64", "tasep_run_f64_obstacles",
@@ -306,6 +349,53 @@ def test_forced_split_equals_numpy(n, kind, monkeypatch):
 
     fused, ref = _both_paths(monkeypatch, walk)
     assert fused == ref
+
+
+def _split_case(n, kind, rng):
+    """(configuration, params, field) of a ring of n particles for each run function."""
+    if kind == "obstacles":
+        cfg, field = _obstacle_ring(n, rng)
+        return cfg, ProcessParams(0.9, 1.5), field
+    cfg, _ = _ring(n, kind == "lattice", rng)
+    return cfg, ProcessParams(0.9, 3 if kind == "lattice" else 3.0), None
+
+
+def _one_split_call(cfg, params, field, steps, seed):
+    """The bytes of one forced split call of ``steps`` steps from cfg."""
+    stepper, totals = _Stepper(cfg, params, CoinStream(seed), field), np.zeros(steps)
+    stepper.steps(0, totals, threads=2)
+    return stepper.x.tobytes(), stepper.wind.tobytes(), stepper.disp.tobytes(), totals.tobytes()
+
+
+# a call of 1 or 2 steps runs mostly on the values each thread sets before the helper
+# starts: the helper's first bound and the caller's first x[c]
+@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize("n", [136, 1040])
+@pytest.mark.parametrize("kind", ["lattice", "continuum", "obstacles"])
+def test_a_forced_split_of_one_or_two_steps_equals_numpy(steps, n, kind, monkeypatch):
+    cfg, params, field = _split_case(n, kind, np.random.default_rng(n))
+    fused, ref = _both_paths(monkeypatch,
+                             lambda: _one_split_call(cfg, params, field, steps, n))
+    assert fused == ref
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize("kind", ["lattice", "continuum", "obstacles"])
+def test_a_forced_split_whose_first_step_wraps_equals_numpy(steps, kind, monkeypatch):
+    cfg, params, field = _split_case(136, kind, np.random.default_rng(23))
+    cfg = _before_the_seam(cfg, 1)
+    if field is not None:
+        field = ObstacleField(cfg.geometry, field.positions)
+    fused, ref = _both_paths(monkeypatch,
+                             lambda: _one_split_call(cfg, params, field, steps, 23))
+    assert fused == ref
+    # particle 0 crossed the seam in the first step, so the helper unwrapped its
+    # particles on the caller's first post
+    with monkeypatch.context() as m:
+        m.setattr(_native, "kernel", lambda: None)
+        first = _Stepper(cfg, params, CoinStream(23), field)
+        first.steps(0)
+    assert first.x[0] < cfg.positions[0]
 
 
 def test_split_helper_wraps_on_particle_0s_own_coin(monkeypatch):

@@ -1,7 +1,8 @@
 /* A ThreadSanitizer harness for the split calls of the fused kernel: each run
-   function steps rings and lines in calls forced onto two threads, and their
-   positions, windings and step totals must be the bytes of a one-thread call of
-   the same steps.
+   function steps rings and lines in calls forced onto two threads, of 1, 2 and
+   STEPS steps, and their positions, windings and step totals must be the bytes
+   of a one-thread call of the same steps.  The calls of 1 and 2 steps run
+   mostly on the values each thread sets before the helper starts.
 
    tests/test_native.py builds and runs it; by hand, from the repository root:
 
@@ -17,7 +18,7 @@
 #include <stdio.h>
 #include <stdlib.h>
 
-#define STEPS 64
+#define STEPS 64 /* a long call's steps */
 #define T0 5 /* a call's first step */
 #define SEED 0x9E3779B97F4A7C15ULL
 #define STREAM 0x0123456789ABCDEFULL
@@ -34,11 +35,12 @@ static int64_t gap(void) {
     return (int64_t)(lcg >> 62);
 }
 
-/* Steps T0 .. T0 + STEPS - 1 of one run on `threads` threads from the positions u
+/* Steps T0 .. T0 + k - 1 of one run on `threads` threads from the positions u
    (in units; the bound term is 1 unit, 0 for the obstacle run), on a ring of L
-   units when ring is 1; the bytes of its positions, windings and totals go to out. */
+   units when ring is 1; the bytes of its positions, windings and k totals go to
+   out. */
 static void call(enum kind kind, int64_t n, int64_t ring, int64_t L, uint64_t cut,
-                 const int64_t *u, const double *obs, int64_t m, int64_t threads,
+                 const int64_t *u, const double *obs, int64_t m, int64_t k, int64_t threads,
                  unsigned char *out) {
     int64_t *xi = malloc(n * sizeof *xi), *rri = malloc(n * sizeof *rri);
     double *xf = malloc(n * sizeof *xf), *rrf = malloc(n * sizeof *rrf);
@@ -52,21 +54,22 @@ static void call(enum kind kind, int64_t n, int64_t ring, int64_t L, uint64_t cu
     }
     if (kind == I64) {
         const struct tasep_args_i64 a = {
-            .n = n, .seed = SEED, .stream = STREAM, .cut = cut, .rr = rri, .ring = ring,
-            .seam = L, .v = 2, .x = xi, .wind = wind, .disp = disp, .t = T0, .k = STEPS,
-            .totals = totals, .threads = threads};
+            .n = n, .seed = SEED, .stream = STREAM, .cut = cut, .rr = rri,
+            .seam = ring ? L : 0, .v = 2, .x = xi, .wind = wind, .disp = disp, .t = T0,
+            .k = k, .totals = totals, .threads = threads};
         tasep_run_i64(&a);
         memcpy(out, xi, n * 8);
     } else {
         const struct tasep_args_f64 a = {
-            .n = n, .seed = SEED, .stream = STREAM, .cut = cut, .rr = rrf, .ring = ring,
-            .seam = SCALE * L, .v = 1.5, .obs = obs, .m = m, .x = xf, .wind = wind,
-            .disp = disp, .t = T0, .k = STEPS, .totals = totals, .threads = threads};
+            .n = n, .seed = SEED, .stream = STREAM, .cut = cut, .rr = rrf,
+            .seam = ring ? SCALE * L : 0, .v = 1.5, .obs = obs, .m = m, .x = xf,
+            .wind = wind, .disp = disp, .t = T0, .k = k, .totals = totals,
+            .threads = threads};
         (kind == F64 ? tasep_run_f64 : tasep_run_f64_obstacles)(&a);
         memcpy(out, xf, n * 8);
     }
     memcpy(out + n * 8, wind, n * 8);
-    memcpy(out + n * 16, totals, sizeof totals);
+    memcpy(out + n * 16, totals, k * sizeof *totals);
     free(xi);
     free(rri);
     free(xf);
@@ -75,14 +78,16 @@ static void call(enum kind kind, int64_t n, int64_t ring, int64_t L, uint64_t cu
     free(disp);
 }
 
-/* One run on one thread and split across two: 1 when their bytes differ. */
-static int differs(enum kind kind, int64_t n, int64_t ring, uint64_t cut) {
+/* A call of k steps of one run on one thread and split across two: 1 when their
+   bytes differ. */
+static int differs(enum kind kind, int64_t n, int64_t ring, uint64_t cut, int64_t k) {
     int64_t *u = malloc(n * sizeof *u), *g = malloc(n * sizeof *g), L = 0;
     for (int64_t i = 0; i < n; i++)
         L += 1 + (g[i] = gap());
     /* on a ring particle 0 starts 3 units below the seam, which it crosses
-       within the call; a line starts at 0 */
-    u[0] = ring ? L - 3 : 0;
+       within the call, and 1 unit below it in a short call, whose first step
+       may cross it; a line starts at 0 */
+    u[0] = ring ? L - (k < STEPS ? 1 : 3) : 0;
     for (int64_t i = 1; i < n; i++)
         u[i] = u[i - 1] + 1 + g[i - 1];
     /* obstacles every 7 units from 0.5 on: on a ring over one window [0, L),
@@ -95,14 +100,14 @@ static int differs(enum kind kind, int64_t n, int64_t ring, uint64_t cut) {
     for (int64_t copy = 0; copy < (ring ? 3 : 1); copy++)
         for (int64_t j = 0; j < count; j++)
             obs[m++] = SCALE * (7 * j + 0.5 + copy * L);
-    const size_t bytes = n * 16 + STEPS * sizeof(double);
+    const size_t bytes = n * 16 + k * sizeof(double);
     unsigned char *one = malloc(bytes), *two = malloc(bytes);
-    call(kind, n, ring, L, cut, u, obs, kind == OBSTACLES ? m : 0, 1, one);
-    call(kind, n, ring, L, cut, u, obs, kind == OBSTACLES ? m : 0, 2, two);
+    call(kind, n, ring, L, cut, u, obs, kind == OBSTACLES ? m : 0, k, 1, one);
+    call(kind, n, ring, L, cut, u, obs, kind == OBSTACLES ? m : 0, k, 2, two);
     const int bad = memcmp(one, two, bytes) != 0;
     if (bad)
-        printf("split call differs: %s %s, n = %lld, cut = %llu\n", KIND[kind],
-               ring ? "ring" : "line", (long long)n, (unsigned long long)cut);
+        printf("split call differs: %s %s, n = %lld, cut = %llu, %lld steps\n", KIND[kind],
+               ring ? "ring" : "line", (long long)n, (unsigned long long)cut, (long long)k);
     free(u);
     free(g);
     free(obs);
@@ -117,11 +122,14 @@ int main(void) {
     static const int64_t sizes[] = {136, 1024, 1040, 1056, 4097};
     /* p = 1/2, and p = 1, which draws no coins */
     static const uint64_t cuts[] = {1ULL << 31, 1ULL << 32};
+    /* calls of 1 and 2 steps, whose threads run mostly on their first values */
+    static const int64_t steps[] = {1, 2, STEPS};
     int bad = 0;
     for (int kind = I64; kind <= OBSTACLES; kind++)
         for (int64_t ring = 0; ring <= 1; ring++)
             for (size_t i = 0; i < sizeof sizes / sizeof *sizes; i++)
                 for (size_t j = 0; j < 2; j++)
-                    bad |= differs(kind, sizes[i], ring, cuts[j]);
+                    for (size_t h = 0; h < 3; h++)
+                        bad |= differs(kind, sizes[i], ring, cuts[j], steps[h]);
     return bad;
 }
