@@ -32,8 +32,16 @@
    not alias, so the compiler runs it in SIMD lanes.  Pass 2 copies the moved
    positions back into the block's x.  The moved positions are stored rather
    than rebuilt as x + disp, which is not exact in float64.  A block's words
-   and moved positions stay in L1 cache, in the run function's own stack
-   buffers of BLOCK entries.
+   and moved positions stay in L1 cache, in stack buffers of BLOCK entries in
+   the frame of NAME##_part, which steps one thread's range of a step (a
+   part).  A coupled call keeps its own, as it steps two runs per block.
+
+   An obstacle run stops each particle at the first obstacle strictly beyond
+   it, which pass 1 finds by a merge walk over the sorted obstacles, as
+   positions never decrease along the array.  Each part starts its walk at
+   obstacle 0 and so reaches its first particle's index on the way: only a
+   split call's later parts pay that linear start, and _native asks for a split
+   only from SPLIT_PARTICLES particles on.
 
    A ring's positions lie in a window [x_0, x_0 + seam) that moves back by the
    seam once particle 0 passes it.  As in _Stepper.advance, that wrap is a
@@ -51,8 +59,9 @@
    hold for any v.  With integer totals nothing reads a step's disp row but
    _Stepper.disp and step(), which read the last one, so the call writes the
    row on its last step only; earlier steps put each block's displacements in
-   a stack buffer of BLOCK entries, which stays in L1 cache.  The float64 runs
-   need the displacements' values for pairwise, and always write the row.
+   the part's stack buffer of BLOCK entries, which stays in L1 cache.  The
+   float64 runs need the displacements' values for pairwise, and always write
+   the row.
 
    A coupled call steps two runs of n particles on one coin stream block by
    block: it draws each block's words once and hands them to both runs' block
@@ -380,20 +389,6 @@ static coin_body_fn *drawn_by(uint64_t cut, coin_body_fn *body) {
         for (int64_t i = lo; i < hi; i++) x[i] -= seam;                            \
     }
 
-/* The number of the m sorted obstacles at or below x: where the merge walk of
-   pass 1 stands at x when it starts from the first obstacle. */
-static int64_t at_or_below(const double *obs, int64_t m, double x) {
-    int64_t lo = 0;
-    while (lo < m) {
-        int64_t mid = lo + (m - lo) / 2;
-        if (obs[mid] <= x)
-            lo = mid + 1;
-        else
-            m = mid;
-    }
-    return lo;
-}
-
 /* A count one thread of a split call raises and the other waits on, alone on
    its cache line. */
 struct count {
@@ -451,21 +446,25 @@ static int integer_totals(int64_t n, int64_t v) {
     /* Particles [lo, hi) of step t, lo a multiple of 8, on the coins draw gives   \
        (none when it is NULL): next is the position after particle hi - 1 as       \
        the step began.  The displacements go to the disp row, or block by block    \
-       to scratch when it is not NULL; the int64 run adds them into *sump. */      \
+       to the frame's scratch when to_scratch is set; the int64 run adds them      \
+       into *sump.  The block buffers live in this frame, and the obstacle walk    \
+       starts at obstacle 0: it reaches x[lo]'s index on its way. */               \
     CLONES __attribute__((noinline)) static void NAME##_part(                      \
         const struct tasep_args_##SUFFIX *a, uint64_t t, int64_t lo, int64_t hi,   \
-        T next, coin_body_fn *draw, T *restrict moved, uint32_t *restrict w,       \
-        double *restrict scratch, uint64_t *sump) {                                \
+        T next, coin_body_fn *draw, int to_scratch, uint64_t *sump) {              \
         /* a local copy, which no store through x can change */                    \
         const struct tasep_args_##SUFFIX run = *a;                                 \
         const T *x = run.x;                                                        \
-        int64_t j = OBS && lo ? at_or_below(run.obs, run.m, x[lo]) : 0;            \
+        int64_t j = 0;                                                             \
+        T moved[BLOCK] __attribute__((aligned(64)));                               \
+        uint32_t w[BLOCK] __attribute__((aligned(64)));                            \
+        double scratch[BLOCK] __attribute__((aligned(64)));                        \
         for (int64_t b = lo; b < hi; b += BLOCK) {                                 \
             const int64_t e = hi - b < BLOCK ? hi : b + BLOCK;                     \
             if (draw)                                                              \
                 draw(w, b, e, t, run.seed, run.stream);                            \
             NAME##_block(&run, b, e, e < hi ? x[e] : next, draw ? w : NULL, moved, \
-                         &j, scratch, sump);                                       \
+                         &j, to_scratch ? scratch : NULL, sump);                   \
         }                                                                          \
     }                                                                              \
                                                                                    \
@@ -497,24 +496,20 @@ static int integer_totals(int64_t n, int64_t v) {
         coin_body_fn *const draw = tm->draw;                                       \
         const int exact = EXACT && integer_totals(n, (int64_t)a->v);               \
         T x0 = tm->x0; /* the helper's: x[0] as step s begins */                   \
-        T moved[BLOCK] __attribute__((aligned(64)));                               \
-        uint32_t w[BLOCK] __attribute__((aligned(64)));                            \
-        double scratch[BLOCK] __attribute__((aligned(64)));                        \
         for (int64_t s = 0; s < k; s++) {                                          \
             const uint64_t t = a->t + s;                                           \
-            double *const into = exact && s + 1 < k ? scratch : NULL;              \
+            const int into = exact && s + 1 < k;                                   \
             uint64_t sum = 0;                                                      \
             if (me == 0) {                                                         \
-                NAME##_part(a, t, 0, c - 8, x[c - 8], draw, moved, w, into, &sum); \
+                NAME##_part(a, t, 0, c - 8, x[c - 8], draw, into, &sum);           \
                 await(&theirs->out, s);                                            \
-                NAME##_part(a, t, c - 8, c, theirs->first, draw, moved, w, into,   \
-                            &sum);                                                 \
+                NAME##_part(a, t, c - 8, c, theirs->first, draw, into, &sum);      \
                 mine->part = exact ? (double)(int64_t)sum : pairwise(a->disp, c);  \
                 if ((mine->wrap = NAME##_wraps(a)))                                \
                     NAME##_unwrap(a, 0, c);                                        \
             } else {                                                               \
-                NAME##_part(a, t, c, n, a->seam ? x0 + a->seam : (CAP), draw,      \
-                            moved, w, into, &sum);                                 \
+                NAME##_part(a, t, c, n, a->seam ? x0 + a->seam : (CAP), draw, into,\
+                            &sum);                                                 \
                 const double part =                                                \
                     exact ? (double)(int64_t)sum : pairwise(a->disp + c, n - c);   \
                 await(&theirs->out, s + 1);                                        \
@@ -559,13 +554,10 @@ static int integer_totals(int64_t n, int64_t v) {
         if (a->threads > 1 && n > 128 && NAME##_split(a, draw))                    \
             return;                                                                \
         const int exact = EXACT && integer_totals(n, (int64_t)a->v);               \
-        T moved[BLOCK] __attribute__((aligned(64)));                               \
-        uint32_t w[BLOCK] __attribute__((aligned(64)));                            \
-        double scratch[BLOCK] __attribute__((aligned(64)));                        \
         for (int64_t s = 0; s < k; s++, t++) {                                     \
             uint64_t sum = 0;                                                      \
             NAME##_part(a, t, 0, n, n && a->seam ? a->x[0] + a->seam : (CAP), draw,\
-                        moved, w, exact && s + 1 < k ? scratch : NULL, &sum);      \
+                        exact && s + 1 < k, &sum);                                 \
             totals[s] = 0. + (exact ? (double)(int64_t)sum : pairwise(a->disp, n));\
             if (NAME##_wraps(a))                                                   \
                 NAME##_unwrap(a, 0, n);                                            \

@@ -53,7 +53,8 @@ _UINT64 = 2**64
 _INT_CAP = np.iinfo(np.int64).max // 4
 
 # The longest ring that holds integer positions: they lie below 2L, as does the last
-# particle's successor x_0 + L, so 2L - 1 must fit int64.
+# particle's successor x_0 + L, so 2L - 1 must fit int64.  A line's integer positions
+# span at most as much, so that every difference of two fits int64.
 _INT_RING = 2**62
 
 # Overlap smaller than a few ulps of the state scale is floating-point noise
@@ -190,10 +191,29 @@ class ProcessParams:
             raise ValueError(f"lattice process needs integer v, got {self.v}")
 
 
+def _fits_int64(x) -> bool:
+    return -2**63 <= x < 2**63
+
+
+def _past_int64(positions, arr: np.ndarray) -> bool:
+    """Whether positions, read by numpy as arr, hold an integer outside int64: numpy
+    takes those as uint64, which the cast to int64 wraps, or as objects or float64,
+    which round them."""
+    if arr.dtype.kind == "u":
+        return bool(arr.size) and arr.max() >= 2**63
+    if arr.dtype.kind == "O" or arr.dtype.kind == "f" and not isinstance(positions, np.ndarray):
+        return not np.all(np.abs(arr.astype(np.float64)) < 2.0**63) and any(
+            isinstance(x, (int, np.integer)) and not _fits_int64(x)
+            for x in np.asarray(positions, dtype=object))
+    return False
+
+
 def _as_positions(positions) -> np.ndarray:
     arr = np.asarray(positions)
     if arr.ndim != 1:
         raise ValueError("positions must be a 1-d sequence")
+    if _past_int64(positions, arr):
+        raise ValueError("integer positions must lie in int64, -2**63 .. 2**63 - 1")
     if arr.dtype.kind in "iu":
         return arr.astype(np.int64)
     return arr.astype(np.float64)
@@ -228,7 +248,8 @@ class Configuration(_Value):
         for name, arr in (("positions", pos), ("radii", rad), ("winding", wind)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
-        if n and np.any(np.diff(pos) < 0):
+        # not np.diff, which wraps once two int64 positions lie 2**63 apart
+        if n and np.any(pos[1:] < pos[:-1]):
             raise ValueError("positions must be sorted in particle order")
         if isinstance(self.geometry, Ring) and n:
             L = self.geometry.circumference
@@ -239,6 +260,9 @@ class Configuration(_Value):
                                  f"as they and x_0 + L lie below 2L; got L={L}")
             if pos[-1] > pos[0] + L:
                 raise ValueError("ring positions exceed one circumference window")
+        elif pos.dtype.kind == "i" and n and (span := int(pos[-1]) - int(pos[0])) > _INT_RING:
+            raise ValueError(f"integer positions on a line must span at most 2**62 sites, "
+                             f"so that their differences fit int64; got {span}")
         self._freeze(positions=pos, radii=rad, winding=wind)
 
     @classmethod
@@ -413,12 +437,14 @@ def _wrap_start(pos: np.ndarray, circumference: float) -> np.ndarray:
     """Shift all positions by a multiple of L so the first lands in [0, L)."""
     if len(pos) == 0:
         return pos
-    k = math.floor(pos[0] / circumference)
-    if k == 0:
-        return pos
     if pos.dtype.kind in "iu" and float(circumference).is_integer():
-        return pos - k * int(circumference)
-    return pos - k * circumference
+        # floor division of ints, as a float quotient rounds past 2**53
+        L = int(circumference)
+        k = int(pos[0]) // L
+    else:
+        L = circumference
+        k = math.floor(pos[0] / circumference)
+    return pos if k == 0 else pos - k * L
 
 
 def radius_conjugate(cfg: Configuration, r_new: float) -> Configuration:
@@ -507,13 +533,19 @@ def scale_shift(cfg: Configuration, u: float, w: float = 0.0) -> Configuration:
         and float(w).is_integer()
     )
     if int_ok:
+        # the end points as Python ints, as the int64 multiply would wrap
+        ends = [int(x) * int(u) + int(w) for x in cfg.positions[[0, -1]]] if cfg.n else []
+        if not all(map(_fits_int64, ends)):
+            raise ValueError(f"scale_shift by u={u}, w={w} takes integer positions to "
+                             f"{ends}, outside int64")
         pos = cfg.positions * int(u) + int(w)
     else:
         pos = cfg.positions * float(u) + float(w)
     rad = cfg.radii * u
     wind = cfg.winding * u
     if cfg.is_ring:
-        L_new = cfg.circumference * u
+        L = cfg.circumference
+        L_new = int(L) * int(u) if int_ok and float(L).is_integer() else L * u
         if int_ok and float(L_new).is_integer():
             L_new = int(L_new)
         pos = _wrap_start(pos, L_new)
@@ -599,7 +631,10 @@ def read_configuration_csv(stream: IO[str]) -> Configuration:
     for line in map(str.strip, stream):
         if line.startswith("#"):
             if "geometry=ring" in line:
-                geometry = Ring(float(line.split("circumference=")[1]))
+                # the writer spells an integral circumference as an int, which a float
+                # would round past 2**53
+                L = line.split("circumference=")[1]
+                geometry = Ring(int(L) if L.isdigit() else float(L))
             elif "geometry=line" in line:
                 geometry = LINE
         elif line and line != "index,position,radius":

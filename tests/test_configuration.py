@@ -247,6 +247,17 @@ class TestScaleShift:
         with pytest.raises(ValueError):
             scale_shift(line([0.0], 0.0), 0.0, 1.0)
 
+    def test_shift_past_2_53_wraps_the_first_position_exactly(self):
+        # a float quotient (2L - 6) / L rounds to 2, which moved x_0 to -6
+        L = 2**61 - 1
+        out = scale_shift(Configuration(Ring(L), np.array([0, 5]), 0.0), 1, 2 * L - 6)
+        assert out.positions.tolist() == [L - 6, L - 1]
+
+    def test_integral_ring_keeps_its_exact_circumference(self):
+        # the float product (2**61 - 1) * 2.0 would round up to 2**62
+        out = scale_shift(Configuration(Ring(2**61 - 1), np.array([0, 2**60]), 0.0), 2.0)
+        assert out.circumference == 2**62 - 2
+
 
 class TestRewrap:
     """Conjugacies whose first position leaves [0, L) shift the window back by L."""
@@ -409,7 +420,10 @@ class TestCsv:
         Configuration(Ring(3.0), [0.1, 1 / 3, 2.9], [0.05, 0.1, 0.0]),
         Configuration(Ring(12), np.array([0, 5, 11]), 0.5),
         Configuration(LINE, np.empty(0), 0.0),
-    ], ids=["float-ring", "lattice-ring", "empty-line"])
+        # integral circumferences a float would round
+        Configuration(Ring(2**62 - 1), np.array([0, 2**61]), 0.5),
+        Configuration(Ring(2**53 + 1), np.array([0, 2**52]), 0.5),
+    ], ids=["float-ring", "lattice-ring", "empty-line", "ring-2**62-1", "ring-2**53+1"])
     def test_roundtrip_is_exact_under_a_replay_header(self, cfg):
         buf = io.StringIO()
         buf.write("# tasep=0.1.0 command=measure-sample p=0.5 rho=0.3\n")

@@ -58,6 +58,18 @@ REJECTIONS = {
     "positions not 1-d": (Configuration, (LINE, [[0.0, 1.0]], 0.0), "1-d"),
     "radii length": (Configuration, (LINE, [0.0, 1.0], [0.1, 0.2, 0.3]), "radii length"),
     "winding length": (Configuration, (LINE, [0.0, 1.0], 0.0, [0.0]), "winding length"),
+    # np.diff of two int64 positions 2**63 or more apart wraps, and reads this as sorted
+    "unsorted positions 2**63 apart": (Configuration, (LINE, [2**62 + 2**61, -(2**62 + 2**61)],
+                                                       0.0), "sorted"),
+    "integer line wider than 2**62": (Configuration, (LINE, [-2**62, 2**62], 0.0),
+                                      r"span at most 2\*\*62 sites"),
+    # numpy holds these as uint64, which the int64 cast wraps, and as objects or float64
+    "integer positions past int64": (Configuration, (LINE, [2**63, 2**63 + 1], 0.0),
+                                     "must lie in int64"),
+    "integer positions past 2**64": (Configuration, (LINE, [0, 2**64 + 3], 0.0),
+                                     "must lie in int64"),
+    "scale past int64": (scale_shift, (Configuration(LINE, [0, 2**62], 0.0), 4),
+                         "outside int64"),
     "line circumference": (attrgetter("circumference"), (Configuration(LINE, [0.0], 0.0),),
                            "not a ring"),
     "zero-span line density": (density, (Configuration(LINE, [1.0, 1.0], 0.0),), "zero span"),
